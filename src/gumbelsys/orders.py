@@ -29,11 +29,10 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .entropy import QuadratureSpec, residual_entropy
 from .errors import DomainError, NumericsError, UsageError
-from .systems import EvalGrid, SystemModel, as_law
+from .systems import EvalGrid, SystemModel, as_law, logsumexp
 
 __all__ = [
     "Relation",
@@ -317,8 +316,8 @@ def check_lu(a, b, t_grid=None, quad: QuadratureSpec = QuadratureSpec(),
     INCONCLUSIVE rather than pretending precision."""
     _validate_pair(a, b)
     ts = make_t_grid(a, b) if t_grid is None else np.asarray(t_grid, dtype=float)
-    ha = [residual_entropy(a, float(t), quad) for t in ts]
-    hb = [residual_entropy(b, float(t), quad) for t in ts]
+    ha = residual_entropy(a, ts, quad)
+    hb = residual_entropy(b, ts, quad)
     if not all(v.converged for v in ha + hb):
         return OrderVerdict(Relation.LU, direction, Outcome.INCONCLUSIVE, None, 0.0)
     va = np.array([v.value for v in ha])

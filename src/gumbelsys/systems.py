@@ -24,7 +24,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import gumbel
 from .errors import DomainError, UsageError
@@ -54,6 +53,7 @@ __all__ = [
     "make_grid",
     "as_law",
     "LawOps",
+    "logsumexp",
 ]
 
 #: Maximum number of components accepted by :class:`SystemModel`.  The sums
@@ -145,6 +145,31 @@ def phi(t) -> np.ndarray:
     return np.where(np.isposinf(arr), 0.0, out)
 
 
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) along ``axis`` (all of ``a`` when None), for real input.
+
+    Mirrors ``scipy.special.logsumexp`` without weights bit for bit: the
+    maximal terms (ties counted in ``m``) are taken out of the shifted sum
+    ``s``, and the result is ``log1p(s/m) + log(m) + max``.  Where that is not
+    finite (infinite or NaN input) the direct ``log(sum(exp(a)))`` is used.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    a_max = np.max(a, axis=axis, keepdims=True)
+    top = a == a_max
+    m = np.sum(top, axis=axis, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out,
+                           np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
 def _require(s: SystemModel, topology: Topology, op: str) -> None:
     if s.topology is not topology:
         raise UsageError(f"{op} requires a {topology.value} system, got {s.topology.value}")
@@ -154,6 +179,19 @@ def _logw(s: SystemModel, x) -> np.ndarray:
     """(mu_i - x)/sigma for every component: log of the inner exponentials."""
     xv = _checked_x(x)
     return (np.asarray(s.mus) - np.asarray(xv)[..., None]) / s.sigma
+
+
+def _fill_underflow(out, logw) -> np.ndarray:
+    """Patch ``out = _log1mexp(exp(log w))`` where ``exp(log w)`` underflowed.
+
+    There ``out`` is ``-inf`` while ``log(1 - exp(-w)) = log w`` to double
+    precision, so ``log w`` is put in its place; every finite entry is left
+    as it is.  ``logw`` is a callable, evaluated only when an entry needs it,
+    so that the common path holds no extra (n_points, n) array.
+    """
+    if out.size and out.min() == -np.inf:
+        out = np.where(out == -np.inf, logw(), out)
+    return out
 
 
 # -- parallel systems -------------------------------------------------------
@@ -197,8 +235,9 @@ def _parallel_log_pdf(s: SystemModel, x) -> np.ndarray:
 
 
 def _parallel_log_survival(s: SystemModel, x) -> np.ndarray:
+    log_s = _parallel_log_sum(s, x)
     with np.errstate(over="ignore", under="ignore"):
-        return _log1mexp(np.exp(_parallel_log_sum(s, x)))
+        return _fill_underflow(_log1mexp(np.exp(log_s)), lambda: log_s)
 
 
 # -- series systems ----------------------------------------------------------
@@ -226,7 +265,7 @@ def _series_hazard(s: SystemModel, x) -> np.ndarray:
 def _series_log_survival(s: SystemModel, x) -> np.ndarray:
     with np.errstate(over="ignore", under="ignore"):
         w = np.exp(_logw(s, x))
-    return _log1mexp(w).sum(axis=-1)
+    return _fill_underflow(_log1mexp(w), lambda: _logw(s, x)).sum(axis=-1)
 
 
 def _series_log_pdf(s: SystemModel, x) -> np.ndarray:

@@ -1,12 +1,17 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import exp1
 
 import gumbelsys as gs
 from gumbelsys import DomainError
 from gumbelsys import entropy as en
+from gumbelsys import orders as od
 from gumbelsys import systems as sy
 
 from conftest import parallel, series
@@ -101,6 +106,94 @@ class TestResidual:
         s = series([0.0])
         with pytest.raises(DomainError):
             en.residual_entropy(s, 200.0)
+
+
+class TestParallelClosedForm:
+    """A parallel system is a Gumbel at loc = sigma * logsumexp(mu / sigma);
+    with a = w(t) and S = 1 - exp(-a) its residual entropy is
+
+        H(t) = log S - [-gamma - E1(a) - exp(-a) log a
+                        - (1 - exp(-a)(1 + a)) - S log sigma] / S.
+    """
+
+    @staticmethod
+    def closed_form(s, ts):
+        loc = s.sigma * sy.logsumexp(np.asarray(s.mus) / s.sigma)
+        a = np.exp(-(ts - loc) / s.sigma)
+        surv = -np.expm1(-a)
+        inner = (-EULER_GAMMA - exp1(a) - np.exp(-a) * np.log(a)
+                 - (1.0 - np.exp(-a) * (1.0 + a)) - surv * math.log(s.sigma))
+        return np.log(surv) - inner / surv
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_matches_quadrature_over_t_window(self, n, sigma):
+        g = np.random.default_rng([n, int(4 * sigma)])
+        s = parallel(g.uniform(-3.0, 3.0, n), sigma)
+        ts = od.make_t_grid(s, s)
+        values = en.residual_entropy(s, ts)
+        assert all(v.converged for v in values)
+        got = np.array([v.value for v in values])
+        np.testing.assert_allclose(got, self.closed_form(s, ts), rtol=0, atol=1e-10)
+
+
+class TestEngineContract:
+    def test_array_t_matches_scalar_loop(self):
+        for s in (series([0.9, -0.4, 0.1], 0.8), parallel([1.0, -1.0], 1.5)):
+            ts = od.make_t_grid(s, s, 9)
+            batch = en.residual_entropy(s, ts)
+            assert isinstance(batch, list) and len(batch) == ts.size
+            for t, b in zip(ts, batch):
+                one = en.residual_entropy(s, float(t))
+                assert isinstance(one, en.EntropyValue)
+                assert one.converged and b.converged
+                assert b.value == pytest.approx(one.value, abs=1e-12)
+            for t, pair in zip(ts, en.residual_entropy_forms(s, ts)):
+                for form, one in zip(pair, en.residual_entropy_forms(s, float(t))):
+                    assert form.value == pytest.approx(one.value, abs=1e-12)
+
+    def test_curve_marks_non_finite_time(self):
+        curve = en.entropy_curve(series([0.0]), np.array([0.0, np.nan, 1.0]))
+        assert [e.converged for e in curve] == [True, False, True]
+        assert math.isnan(curve[1].value)
+
+    def test_array_with_one_time_past_cutoff_rejected(self):
+        with pytest.raises(DomainError):
+            en.residual_entropy(series([0.0]), np.array([0.0, 200.0]))
+
+    def test_check_lu_past_cutoff_raises(self):
+        a, b = series([1.0, 0.0]), series([0.5, 0.5])
+        with pytest.raises(DomainError):
+            od.check_lu(a, b, t_grid=np.array([0.0, 1.0, 300.0]))
+
+    def test_duck_typed_law_goes_through_vector_path(self, exponential_law):
+        lam = 0.8
+        values = en.residual_entropy(exponential_law(lam), np.linspace(0.0, 4.0, 9))
+        assert all(v.converged for v in values)
+        for v in values:
+            assert v.value == pytest.approx(1 - math.log(lam), abs=1e-9)
+
+    def test_refinement_budget_caps_bisections(self, exponential_law):
+        # from t < 0 the window holds the density's jump at 0, which keeps
+        # failing the panel test until several bisections have isolated it
+        law = exponential_law(1.3)
+        for budget, converged in ((1, False), (10, False), (2000, True)):
+            q = en.QuadratureSpec(max_subdivisions=budget)
+            a, b = en.residual_entropy_forms(law, -1.0, q)
+            assert a.converged is converged and b.converged is converged
+        # a window clear of the jump needs no bisection at all
+        q = en.QuadratureSpec(max_subdivisions=1)
+        assert all(e.converged for e in en.residual_entropy_forms(law, 0.5, q))
+
+
+class TestImportHygiene:
+    def test_import_loads_no_scipy(self):
+        src = str(Path(gs.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, %r); import gumbelsys; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))" % src)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True).stdout.strip()
+        assert out == "[]"
 
 
 class TestCurve:

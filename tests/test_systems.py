@@ -137,6 +137,70 @@ class TestDispatch:
         assert np.isfinite(vals).all() and (vals > 0).all()
 
 
+class TestFarRightTail:
+    """Log survival and log density stay finite where exp(log w) underflows."""
+
+    def test_series_log_survival_and_log_pdf_finite(self):
+        s = series([2.0, 0.0])
+        # log survival = sum_i log(1 - exp(-w_i)) = sum_i log w_i once w_i underflow
+        assert sy.system_log_survival(s, 800.0) == pytest.approx(-1598.0, rel=1e-15)
+        # log pdf = log(hazard) + log survival, with the hazard at its limit n/sigma
+        expect = math.log(2.0) - 1598.0
+        assert sy.system_log_pdf(s, 800.0) == pytest.approx(expect, rel=1e-15)
+
+    def test_parallel_log_survival_finite(self):
+        s = parallel([2.0, 0.0])
+        expect = -800.0 + math.log(math.exp(2.0) + 1.0)  # log of sum_i w_i
+        assert sy.system_log_survival(s, 800.0) == pytest.approx(expect, rel=1e-15)
+
+    @pytest.mark.parametrize("s", [series([2.0, 0.0, -1.5], 0.7),
+                                   parallel([2.0, 0.0, -1.5], 0.7)])
+    def test_finite_values_unchanged(self, s):
+        # where exp(log w) does not underflow, the result is the plain
+        # _log1mexp(w) sum bit for bit
+        xs = np.linspace(-30.0, 520.0, 1101)
+        logw = (np.asarray(s.mus) - xs[:, None]) / s.sigma
+        if s.topology is Topology.PARALLEL:
+            old = gu._log1mexp(np.exp(sy.logsumexp(logw, axis=-1)))
+        else:
+            old = gu._log1mexp(np.exp(logw)).sum(axis=-1)
+        assert np.isfinite(old).all()
+        np.testing.assert_array_equal(sy.system_log_survival(s, xs), old)
+
+
+class TestLogSumExp:
+    """The numpy logsumexp matches scipy.special.logsumexp bit for bit."""
+
+    def test_bitwise_equal_to_scipy(self):
+        from scipy.special import logsumexp as scipy_logsumexp
+
+        g = np.random.default_rng(20190501)
+        for n in range(1, 65):
+            for rep in range(12):
+                a = g.normal(0.0, 10.0 ** g.uniform(-3, 3), n)
+                if rep % 3 == 0:  # ties at the maximum
+                    a[g.integers(0, n, max(1, n // 3))] = a.max()
+                if rep % 4 == 0:
+                    a = np.round(a)
+                assert sy.logsumexp(a) == scipy_logsumexp(a)
+                rows = g.normal(0.0, 5.0, (7, n))
+                rows[::2, 0] = rows[::2].max(axis=1)
+                np.testing.assert_array_equal(sy.logsumexp(rows, axis=-1),
+                                              scipy_logsumexp(rows, axis=-1))
+
+    def test_edge_values_match_scipy(self):
+        from scipy.special import logsumexp as scipy_logsumexp
+
+        for a in ([-np.inf, -np.inf], [np.inf, 1.0], [0.0], [1e308, 1e308],
+                  [-800.0, -798.0]):
+            a = np.array(a)
+            np.testing.assert_array_equal(sy.logsumexp(a), scipy_logsumexp(a))
+
+    def test_scalar_result_for_1d(self):
+        assert np.ndim(sy.logsumexp(np.array([0.0, 0.0]))) == 0
+        assert sy.logsumexp(np.array([0.0, 0.0])) == pytest.approx(math.log(2.0), rel=1e-15)
+
+
 class TestModel:
     def test_canonical_descending(self):
         s = series([0.0, 2.0, -1.0])
