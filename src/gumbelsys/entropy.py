@@ -93,8 +93,8 @@ def _panels(law, a: np.ndarray, b: np.ndarray, q: QuadratureSpec):
     rule, their error estimates and pass flags, each shaped (2, panels)."""
     half = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
-    lp = np.asarray(law.log_pdf(x.ravel()), dtype=float).reshape(x.shape)
-    ls = np.asarray(law.log_survival(x.ravel()), dtype=float).reshape(x.shape)
+    lp, ls = (np.asarray(v, dtype=float).reshape(x.shape)
+              for v in law.log_pdf_and_survival(x.ravel()))
     with np.errstate(under="ignore", invalid="ignore"):
         f = np.exp(lp)
         live = f > 0.0
@@ -144,11 +144,11 @@ def _upper_cuts(law, ts: np.ndarray, log_target: np.ndarray, scale: float) -> np
     lo, hi = ts.copy(), np.full(ts.shape, np.inf)
     x, width = ts + scale, np.full(ts.shape, scale)
     for _ in range(400):
-        ls = np.asarray(law.log_survival(x), dtype=float)
+        lp, ls = (np.asarray(v, dtype=float) for v in law.log_pdf_and_survival(x))
         g = ls - log_target
         lo, hi = np.where(g > 0.0, x, lo), np.where(g > 0.0, hi, x)
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            newton = x + g / np.exp(np.asarray(law.log_pdf(x), dtype=float) - ls)
+            newton = x + g / np.exp(lp - ls)
         width = np.where(np.isinf(hi), 2.0 * width, width)
         fallback = np.where(np.isinf(hi), lo + width, 0.5 * (lo + hi))
         nxt = np.where((lo <= newton) & (newton <= hi) & np.isfinite(hi), newton, fallback)

@@ -81,13 +81,39 @@ def cdf(p: GumbelParams, x) -> np.ndarray:
         return np.exp(log_cdf(p, x))
 
 
+# The log-space formulas below take w >= 0 together with ``e = exp(-w)`` and
+# ``m = -expm1(-w) = 1 - exp(-w)``, so that a caller needing several of them
+# computes the two exponentials once.  Callers run them under
+# ``np.errstate(all="ignore")``: the branches not taken may overflow or divide
+# by zero, and ``np.where`` discards them.
+
+def _exps(w) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(-w)`` and ``-expm1(-w)``, the two exponentials of the formulas."""
+    neg = -w
+    return np.exp(neg), -np.expm1(neg)
+
+
+def _log1mexp_of(w, e, m) -> np.ndarray:
+    """log(1 - exp(-w)): ``log(m)`` up to w = ln 2, ``log1p(-e)`` beyond it
+    (the two-branch form of Maechler, 2012)."""
+    return np.where(w <= 0.6931471805599453, np.log(m), np.log1p(-e))
+
+
+def _phi_of(w, e, m) -> np.ndarray:
+    """phi(w) = w/(e^w - 1) as ``w*e/m``; the series ``1 - w/2 + w^2/12``
+    below w = 1e-5, where both factors vanish, and 0 at w = inf."""
+    out = w * e / m
+    small = w < 1e-5
+    if small.any():
+        out = np.where(small, 1.0 - w / 2.0 + w * w / 12.0, out)
+    return np.where(np.isposinf(w), 0.0, out)
+
+
 def _log1mexp(w) -> np.ndarray:
     """log(1 - exp(-w)) for w > 0, stable across the whole range."""
     w = np.asarray(w, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        small = np.log(-np.expm1(-np.minimum(w, 0.6931471805599453)))
-        large = np.log1p(-np.exp(-np.maximum(w, 0.6931471805599453)))
-    return np.where(w <= 0.6931471805599453, small, large)
+    with np.errstate(all="ignore"):
+        return _log1mexp_of(w, *_exps(w))
 
 
 def survival(p: GumbelParams, x) -> np.ndarray:
@@ -115,10 +141,11 @@ def pdf(p: GumbelParams, x) -> np.ndarray:
 
 
 def hazard(p: GumbelParams, x) -> np.ndarray:
-    """f(x) / (1 - F(x)) = (w/sigma) * exp(-w) / (1 - exp(-w))."""
+    """f(x) / (1 - F(x)) = phi(w)/sigma with phi(w) = w exp(-w) / (1 - exp(-w));
+    0 in the far left tail, where w overflows, and 1/sigma in the far right."""
     w = _w(p, x)
-    with np.errstate(under="ignore"):
-        return w * np.exp(-w) / (-np.expm1(-w)) / p.sigma
+    with np.errstate(all="ignore"):
+        return _phi_of(w, *_exps(w)) / p.sigma
 
 
 def reversed_hazard(p: GumbelParams, x) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .entropy import QuadratureSpec, residual_entropy
 from .errors import DomainError, NumericsError, UsageError
-from .systems import EvalGrid, SystemModel, as_law, logsumexp
+from .systems import EvalGrid, SystemModel, as_law, logsumexp, make_grid
 
 __all__ = [
     "Relation",
@@ -132,16 +132,9 @@ def _validate_pair(a, b) -> None:
                 f"systems must share the scale parameter, got {a.sigma} and {b.sigma}")
 
 
-def _law_window(a, b, lo_prob: float, hi_prob: float, count: int) -> np.ndarray:
-    la, lb = as_law(a), as_law(b)
-    lo = min(float(la.quantiles(lo_prob)), float(lb.quantiles(lo_prob)))
-    hi = max(float(la.quantiles(hi_prob)), float(lb.quantiles(hi_prob)))
-    return np.linspace(lo, hi, count)
-
-
 def _xs(a, b, grid: EvalGrid | None) -> np.ndarray:
     if grid is None:
-        return _law_window(a, b, 1e-8, 1.0 - 1e-8, DEFAULT_X_POINTS)
+        return make_grid(a, b, DEFAULT_X_POINTS).points
     return grid.points if isinstance(grid, EvalGrid) else np.asarray(grid, dtype=float)
 
 

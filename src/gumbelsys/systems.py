@@ -12,10 +12,15 @@ component lives (lifetime = max), the series system needs all of them
 * series hazard       ``(1/sigma) * sum_i phi(w_i)`` with ``phi(t) = t/(e^t - 1)``
 
 The inner sums are accumulated through log-sum-exp or pairwise reduction so
-that tail evaluations degrade gracefully instead of overflowing.  Quantiles
-have no closed form for n > 1; they are found inside closed-form component
-brackets by safeguarded Newton iteration in log space, with bisection as the
-fallback, to |cdf(result) - prob| below 1e-12.
+that tail evaluations degrade gracefully instead of overflowing.  Every
+function is a view of one kernel pass over ``log w_i = (mu_i - x)/sigma``,
+run in row blocks of about 16k component terms so that its temporaries stay
+in cache.  For a series system one pass yields the log survival and the
+hazard together: ``w``, ``exp(-w)`` and ``-expm1(-w)`` are computed once per
+term and shared by ``log1mexp`` and ``phi``.  Quantiles have no closed form
+for n > 1; they are found inside closed-form component brackets by
+safeguarded Newton iteration in log space, one kernel pass per step, with
+bisection as the fallback, to |cdf(result) - prob| below 1e-12.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from . import gumbel
 from .errors import DomainError, UsageError
-from .gumbel import GumbelParams, _checked_x, _log1mexp
+from .gumbel import GumbelParams, _checked_x, _exps, _log1mexp, _log1mexp_of, _phi_of
 
 __all__ = [
     "MAX_COMPONENTS",
@@ -60,6 +65,10 @@ __all__ = [
 #: over components are pairwise-accumulated; beyond this size the rounding
 #: budget of the ordering checks is no longer guaranteed.
 MAX_COMPONENTS = 64
+
+#: Component terms per block of a kernel pass.  One float temporary of a
+#: block is 128 KB, so the dozen a pass holds stay in a 2 MiB L2 cache.
+_BLOCK_TERMS = 16384
 
 
 class Topology(enum.Enum):
@@ -137,12 +146,8 @@ def phi(t) -> np.ndarray:
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr) | np.isposinf(arr)) or np.any(arr < 0.0):
         raise DomainError(f"phi is defined on t >= 0, got {t!r}")
-    with np.errstate(under="ignore", invalid="ignore"):
-        tiny = 1.0 - arr / 2.0 + arr * arr / 12.0
-        safe = np.where((arr < 1e-5) | np.isposinf(arr), 1.0, arr)
-        main = safe * np.exp(-safe) / (-np.expm1(-safe))
-    out = np.where(arr < 1e-5, tiny, main)
-    return np.where(np.isposinf(arr), 0.0, out)
+    with np.errstate(all="ignore"):
+        return _phi_of(arr, *_exps(arr))
 
 
 def logsumexp(a, axis=None):
@@ -175,30 +180,38 @@ def _require(s: SystemModel, topology: Topology, op: str) -> None:
         raise UsageError(f"{op} requires a {topology.value} system, got {s.topology.value}")
 
 
-def _logw(s: SystemModel, x) -> np.ndarray:
-    """(mu_i - x)/sigma for every component: log of the inner exponentials."""
-    xv = _checked_x(x)
-    return (np.asarray(s.mus) - np.asarray(xv)[..., None]) / s.sigma
+def _logw_blocks(s: SystemModel, flat: np.ndarray):
+    """Row slices of the flat abscissae with their ``log w = (mu_i - x)/sigma``,
+    in equal blocks of about ``_BLOCK_TERMS`` component terms.  A row never
+    spans two blocks, so no row sum depends on the blocking."""
+    mus = np.asarray(s.mus)
+    blocks = max(1, round(flat.size * s.n / _BLOCK_TERMS))
+    step = max(1, -(-flat.size // blocks))
+    for i in range(0, flat.size, step):
+        yield slice(i, i + step), (mus - flat[i:i + step, None]) / s.sigma
 
 
 def _fill_underflow(out, logw) -> np.ndarray:
-    """Patch ``out = _log1mexp(exp(log w))`` where ``exp(log w)`` underflowed.
+    """Patch ``out = log(1 - exp(-exp(log w)))`` where ``exp(log w)`` underflowed.
 
     There ``out`` is ``-inf`` while ``log(1 - exp(-w)) = log w`` to double
     precision, so ``log w`` is put in its place; every finite entry is left
-    as it is.  ``logw`` is a callable, evaluated only when an entry needs it,
-    so that the common path holds no extra (n_points, n) array.
+    as it is.
     """
     if out.size and out.min() == -np.inf:
-        out = np.where(out == -np.inf, logw(), out)
+        out = np.where(out == -np.inf, logw, out)
     return out
 
 
 # -- parallel systems -------------------------------------------------------
 
 def _parallel_log_sum(s: SystemModel, x) -> np.ndarray:
-    """log(sum_i w_i) via log-sum-exp."""
-    return logsumexp(_logw(s, x), axis=-1)
+    """log(sum_i w_i) via log-sum-exp, one row block at a time."""
+    xv = _checked_x(x)
+    out = np.empty(xv.size)
+    for rows, logw in _logw_blocks(s, xv.reshape(-1)):
+        out[rows] = logsumexp(logw, axis=-1)
+    return out.reshape(xv.shape)[()]
 
 
 def parallel_cdf(s: SystemModel, x) -> np.ndarray:
@@ -212,7 +225,7 @@ def parallel_pdf(s: SystemModel, x) -> np.ndarray:
     """Density of the parallel lifetime: (cdf/sigma) * sum_i w_i."""
     _require(s, Topology.PARALLEL, "parallel_pdf")
     with np.errstate(over="ignore", under="ignore"):
-        return np.exp(_parallel_log_pdf(s, x))
+        return np.exp(_parallel_log_pdf(s, _parallel_log_sum(s, x)))
 
 
 def parallel_reversed_hazard(s: SystemModel, x) -> np.ndarray:
@@ -228,55 +241,64 @@ def _parallel_log_cdf(s: SystemModel, x) -> np.ndarray:
         return -np.exp(_parallel_log_sum(s, x))
 
 
-def _parallel_log_pdf(s: SystemModel, x) -> np.ndarray:
-    log_s = _parallel_log_sum(s, x)
+def _parallel_log_pdf(s: SystemModel, log_s) -> np.ndarray:
+    """log density from ``log_s = log(sum_i w_i)``."""
     with np.errstate(over="ignore", under="ignore"):
         return log_s - np.exp(log_s) - np.log(s.sigma)
 
 
-def _parallel_log_survival(s: SystemModel, x) -> np.ndarray:
-    log_s = _parallel_log_sum(s, x)
+def _parallel_log_survival(log_s) -> np.ndarray:
+    """log survival from ``log_s = log(sum_i w_i)``."""
     with np.errstate(over="ignore", under="ignore"):
-        return _fill_underflow(_log1mexp(np.exp(log_s)), lambda: log_s)
+        return _fill_underflow(_log1mexp(np.exp(log_s)), log_s)
 
 
 # -- series systems ----------------------------------------------------------
+
+def _series_pass(s: SystemModel, x, survival: bool = True, hazard: bool = True):
+    """Log survival and hazard of a series system from one blocked pass.
+
+    For every component term ``log w``, ``w``, ``exp(-w)`` and ``-expm1(-w)``
+    are computed once and feed both ``sum_i log(1 - exp(-w_i))`` and
+    ``(1/sigma) * sum_i phi(w_i)``.  An output not asked for is not computed
+    and comes back as None.
+    """
+    xv = _checked_x(x)
+    log_sf = np.empty(xv.size) if survival else None
+    rate = np.empty(xv.size) if hazard else None
+    with np.errstate(all="ignore"):
+        for rows, logw in _logw_blocks(s, xv.reshape(-1)):
+            w = np.exp(logw)
+            e, m = _exps(w)
+            if survival:
+                log_sf[rows] = _fill_underflow(_log1mexp_of(w, e, m), logw).sum(axis=-1)
+            if hazard:
+                rate[rows] = _phi_of(w, e, m).sum(axis=-1)
+    if survival:
+        log_sf = log_sf.reshape(xv.shape)[()]
+    if hazard:
+        rate = (rate / s.sigma).reshape(xv.shape)[()]
+    return log_sf, rate
+
 
 def series_survival(s: SystemModel, x) -> np.ndarray:
     """Survival of the series lifetime: prod_i (1 - exp(-w_i))."""
     _require(s, Topology.SERIES, "series_survival")
     with np.errstate(under="ignore"):
-        return np.exp(_series_log_survival(s, x))
+        return np.exp(_series_pass(s, x, hazard=False)[0])
 
 
 def series_hazard(s: SystemModel, x) -> np.ndarray:
     """Hazard of the series lifetime, the sum of the component hazards:
     (1/sigma) * sum_i phi(w_i)."""
     _require(s, Topology.SERIES, "series_hazard")
-    return _series_hazard(s, x)
+    return _series_pass(s, x, survival=False)[1]
 
 
-def _series_hazard(s: SystemModel, x) -> np.ndarray:
-    with np.errstate(over="ignore", under="ignore"):
-        w = np.exp(_logw(s, x))
-    return phi(w).sum(axis=-1) / s.sigma
-
-
-def _series_log_survival(s: SystemModel, x) -> np.ndarray:
-    with np.errstate(over="ignore", under="ignore"):
-        w = np.exp(_logw(s, x))
-    return _fill_underflow(_log1mexp(w), lambda: _logw(s, x)).sum(axis=-1)
-
-
-def _series_log_pdf(s: SystemModel, x) -> np.ndarray:
+def _series_log_pdf(log_sf, rate) -> np.ndarray:
+    """log density as log(hazard) + log survival."""
     with np.errstate(divide="ignore"):
-        return np.log(_series_hazard(s, x)) + _series_log_survival(s, x)
-
-
-def _series_log_cdf(s: SystemModel, x) -> np.ndarray:
-    log_sf = _series_log_survival(s, x)
-    with np.errstate(divide="ignore", under="ignore"):
-        return _log1mexp(-log_sf)
+        return np.log(rate) + log_sf
 
 
 # -- topology dispatch --------------------------------------------------------
@@ -284,26 +306,37 @@ def _series_log_cdf(s: SystemModel, x) -> np.ndarray:
 def system_log_cdf(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
         return _parallel_log_cdf(s, x)
-    return _series_log_cdf(s, x)
+    log_sf = _series_pass(s, x, hazard=False)[0]
+    with np.errstate(divide="ignore", under="ignore"):
+        return _log1mexp(-log_sf)
 
 
 def system_log_survival(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
-        return _parallel_log_survival(s, x)
-    return _series_log_survival(s, x)
+        return _parallel_log_survival(_parallel_log_sum(s, x))
+    return _series_pass(s, x, hazard=False)[0]
 
 
 def system_log_pdf(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
-        return _parallel_log_pdf(s, x)
-    return _series_log_pdf(s, x)
+        return _parallel_log_pdf(s, _parallel_log_sum(s, x))
+    return _series_log_pdf(*_series_pass(s, x))
+
+
+def _log_pdf_and_survival(s: SystemModel, x) -> tuple[np.ndarray, np.ndarray]:
+    """``(system_log_pdf, system_log_survival)`` from one kernel pass."""
+    if s.topology is Topology.PARALLEL:
+        log_s = _parallel_log_sum(s, x)
+        return _parallel_log_pdf(s, log_s), _parallel_log_survival(log_s)
+    log_sf, rate = _series_pass(s, x)
+    return _series_log_pdf(log_sf, rate), log_sf
 
 
 def system_cdf(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
         return parallel_cdf(s, x)
     with np.errstate(under="ignore"):
-        return -np.expm1(_series_log_survival(s, x))
+        return -np.expm1(_series_pass(s, x, hazard=False)[0])
 
 
 def system_survival(s: SystemModel, x) -> np.ndarray:
@@ -320,26 +353,27 @@ def system_pdf(s: SystemModel, x) -> np.ndarray:
 
 def system_hazard(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.SERIES:
-        return _series_hazard(s, x)
+        return _series_pass(s, x, survival=False)[1]
     # the parallel lifetime is a Gumbel with inner exponential sum_i w_i,
     # so its hazard is phi(sum_i w_i)/sigma, stable across both tails
-    with np.errstate(over="ignore", under="ignore"):
-        return phi(np.exp(_parallel_log_sum(s, x))) / s.sigma
+    with np.errstate(all="ignore"):
+        w = np.exp(_parallel_log_sum(s, x))
+        return _phi_of(w, *_exps(w)) / s.sigma
 
 
 def system_reversed_hazard(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
         return parallel_reversed_hazard(s, x)
-    log_sf = _series_log_survival(s, x)
-    rate = _series_hazard(s, x)
-    with np.errstate(under="ignore", invalid="ignore", divide="ignore"):
+    log_sf, rate = _series_pass(s, x)
+    with np.errstate(all="ignore"):
         out = rate * np.exp(log_sf) / (-np.expm1(log_sf))
-    # survival rounds to 1 when the cdf drops below double precision; there
-    # the ratio f/F approaches w_min/sigma (the most fragile component)
-    deep = log_sf == 0.0
-    if np.any(deep):
-        w_min = np.exp((s.mus[-1] - np.asarray(_checked_x(x), dtype=float)) / s.sigma)
-        out = np.where(deep, w_min / s.sigma, out)
+        # survival rounds to 1 when the cdf drops below double precision;
+        # there the ratio f/F approaches w_min/sigma (the most fragile
+        # component), which overflows to inf far enough left
+        deep = log_sf == 0.0
+        if np.any(deep):
+            w_min = np.exp((s.mus[-1] - np.asarray(x, dtype=float)) / s.sigma)
+            out = np.where(deep, w_min / s.sigma, out)
     return out
 
 
@@ -349,13 +383,14 @@ def _series_bracket(s: SystemModel, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Closed-form bracket for the series quantile from component quantiles.
 
     From min_i Fbar_i >= prod_i Fbar_i >= (min_i Fbar_i)^n it follows that
-    ``min_i Q_i(1 - (1-u)^(1/n)) <= Q(u) <= min_i Q_i(u)``.
+    ``min_i Q_i(1 - (1-u)^(1/n)) <= Q(u) <= min_i Q_i(u)``.  Each
+    ``Q_i(p) = mu_i - sigma*log(-log p)`` and rounding is monotone, so the
+    minimum over i is exactly the quantile of the smallest location.
     """
-    n = s.n
-    comps = s.components()
-    p_lo = -np.expm1(np.log1p(-u) / n)  # 1 - (1-u)^(1/n)
-    lo = np.min([gumbel.quantile(c, p_lo) for c in comps], axis=0)
-    hi = np.min([gumbel.quantile(c, u) for c in comps], axis=0)
+    weakest = GumbelParams(s.mus[-1], s.sigma)
+    p_lo = -np.expm1(np.log1p(-u) / s.n)  # 1 - (1-u)^(1/n)
+    lo = gumbel.quantile(weakest, p_lo)
+    hi = gumbel.quantile(weakest, u)
     pad = 1e-9 * (1.0 + np.abs(lo)) * s.sigma
     return lo - pad, hi + pad
 
@@ -367,7 +402,8 @@ def system_quantiles(s: SystemModel, probs) -> np.ndarray:
     ``sigma * log(sum_i exp(mu_i/sigma))``, so its quantile is closed form.
     Series quantiles are found by safeguarded Newton on the log survival
     inside the component bracket, with bisection as fallback, until
-    |cdf(result) - prob| < 1e-12.
+    |cdf(result) - prob| < 1e-12.  Each Newton step takes the log survival,
+    the cdf residual and the hazard from one kernel pass.
     """
     u = np.atleast_1d(np.asarray(probs, dtype=float))
     if not np.all(np.isfinite(u)) or np.any(u <= 0.0) or np.any(u >= 1.0):
@@ -387,28 +423,26 @@ def system_quantiles(s: SystemModel, probs) -> np.ndarray:
     lo, hi = _series_bracket(s, u)
     x = 0.5 * (lo + hi)
     for _ in range(120):
-        gx = _series_log_survival(s, x) - target
-        done = np.abs(_prob_residual(s, x, u)) < 1e-12
+        log_sf, rate = _series_pass(s, x)
+        gx = log_sf - target
+        with np.errstate(under="ignore"):
+            done = np.abs(-np.expm1(log_sf) - u) < 1e-12  # |system_cdf - u|
         if done.all():
             break
         # log survival decreases in x: g > 0 puts x left of the root
         lo = np.where(gx > 0, np.maximum(lo, x), lo)
         hi = np.where(gx < 0, np.minimum(hi, x), hi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x + gx / _series_hazard(s, x)
+            newton = x + gx / rate
         inside = np.isfinite(newton) & (newton > lo) & (newton < hi)
         x = np.where(done, x, np.where(inside, newton, 0.5 * (lo + hi)))
         if np.all(hi - lo <= 1e-13 * np.maximum(1.0, np.abs(x))):
             break
 
-    resid = np.abs(_prob_residual(s, x, u))
+    resid = np.abs(system_cdf(s, x) - u)
     for k in np.where(resid >= 1e-12)[0]:
         x[k] = _bisect_quantile(s, float(u[k]), float(lo[k]), float(hi[k]))
     return x[0] if scalar else x
-
-
-def _prob_residual(s: SystemModel, x, u) -> np.ndarray:
-    return system_cdf(s, x) - u
 
 
 def _bisect_quantile(s: SystemModel, u: float, lo: float, hi: float) -> float:
@@ -448,7 +482,8 @@ class LawOps:
     and hazards are derived when absent).  The entropy and order-checking
     machinery works against this view, which is how synthetic laws (for
     example a constant-hazard fixture) can be pushed through the same checks
-    as real systems.
+    as real systems.  ``log_pdf_and_survival`` returns both logs at once:
+    from one kernel pass for a system, from two calls for any other law.
     """
 
     def __init__(self, obj) -> None:
@@ -463,6 +498,7 @@ class LawOps:
             self.hazard = lambda x: system_hazard(obj, x)
             self.reversed_hazard = lambda x: system_reversed_hazard(obj, x)
             self.quantiles = lambda u: system_quantiles(obj, u)
+            self.log_pdf_and_survival = lambda x: _log_pdf_and_survival(obj, x)
             return
         for name in ("pdf", "cdf", "survival", "quantile"):
             if not callable(getattr(obj, name, None)):
@@ -480,6 +516,7 @@ class LawOps:
         self.reversed_hazard = getattr(obj, "reversed_hazard", None) or (
             lambda x: np.asarray(obj.pdf(x)) / np.asarray(obj.cdf(x)))
         self.quantiles = lambda u: np.vectorize(obj.quantile)(u)
+        self.log_pdf_and_survival = lambda x: (self.log_pdf(x), self.log_survival(x))
 
 
 def _logged(fn):
@@ -494,20 +531,22 @@ def as_law(obj) -> LawOps:
     return obj if isinstance(obj, LawOps) else LawOps(obj)
 
 
-def make_grid(a: SystemModel, b: SystemModel, count: int = 2049,
-              tail_cutoff: float = 1e-8) -> EvalGrid:
-    """Uniform grid covering both systems up to the given tail mass.
+def make_grid(a, b, count: int = 2049, tail_cutoff: float = 1e-8) -> EvalGrid:
+    """Uniform grid covering both laws up to the given tail mass.
 
     The window runs from the smaller of the two ``tail_cutoff`` quantiles to
     the larger of the two ``1 - tail_cutoff`` quantiles; beyond those points
-    the ordering functions are dominated by rounding.
+    the ordering functions are dominated by rounding.  ``a`` and ``b`` are
+    systems or duck-typed laws (see :class:`LawOps`); each law solves both
+    of its quantiles in one call.
     """
     if count < 33:
         raise UsageError(f"count must be >= 33, got {count}")
     if not (0.0 < tail_cutoff < 0.5):
         raise DomainError(f"tail_cutoff must lie in (0, 0.5), got {tail_cutoff}")
     lo_p, hi_p = tail_cutoff, 1.0 - tail_cutoff
-    lo = min(system_quantile(a, lo_p), system_quantile(b, lo_p))
-    hi = max(system_quantile(a, hi_p), system_quantile(b, hi_p))
+    (lo_a, hi_a), (lo_b, hi_b) = (
+        np.asarray(as_law(s).quantiles(np.array([lo_p, hi_p])), dtype=float) for s in (a, b))
+    lo, hi = min(float(lo_a), float(lo_b)), max(float(hi_a), float(hi_b))
     return EvalGrid(points=np.linspace(lo, hi, count), lo_prob=lo_p, hi_prob=hi_p,
                     count=count)

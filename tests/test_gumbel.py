@@ -71,6 +71,14 @@ class TestRates:
     def test_reversed_hazard_at_location(self):
         assert gu.reversed_hazard(GumbelParams(0, 1), 0.0) == 1.0
 
+    def test_hazard_far_tails(self):
+        # 0 where w overflows, 1/sigma where it underflows
+        with np.errstate(all="raise"):
+            np.testing.assert_array_equal(gu.hazard(GumbelParams(0, 1), [-800.0, 800.0]),
+                                          [0.0, 1.0])
+            np.testing.assert_array_equal(gu.hazard(GumbelParams(3, 2), [-1597.0, 1603.0]),
+                                          [0.0, 0.5])
+
     def test_hazard_at_location(self):
         expect = E1 / (1 - E1)
         assert gu.hazard(GumbelParams(0, 1), 0.0) == pytest.approx(expect, rel=1e-13)

@@ -231,6 +231,21 @@ class TestMonotoneShape:
         assert not od.is_irhr(law, xs)  # reversed hazard of exponential decays
 
 
+class TestDefaultGrid:
+    @pytest.mark.parametrize("topology", ["series", "parallel"])
+    def test_default_grid_is_the_quantile_window(self, topology, exponential_law):
+        # min/max of the scalar 1e-8 and 1 - 1e-8 quantiles, 2049 points
+        make = series if topology == "series" else parallel
+        pairs = [(make([1.2, -0.4, 0.3], 0.8), make([0.4, 0.4, 0.3], 0.8)),
+                 (exponential_law(2.0), exponential_law(1.0))]
+        for a, b in pairs:
+            la, lb = sy.as_law(a), sy.as_law(b)
+            lo = min(float(la.quantiles(1e-8)), float(lb.quantiles(1e-8)))
+            hi = max(float(la.quantiles(1.0 - 1e-8)), float(lb.quantiles(1.0 - 1e-8)))
+            np.testing.assert_array_equal(od._xs(a, b, None),
+                                          np.linspace(lo, hi, od.DEFAULT_X_POINTS))
+
+
 class TestInvariance:
     def test_location_equivariance(self):
         a, b = parallel([2, 0]), parallel([1, 1])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from gumbelsys import DomainError, SystemModel, Topology, UsageError
 from gumbelsys import gumbel as gu
 from gumbelsys import systems as sy
 
-from conftest import parallel, series
+from conftest import ExponentialLaw, parallel, series
 
 E1 = math.exp(-1.0)
 
@@ -316,3 +317,154 @@ class TestGrid:
         g = sy.make_grid(series([0.0]), series([0.0]), 33)
         with pytest.raises(ValueError):
             g.points[0] = 0.0
+
+
+# -- reference compositions: the separate passes the fused kernel replaced ----
+
+def _ref_log1mexp(w):
+    """log(1 - exp(-w)) in its clamped two-branch form."""
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        small = np.log(-np.expm1(-np.minimum(w, 0.6931471805599453)))
+        large = np.log1p(-np.exp(-np.maximum(w, 0.6931471805599453)))
+    return np.where(w <= 0.6931471805599453, small, large)
+
+
+def _ref_phi(w):
+    """phi(w) = w/(e^w - 1) with the series below 1e-5 and 0 at w = inf."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        tiny = 1.0 - w / 2.0 + w * w / 12.0
+        safe = np.where((w < 1e-5) | np.isposinf(w), 1.0, w)
+        main = safe * np.exp(-safe) / (-np.expm1(-safe))
+    return np.where(np.isposinf(w), 0.0, np.where(w < 1e-5, tiny, main))
+
+
+def _ref_series(s, xs):
+    """Series log survival and hazard, each from its own pass over log w."""
+    logw = (np.asarray(s.mus) - np.asarray(xs)[..., None]) / s.sigma
+    with np.errstate(over="ignore", under="ignore"):
+        w = np.exp(logw)
+    terms = _ref_log1mexp(w)
+    log_sf = np.where(terms == -np.inf, logw, terms).sum(axis=-1)
+    return log_sf, _ref_phi(w).sum(axis=-1) / s.sigma
+
+
+_FUNCS = ("system_cdf", "system_pdf", "system_survival", "system_hazard",
+          "system_reversed_hazard", "system_log_cdf", "system_log_pdf",
+          "system_log_survival")
+_TOPOLOGIES = (Topology.SERIES, Topology.PARALLEL)
+
+
+def _spread_system(topology, n, sigma=1.0, seed=3):
+    mus = np.random.default_rng(seed + n).normal(0.0, 1.5 * sigma, n)
+    return SystemModel(topology, tuple(mus), sigma)
+
+
+class TestFusedKernel:
+    """The one-pass blocked kernel equals the separate compositions bit for bit."""
+
+    @pytest.mark.parametrize("n,sigma", [(1, 1.0), (2, 0.5), (5, 2.0), (64, 1.0)])
+    def test_series_log_survival_and_hazard(self, n, sigma):
+        s = _spread_system(Topology.SERIES, n, sigma)
+        xs = np.concatenate([sy.make_grid(s, s, 2049).points,
+                             sigma * np.linspace(-740.0, 900.0, 331)])
+        log_sf, rate = _ref_series(s, xs)
+        np.testing.assert_array_equal(sy.system_log_survival(s, xs), log_sf)
+        np.testing.assert_array_equal(sy.system_hazard(s, xs), rate)
+        with np.errstate(divide="ignore"):
+            expect = np.log(rate) + log_sf
+        np.testing.assert_array_equal(sy.system_log_pdf(s, xs), expect)
+
+    @pytest.mark.parametrize("x", [-3.0, 0.25, 17.0, 800.0])
+    def test_phi_and_log1mexp_match_reference(self, x):
+        s = _spread_system(Topology.SERIES, 7)
+        logw = (np.asarray(s.mus) - x) / s.sigma
+        w = np.exp(logw)
+        np.testing.assert_array_equal(sy.phi(w), _ref_phi(w))
+        np.testing.assert_array_equal(gu._log1mexp(w), _ref_log1mexp(w))
+
+    @pytest.mark.parametrize("topology", _TOPOLOGIES)
+    def test_blocks_match_per_point_calls(self, topology, monkeypatch):
+        s = _spread_system(topology, 5)
+        xs = np.linspace(-6.0, 12.0, 203)
+        whole = {f: getattr(sy, f)(s, xs) for f in _FUNCS}
+        monkeypatch.setattr(sy, "_BLOCK_TERMS", 64)  # about 13 rows a block
+        for f in _FUNCS:
+            fn = getattr(sy, f)
+            np.testing.assert_array_equal(fn(s, xs), whole[f])
+            np.testing.assert_array_equal([fn(s, float(x)) for x in xs], whole[f])
+
+    @pytest.mark.parametrize("topology", _TOPOLOGIES)
+    def test_blocking_does_not_change_a_bit(self, topology, monkeypatch):
+        s = _spread_system(topology, 64)
+        xs = sy.make_grid(s, s, 2049).points
+        blocked = {f: getattr(sy, f)(s, xs) for f in _FUNCS}
+        monkeypatch.setattr(sy, "_BLOCK_TERMS", 10**9)
+        for f in _FUNCS:
+            np.testing.assert_array_equal(getattr(sy, f)(s, xs), blocked[f])
+
+    def test_shapes_follow_x(self):
+        s = _spread_system(Topology.SERIES, 3)
+        for f in _FUNCS:
+            fn = getattr(sy, f)
+            assert np.ndim(fn(s, 0.5)) == 0
+            assert fn(s, np.zeros((4, 3))).shape == (4, 3)
+            assert fn(s, np.zeros(0)).shape == (0,)
+
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_batched_quantiles_match_scalar(self, n):
+        s = _spread_system(Topology.SERIES, n, 0.7)
+        us = np.concatenate([[1e-8, 1.0 - 1e-8], np.geomspace(1e-10, 0.5, 40),
+                             1.0 - np.geomspace(1e-10, 0.5, 40)])
+        batched = sy.system_quantiles(s, us)
+        np.testing.assert_array_equal(batched, [sy.system_quantile(s, u) for u in us])
+
+    @pytest.mark.parametrize("topology", _TOPOLOGIES)
+    def test_make_grid_matches_scalar_quantiles(self, topology):
+        a, b = _spread_system(topology, 4, seed=1), _spread_system(topology, 4, seed=2)
+        lo = min(sy.system_quantile(a, 1e-8), sy.system_quantile(b, 1e-8))
+        hi = max(sy.system_quantile(a, 1 - 1e-8), sy.system_quantile(b, 1 - 1e-8))
+        np.testing.assert_array_equal(sy.make_grid(a, b).points, np.linspace(lo, hi, 2049))
+
+    def test_make_grid_takes_duck_typed_laws(self):
+        fast, slow = ExponentialLaw(2.0), ExponentialLaw(1.0)
+        lo = min(fast.quantile(1e-8), slow.quantile(1e-8))
+        hi = max(fast.quantile(1 - 1e-8), slow.quantile(1 - 1e-8))
+        np.testing.assert_array_equal(sy.make_grid(fast, slow, 65).points,
+                                      np.linspace(lo, hi, 65))
+
+    @pytest.mark.parametrize("law", [_spread_system(Topology.SERIES, 6),
+                                     _spread_system(Topology.PARALLEL, 6),
+                                     ExponentialLaw(1.3)], ids=["series", "parallel", "exp"])
+    def test_joint_log_pdf_and_survival(self, law):
+        ops = sy.as_law(law)
+        xs = np.linspace(-5.0, 40.0, 301)
+        lp, ls = ops.log_pdf_and_survival(xs)
+        np.testing.assert_array_equal(lp, ops.log_pdf(xs))
+        np.testing.assert_array_equal(ls, ops.log_survival(xs))
+
+
+class TestTailSweep:
+    """No NaN and no RuntimeWarning anywhere in x in [-1000 sigma, 1000 sigma]."""
+
+    @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    @pytest.mark.parametrize("topology", _TOPOLOGIES)
+    def test_all_functions(self, topology, n, sigma):
+        s = _spread_system(topology, n, sigma)
+        xs = sigma * np.concatenate([np.linspace(-1000.0, 1000.0, 2001), [-800.0, 800.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in _FUNCS:
+                vals = getattr(sy, f)(s, xs)
+                assert not np.isnan(vals).any(), f
+                assert not np.isnan(getattr(sy, f)(s, -800.0 * sigma)), f
+
+    def test_deep_left_series_values(self):
+        s = series([2.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sy.system_hazard(s, -800.0) == 0.0
+            assert sy.system_pdf(s, -800.0) == 0.0
+            assert sy.system_log_pdf(s, -800.0) == -np.inf
+            assert sy.system_reversed_hazard(s, -800.0) == np.inf
+        assert sy.system_reversed_hazard(parallel([2.0, 0.0]), -800.0) == np.inf
