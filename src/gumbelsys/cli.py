@@ -594,10 +594,6 @@ def main(argv=None) -> int:
         if args.cmd == "check":
             return _cmd_check(args)
         if args.cmd == "scan":
-            if args.grid_points is None:
-                args.grid_points = orders.DEFAULT_X_POINTS
-            if args.tail_cutoff is None:
-                args.tail_cutoff = 1e-8
             return _cmd_scan(args)
         if args.cmd == "entropy":
             return _cmd_entropy(args)

@@ -17,15 +17,29 @@ function is a view of one kernel pass over ``log w_i = (mu_i - x)/sigma``,
 run in row blocks of about 16k component terms so that its temporaries stay
 in cache.  For a series system one pass yields the log survival and the
 hazard together: ``w``, ``exp(-w)`` and ``-expm1(-w)`` are computed once per
-term and shared by ``log1mexp`` and ``phi``.  Quantiles have no closed form
-for n > 1; they are found inside closed-form component brackets by
-safeguarded Newton iteration in log space, one kernel pass per step, with
-bisection as the fallback, to |cdf(result) - prob| below 1e-12.
+term and shared by ``log1mexp`` and ``phi``.
+
+A pass over a read-only float array, which is how :class:`EvalGrid` holds its
+points, is memoised: the order checks run lr, hr, rh and st on one grid in
+both directions, and every one of those functions is a view of the same
+pass, so a system is evaluated once per grid.  The memo is keyed on the
+system, the shape and the bytes of the abscissae, holds at most
+``_MEMO_BYTES`` of keys and results (least recently used first out; a pass
+larger than that is computed and not kept), hands out copies and is guarded
+by a lock.  Writeable abscissae are never stored: Newton iterates,
+quadrature nodes and Monte Carlo samples pay only the flag test.
+
+Quantiles have no closed form for n > 1; they are found inside closed-form
+component brackets by safeguarded Newton iteration in log space, one kernel
+pass per step over the probabilities not yet solved, with bisection as the
+fallback, to |cdf(result) - prob| below 1e-12.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +83,20 @@ MAX_COMPONENTS = 64
 #: Component terms per block of a kernel pass.  One float temporary of a
 #: block is 128 KB, so the dozen a pass holds stay in a 2 MiB L2 cache.
 _BLOCK_TERMS = 16384
+
+#: The Newton passes of ``system_quantiles`` run over the probabilities not
+#: yet done, padded with done ones to a multiple of this many.  numpy keeps
+#: freed buffers below 1 KiB per size, so arrays of every small size would
+#: hold memory that a few sizes do not.
+_TRIM_ROWS = 64
+
+#: Byte budget of the grid memo, keys and stored results together: the
+#: passes of about ten series systems on 2049-point grids.
+_MEMO_BYTES = 1 << 19
+
+# (system, shape, abscissa bytes) -> flat results of that pass, oldest first
+_MEMO: OrderedDict = OrderedDict()
+_MEMO_LOCK = threading.Lock()
 
 
 class Topology(enum.Enum):
@@ -203,14 +231,54 @@ def _fill_underflow(out, logw) -> np.ndarray:
     return out
 
 
+def _memo_key(s: SystemModel, xv: np.ndarray, outputs: int):
+    """Memo key of a pass with ``outputs`` results over ``xv``, or None when
+    the pass is not memoised: ``xv`` is writeable, or its entry would not
+    fit the budget."""
+    if xv.flags.writeable or xv.nbytes * (1 + outputs) > _MEMO_BYTES:
+        return None
+    return (s, xv.shape, xv.tobytes())
+
+
+def _entry_nbytes(key, values) -> int:
+    return len(key[2]) + sum(v.nbytes for v in values)
+
+
+def _memo_fetch(key, run) -> tuple:
+    """The stored results under ``key``, or ``run()``'s, stored first.
+
+    The tuple returned is the memo's own; callers copy what they hand out.
+    """
+    with _MEMO_LOCK:
+        found = _MEMO.get(key)
+        if found is not None:
+            _MEMO.move_to_end(key)
+            return found
+    found = run()
+    with _MEMO_LOCK:
+        _MEMO[key] = found
+        while sum(_entry_nbytes(*kv) for kv in _MEMO.items()) > _MEMO_BYTES:
+            _MEMO.popitem(last=False)
+    return found
+
+
 # -- parallel systems -------------------------------------------------------
+
+def _parallel_rows(s: SystemModel, flat: np.ndarray) -> np.ndarray:
+    out = np.empty(flat.size)
+    for rows, logw in _logw_blocks(s, flat):
+        out[rows] = logsumexp(logw, axis=-1)
+    return out
+
 
 def _parallel_log_sum(s: SystemModel, x) -> np.ndarray:
     """log(sum_i w_i) via log-sum-exp, one row block at a time."""
     xv = _checked_x(x)
-    out = np.empty(xv.size)
-    for rows, logw in _logw_blocks(s, xv.reshape(-1)):
-        out[rows] = logsumexp(logw, axis=-1)
+    key = _memo_key(s, xv, 1)
+    if key is None:
+        out = _parallel_rows(s, xv.reshape(-1))
+    else:
+        out = _memo_fetch(key, lambda: (_parallel_rows(s, xv.reshape(-1)),))[0].copy()
     return out.reshape(xv.shape)[()]
 
 
@@ -255,30 +323,38 @@ def _parallel_log_survival(log_s) -> np.ndarray:
 
 # -- series systems ----------------------------------------------------------
 
-def _series_pass(s: SystemModel, x, survival: bool = True, hazard: bool = True):
-    """Log survival and hazard of a series system from one blocked pass.
-
-    For every component term ``log w``, ``w``, ``exp(-w)`` and ``-expm1(-w)``
-    are computed once and feed both ``sum_i log(1 - exp(-w_i))`` and
-    ``(1/sigma) * sum_i phi(w_i)``.  An output not asked for is not computed
-    and comes back as None.
-    """
-    xv = _checked_x(x)
-    log_sf = np.empty(xv.size) if survival else None
-    rate = np.empty(xv.size) if hazard else None
+def _series_rows(s: SystemModel, flat: np.ndarray, survival: bool, hazard: bool):
+    log_sf = np.empty(flat.size) if survival else None
+    rate = np.empty(flat.size) if hazard else None
     with np.errstate(all="ignore"):
-        for rows, logw in _logw_blocks(s, xv.reshape(-1)):
+        for rows, logw in _logw_blocks(s, flat):
             w = np.exp(logw)
             e, m = _exps(w)
             if survival:
                 log_sf[rows] = _fill_underflow(_log1mexp_of(w, e, m), logw).sum(axis=-1)
             if hazard:
                 rate[rows] = _phi_of(w, e, m).sum(axis=-1)
-    if survival:
-        log_sf = log_sf.reshape(xv.shape)[()]
-    if hazard:
-        rate = (rate / s.sigma).reshape(xv.shape)[()]
-    return log_sf, rate
+    return log_sf, (rate / s.sigma if hazard else None)
+
+
+def _series_pass(s: SystemModel, x, survival: bool = True, hazard: bool = True):
+    """Log survival and hazard of a series system from one blocked pass.
+
+    For every component term ``log w``, ``w``, ``exp(-w)`` and ``-expm1(-w)``
+    are computed once and feed both ``sum_i log(1 - exp(-w_i))`` and
+    ``(1/sigma) * sum_i phi(w_i)``.  An output not asked for comes back as
+    None; it is not computed unless the pass goes through the memo, which
+    stores both.
+    """
+    xv = _checked_x(x)
+    key = _memo_key(s, xv, 2)
+    if key is None:
+        log_sf, rate = _series_rows(s, xv.reshape(-1), survival, hazard)
+    else:
+        both = _memo_fetch(key, lambda: _series_rows(s, xv.reshape(-1), True, True))
+        log_sf = both[0].copy() if survival else None
+        rate = both[1].copy() if hazard else None
+    return tuple(None if v is None else v.reshape(xv.shape)[()] for v in (log_sf, rate))
 
 
 def series_survival(s: SystemModel, x) -> np.ndarray:
@@ -403,7 +479,10 @@ def system_quantiles(s: SystemModel, probs) -> np.ndarray:
     Series quantiles are found by safeguarded Newton on the log survival
     inside the component bracket, with bisection as fallback, until
     |cdf(result) - prob| < 1e-12.  Each Newton step takes the log survival,
-    the cdf residual and the hazard from one kernel pass.
+    the cdf residual and the hazard from one kernel pass over the
+    probabilities not yet done (see ``_TRIM_ROWS``).  A done ``x`` is frozen
+    and its bracket no longer moves, so leaving it out of later passes, or
+    keeping it in, changes no bit.
     """
     u = np.atleast_1d(np.asarray(probs, dtype=float))
     if not np.all(np.isfinite(u)) or np.any(u <= 0.0) or np.any(u >= 1.0):
@@ -422,22 +501,28 @@ def system_quantiles(s: SystemModel, probs) -> np.ndarray:
 
     lo, hi = _series_bracket(s, u)
     x = 0.5 * (lo + hi)
+    todo = np.arange(u.size)  # the probabilities a pass runs over
     for _ in range(120):
-        log_sf, rate = _series_pass(s, x)
-        gx = log_sf - target
+        xt, lt, ht = x[todo], lo[todo], hi[todo]
+        log_sf, rate = _series_pass(s, xt)
+        gx = log_sf - target[todo]
         with np.errstate(under="ignore"):
-            done = np.abs(-np.expm1(log_sf) - u) < 1e-12  # |system_cdf - u|
+            done = np.abs(-np.expm1(log_sf) - u[todo]) < 1e-12  # |system_cdf - u|
         if done.all():
             break
         # log survival decreases in x: g > 0 puts x left of the root
-        lo = np.where(gx > 0, np.maximum(lo, x), lo)
-        hi = np.where(gx < 0, np.minimum(hi, x), hi)
+        lo[todo] = lt = np.where(gx > 0, np.maximum(lt, xt), lt)
+        hi[todo] = ht = np.where(gx < 0, np.minimum(ht, xt), ht)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x + gx / rate
-        inside = np.isfinite(newton) & (newton > lo) & (newton < hi)
-        x = np.where(done, x, np.where(inside, newton, 0.5 * (lo + hi)))
+            newton = xt + gx / rate
+        inside = np.isfinite(newton) & (newton > lt) & (newton < ht)
+        x[todo] = np.where(done, xt, np.where(inside, newton, 0.5 * (lt + ht)))
         if np.all(hi - lo <= 1e-13 * np.maximum(1.0, np.abs(x))):
             break
+        # drop the done probabilities, keeping a multiple of _TRIM_ROWS
+        keep = -(-(done.size - np.count_nonzero(done)) // _TRIM_ROWS) * _TRIM_ROWS
+        if keep < done.size:
+            todo = todo[np.argsort(done, kind="stable")[:keep]]
 
     resid = np.abs(system_cdf(s, x) - u)
     for k in np.where(resid >= 1e-12)[0]:

@@ -165,6 +165,16 @@ class TestScan:
         assert main(args + ["--out", str(o2)]) == 0
         assert o1.read_bytes() == o2.read_bytes()
 
+    def test_scan_grid_defaults(self, tmp_path):
+        base = ["scan", "--mode", "parallel-rh", "--trials", "2", "--n", "2", "--seed", "3"]
+        implicit, explicit = tmp_path / "implicit.json", tmp_path / "explicit.json"
+        assert main(base + ["--out", str(implicit)]) == 0
+        assert main(base + ["--grid-points", "2049", "--tail-cutoff", "1e-8",
+                            "--out", str(explicit)]) == 0
+        config = json.loads(implicit.read_text())["config"]
+        assert config["grid_points"] == 2049 and config["tail_cutoff"] == 1e-8
+        assert implicit.read_bytes() == explicit.read_bytes()
+
     def test_bad_mode(self, capsys):
         assert main(["scan", "--mode", "bogus", "--trials", "1", "--n", "2"]) == 64
 

@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,6 +11,9 @@ from scipy.integrate import quad
 from gumbelsys import DomainError, SystemModel, Topology, UsageError
 from gumbelsys import gumbel as gu
 from gumbelsys import systems as sy
+from gumbelsys.majorization import random_majorization_pair
+from gumbelsys.orders import make_p_grid
+from gumbelsys.rng import stream
 
 from conftest import ExponentialLaw, parallel, series
 
@@ -396,7 +402,7 @@ class TestFusedKernel:
     @pytest.mark.parametrize("topology", _TOPOLOGIES)
     def test_blocking_does_not_change_a_bit(self, topology, monkeypatch):
         s = _spread_system(topology, 64)
-        xs = sy.make_grid(s, s, 2049).points
+        xs = sy.make_grid(s, s, 2049).points.copy()  # writeable: the memo does not answer
         blocked = {f: getattr(sy, f)(s, xs) for f in _FUNCS}
         monkeypatch.setattr(sy, "_BLOCK_TERMS", 10**9)
         for f in _FUNCS:
@@ -468,3 +474,157 @@ class TestTailSweep:
             assert sy.system_log_pdf(s, -800.0) == -np.inf
             assert sy.system_reversed_hazard(s, -800.0) == np.inf
         assert sy.system_reversed_hazard(parallel([2.0, 0.0]), -800.0) == np.inf
+
+
+def _memo_nbytes():
+    return sum(sy._entry_nbytes(k, v) for k, v in sy._MEMO.items())
+
+
+class TestGridMemo:
+    """Passes over read-only grid points are memoised without changing a bit."""
+
+    @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("n", [1, 4, 64])
+    @pytest.mark.parametrize("topology", _TOPOLOGIES)
+    def test_grid_points_match_writeable_copy(self, topology, n, sigma):
+        s = _spread_system(topology, n, sigma)
+        grid = sy.make_grid(s, _spread_system(topology, n, sigma, seed=4), 2049)
+        assert not grid.points.flags.writeable
+        for f in _FUNCS + _FUNCS:  # the second round is served by the memo
+            fn = getattr(sy, f)
+            np.testing.assert_array_equal(fn(s, grid.points), fn(s, grid.points.copy()))
+
+    @pytest.mark.parametrize("topology", _TOPOLOGIES)
+    def test_one_pass_per_system_and_grid(self, topology, monkeypatch):
+        passes = []
+        rows = "_series_rows" if topology is Topology.SERIES else "_parallel_rows"
+        real = getattr(sy, rows)
+        monkeypatch.setattr(sy, rows, lambda *a: passes.append(1) or real(*a))
+        s = _spread_system(topology, 4)
+        xs = sy.make_grid(s, s, 1025).points
+        passes.clear()  # the quantile solves of make_grid
+        for f in _FUNCS:
+            getattr(sy, f)(s, xs)
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("topology", _TOPOLOGIES)
+    def test_results_are_the_callers_own(self, topology):
+        s = _spread_system(topology, 5)
+        xs = sy.make_grid(s, s, 257).points
+        for f in _FUNCS:
+            fn = getattr(sy, f)
+            first = fn(s, xs)
+            first[:] = 123.0
+            np.testing.assert_array_equal(fn(s, xs), fn(s, xs.copy()))
+
+    def test_memo_stays_within_its_budget(self):
+        s = _spread_system(Topology.SERIES, 3)
+        for k in range(40):
+            xs = sy.make_grid(s, s, 2049 + k).points
+            sy.system_log_pdf(s, xs)
+            assert 0 < _memo_nbytes() <= sy._MEMO_BYTES
+        stored = list(sy._MEMO)
+        # a series entry takes 24 bytes a point: 1.5 times the budget
+        big = sy.make_grid(s, s, sy._MEMO_BYTES // 16).points
+        np.testing.assert_array_equal(sy.system_log_pdf(s, big),
+                                      sy.system_log_pdf(s, big.copy()))
+        assert list(sy._MEMO) == stored
+
+    @pytest.mark.parametrize("topology", _TOPOLOGIES)
+    def test_writeable_inputs_are_never_stored(self, topology):
+        s = _spread_system(topology, 4)
+        stored = list(sy._MEMO)
+        xs = np.linspace(-5.0, 9.0, 2049)
+        for f in _FUNCS:
+            getattr(sy, f)(s, xs)
+            getattr(sy, f)(s, 0.5)
+        sy.system_quantiles(s, make_p_grid())
+        sy.as_law(s).log_pdf_and_survival(xs)
+        assert list(sy._MEMO) == stored
+
+    def test_threads_share_the_memo(self):
+        systems = [_spread_system(t, n, seed=k) for t in _TOPOLOGIES
+                   for n, k in ((2, 1), (6, 2), (16, 3))]
+        grids = [sy.make_grid(s, s, 2049 + 97 * k).points
+                 for k, s in enumerate(systems[:4])]
+        want = {(i, j, f): getattr(sy, f)(s, xs.copy())
+                for i, s in enumerate(systems) for j, xs in enumerate(grids) for f in _FUNCS}
+        wrong = []
+
+        def worker(seed):
+            keys = list(want)
+            try:
+                for k in np.random.default_rng(seed).permutation(len(keys)):
+                    i, j, f = keys[k]
+                    if not np.array_equal(getattr(sy, f)(systems[i], grids[j]), want[keys[k]]):
+                        wrong.append(keys[k])
+            except Exception as exc:  # an exception in a thread would only warn
+                wrong.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not wrong
+        assert _memo_nbytes() <= sy._MEMO_BYTES
+
+
+def _ref_quantiles(s, probs):
+    """Series quantiles by the Newton loop that re-evaluates every
+    probability on every step, done or not."""
+    u = np.asarray(probs, dtype=float)
+    target = np.log1p(-u)
+    lo, hi = sy._series_bracket(s, u)
+    x = 0.5 * (lo + hi)
+    for _ in range(120):
+        log_sf, rate = sy._series_pass(s, x)
+        gx = log_sf - target
+        with np.errstate(under="ignore"):
+            done = np.abs(-np.expm1(log_sf) - u) < 1e-12
+        if done.all():
+            break
+        lo = np.where(gx > 0, np.maximum(lo, x), lo)
+        hi = np.where(gx < 0, np.minimum(hi, x), hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x + gx / rate
+        inside = np.isfinite(newton) & (newton > lo) & (newton < hi)
+        x = np.where(done, x, np.where(inside, newton, 0.5 * (lo + hi)))
+        if np.all(hi - lo <= 1e-13 * np.maximum(1.0, np.abs(x))):
+            break
+    resid = np.abs(sy.system_cdf(s, x) - u)
+    for k in np.where(resid >= 1e-12)[0]:
+        x[k] = sy._bisect_quantile(s, float(u[k]), float(lo[k]), float(hi[k]))
+    return x
+
+
+class TestQuantileTrim:
+    """Newton steps over the unsolved probabilities only change no bit."""
+
+    @staticmethod
+    def _pool(n, sigmas=(0.5, 1.0, 2.0), pool=48):
+        """Series systems of the benchmark's rate-sweep pool (bench/workloads.py)."""
+        for sigma, k in product(sigmas, range(pool)):
+            g = stream(20190501, "rate-sweep", "series", n, sigma, k)
+            for mus in random_majorization_pair(g, n):
+                yield series(mus, sigma)
+
+    @pytest.mark.parametrize("n", [2, 4, 16, 64])
+    def test_matches_full_passes_on_rate_sweep_pool(self, n):
+        for s in self._pool(n):
+            for us in (make_p_grid(), np.array([1e-8, 1.0 - 1e-8])):
+                np.testing.assert_array_equal(sy.system_quantiles(s, us),
+                                              _ref_quantiles(s, us))
+
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_unpadded_trim_changes_no_bit(self, n, monkeypatch):
+        monkeypatch.setattr(sy, "_TRIM_ROWS", 1)
+        for s in self._pool(n, sigmas=(1.0,), pool=6):
+            np.testing.assert_array_equal(sy.system_quantiles(s, make_p_grid()),
+                                          _ref_quantiles(s, make_p_grid()))
