@@ -239,7 +239,6 @@ def _cmd_check(args) -> int:
     tail_cutoff = args.tail_cutoff or _parse_float(cp, section, "tail_cutoff", 1e-8)
     rel_tol = args.tol or _parse_float(cp, section, "quad_rel_tol", 1e-10)
     quad = QuadratureSpec(rel_tol=rel_tol)
-    seed = _parse_int(cp, section, "seed", 0)
 
     try:
         grid = make_grid(a, b, grid_points, tail_cutoff)
@@ -265,7 +264,6 @@ def _cmd_check(args) -> int:
             "tail_cutoff": tail_cutoff,
             "quad_rel_tol": quad.rel_tol,
             "quad_abs_tol": quad.abs_tol,
-            "seed": seed,
         },
         "verdicts": [_verdict_doc(v) for v in verdicts],
         "exit_code": code,

@@ -116,6 +116,18 @@ def _log1mexp(w) -> np.ndarray:
         return _log1mexp_of(w, *_exps(w))
 
 
+def _fill_underflow(out, logw) -> np.ndarray:
+    """Patch ``out = log(1 - exp(-exp(log w)))`` where ``exp(log w)`` underflowed.
+
+    There ``out`` is ``-inf`` while ``log(1 - exp(-w)) = log w`` to double
+    precision, so ``log w`` is put in its place; every finite entry is left
+    as it is.
+    """
+    if out.size and out.min() == -np.inf:
+        out = np.where(out == -np.inf, logw, out)
+    return out
+
+
 def survival(p: GumbelParams, x) -> np.ndarray:
     """1 - F(x), computed as -expm1(-w) so precision near 1 is preserved."""
     with np.errstate(under="ignore"):
@@ -123,8 +135,11 @@ def survival(p: GumbelParams, x) -> np.ndarray:
 
 
 def log_survival(p: GumbelParams, x) -> np.ndarray:
-    """log(1 - F(x)) without forming the complement explicitly."""
-    return _log1mexp(_w(p, x))
+    """log(1 - F(x)) without forming the complement explicitly; ``-z`` in the
+    far right tail, where ``w = exp(-z)`` underflows."""
+    z = (_checked_x(x) - p.mu) / p.sigma
+    with np.errstate(over="ignore", under="ignore"):
+        return _fill_underflow(_log1mexp(np.exp(-z)), -z)
 
 
 def log_pdf(p: GumbelParams, x) -> np.ndarray:
@@ -149,8 +164,11 @@ def hazard(p: GumbelParams, x) -> np.ndarray:
 
 
 def reversed_hazard(p: GumbelParams, x) -> np.ndarray:
-    """f(x) / F(x), which simplifies exactly to (1/sigma) exp(-(x - mu)/sigma)."""
-    return _w(p, x) / p.sigma
+    """f(x) / F(x), which simplifies exactly to (1/sigma) exp(-(x - mu)/sigma);
+    inf far left, where that overflows."""
+    w = _w(p, x)
+    with np.errstate(over="ignore"):
+        return w / p.sigma
 
 
 def quantile(p: GumbelParams, prob) -> np.ndarray:

@@ -11,33 +11,40 @@ component lives (lifetime = max), the series system needs all of them
 * series survival     ``Fbar(x) = prod_i (1 - exp(-w_i))``
 * series hazard       ``(1/sigma) * sum_i phi(w_i)`` with ``phi(t) = t/(e^t - 1)``
 
-The inner sums are accumulated through log-sum-exp or pairwise reduction so
-that tail evaluations degrade gracefully instead of overflowing.  Every
-function is a view of one kernel pass over ``log w_i = (mu_i - x)/sigma``,
-run in row blocks of about 16k component terms so that its temporaries stay
-in cache.  For a series system one pass yields the log survival and the
-hazard together: ``w``, ``exp(-w)`` and ``-expm1(-w)`` are computed once per
-term and shared by ``log1mexp`` and ``phi``.
+The parallel law is exactly Gumbel(L, sigma) with
+``L = sigma * log(sum_i exp(mu_i/sigma))`` (the family is max-stable), so
+every parallel function is the one-component formula of :mod:`gumbel` at
+``(L, sigma)``: one term per point, whatever ``n``.
 
-A pass over a read-only float array, which is how :class:`EvalGrid` holds its
-points, is memoised: the order checks run lr, hr, rh and st on one grid in
-both directions, and every one of those functions is a view of the same
-pass, so a system is evaluated once per grid.  The memo is keyed on the
+A series function is a view of one kernel pass over
+``log w_i = (mu_i - x)/sigma``, run in row blocks of about 16k component
+terms so that its temporaries stay in cache.  One pass yields the log
+survival and the hazard together: ``w``, ``exp(-w)`` and ``-expm1(-w)`` are
+computed once per term and shared by ``log1mexp`` and ``phi``.
+
+A series pass over a read-only float array, which is how :class:`EvalGrid`
+holds its points, is memoised: the order checks run lr, hr, rh and st on one
+grid in both directions, and every one of those functions is a view of the
+same pass, so a system is evaluated once per grid.  The memo is keyed on the
 system, the shape and the bytes of the abscissae, holds at most
 ``_MEMO_BYTES`` of keys and results (least recently used first out; a pass
 larger than that is computed and not kept), hands out copies and is guarded
 by a lock.  Writeable abscissae are never stored: Newton iterates,
 quadrature nodes and Monte Carlo samples pay only the flag test.
 
-Quantiles have no closed form for n > 1; they are found inside closed-form
-component brackets by safeguarded Newton iteration in log space, one kernel
-pass per step over the probabilities not yet solved, with bisection as the
-fallback, to |cdf(result) - prob| below 1e-12.
+Series quantiles have no closed form for n > 1.  The log survival is concave
+(every component is IFR), so Newton started at the closed-form bound
+``min_i Q_i(u)`` moves left monotonically onto the root, one kernel pass per
+step over the probabilities not yet solved.  A probability stops when its
+log survival residual is within ``2**-52 * |log1p(-u)|``, or once rounding
+has taken over: its log survival no longer rises, or a step would no longer
+move it left.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -46,7 +53,8 @@ import numpy as np
 
 from . import gumbel
 from .errors import DomainError, UsageError
-from .gumbel import GumbelParams, _checked_x, _exps, _log1mexp, _log1mexp_of, _phi_of
+from .gumbel import (GumbelParams, _checked_x, _exps, _fill_underflow, _log1mexp,
+                     _log1mexp_of, _phi_of)
 
 __all__ = [
     "MAX_COMPONENTS",
@@ -84,7 +92,7 @@ MAX_COMPONENTS = 64
 #: block is 128 KB, so the dozen a pass holds stay in a 2 MiB L2 cache.
 _BLOCK_TERMS = 16384
 
-#: The Newton passes of ``system_quantiles`` run over the probabilities not
+#: The Newton passes of ``_series_quantiles`` run over the probabilities not
 #: yet done, padded with done ones to a multiple of this many.  numpy keeps
 #: freed buffers below 1 KiB per size, so arrays of every small size would
 #: hold memory that a few sizes do not.
@@ -219,23 +227,11 @@ def _logw_blocks(s: SystemModel, flat: np.ndarray):
         yield slice(i, i + step), (mus - flat[i:i + step, None]) / s.sigma
 
 
-def _fill_underflow(out, logw) -> np.ndarray:
-    """Patch ``out = log(1 - exp(-exp(log w)))`` where ``exp(log w)`` underflowed.
-
-    There ``out`` is ``-inf`` while ``log(1 - exp(-w)) = log w`` to double
-    precision, so ``log w`` is put in its place; every finite entry is left
-    as it is.
-    """
-    if out.size and out.min() == -np.inf:
-        out = np.where(out == -np.inf, logw, out)
-    return out
-
-
-def _memo_key(s: SystemModel, xv: np.ndarray, outputs: int):
-    """Memo key of a pass with ``outputs`` results over ``xv``, or None when
-    the pass is not memoised: ``xv`` is writeable, or its entry would not
-    fit the budget."""
-    if xv.flags.writeable or xv.nbytes * (1 + outputs) > _MEMO_BYTES:
+def _memo_key(s: SystemModel, xv: np.ndarray):
+    """Memo key of a series pass over ``xv``, or None when the pass is not
+    memoised: ``xv`` is writeable, or its entry (the abscissae and two
+    results) would not fit the budget."""
+    if xv.flags.writeable or xv.nbytes * 3 > _MEMO_BYTES:
         return None
     return (s, xv.shape, xv.tobytes())
 
@@ -264,61 +260,33 @@ def _memo_fetch(key, run) -> tuple:
 
 # -- parallel systems -------------------------------------------------------
 
-def _parallel_rows(s: SystemModel, flat: np.ndarray) -> np.ndarray:
-    out = np.empty(flat.size)
-    for rows, logw in _logw_blocks(s, flat):
-        out[rows] = logsumexp(logw, axis=-1)
-    return out
-
-
-def _parallel_log_sum(s: SystemModel, x) -> np.ndarray:
-    """log(sum_i w_i) via log-sum-exp, one row block at a time."""
-    xv = _checked_x(x)
-    key = _memo_key(s, xv, 1)
-    if key is None:
-        out = _parallel_rows(s, xv.reshape(-1))
-    else:
-        out = _memo_fetch(key, lambda: (_parallel_rows(s, xv.reshape(-1)),))[0].copy()
-    return out.reshape(xv.shape)[()]
+def _as_gumbel(s: SystemModel) -> GumbelParams:
+    """The law of a parallel system: Gumbel(L, sigma) with
+    ``L = sigma * log(sum_i exp(mu_i/sigma))``, since
+    ``prod_i F_i(x) = exp(-sum_i w_i) = exp(-exp(-(x - L)/sigma))``.  ``L`` is
+    taken relative to the largest location, so one component gives its own."""
+    top = s.mus[0]
+    rest = math.fsum(math.exp((m - top) / s.sigma) for m in s.mus[1:])
+    return GumbelParams(top + s.sigma * math.log1p(rest), s.sigma)
 
 
 def parallel_cdf(s: SystemModel, x) -> np.ndarray:
     """cdf of the parallel lifetime: exp(-sum_i w_i)."""
     _require(s, Topology.PARALLEL, "parallel_cdf")
-    with np.errstate(over="ignore", under="ignore"):
-        return np.exp(-np.exp(_parallel_log_sum(s, x)))
+    return gumbel.cdf(_as_gumbel(s), x)
 
 
 def parallel_pdf(s: SystemModel, x) -> np.ndarray:
     """Density of the parallel lifetime: (cdf/sigma) * sum_i w_i."""
     _require(s, Topology.PARALLEL, "parallel_pdf")
-    with np.errstate(over="ignore", under="ignore"):
-        return np.exp(_parallel_log_pdf(s, _parallel_log_sum(s, x)))
+    return gumbel.pdf(_as_gumbel(s), x)
 
 
 def parallel_reversed_hazard(s: SystemModel, x) -> np.ndarray:
     """Reversed hazard of the parallel lifetime, the sum of the component
     reversed hazards: (1/sigma) * sum_i w_i."""
     _require(s, Topology.PARALLEL, "parallel_reversed_hazard")
-    with np.errstate(over="ignore", under="ignore"):
-        return np.exp(_parallel_log_sum(s, x)) / s.sigma
-
-
-def _parallel_log_cdf(s: SystemModel, x) -> np.ndarray:
-    with np.errstate(over="ignore", under="ignore"):
-        return -np.exp(_parallel_log_sum(s, x))
-
-
-def _parallel_log_pdf(s: SystemModel, log_s) -> np.ndarray:
-    """log density from ``log_s = log(sum_i w_i)``."""
-    with np.errstate(over="ignore", under="ignore"):
-        return log_s - np.exp(log_s) - np.log(s.sigma)
-
-
-def _parallel_log_survival(log_s) -> np.ndarray:
-    """log survival from ``log_s = log(sum_i w_i)``."""
-    with np.errstate(over="ignore", under="ignore"):
-        return _fill_underflow(_log1mexp(np.exp(log_s)), log_s)
+    return gumbel.reversed_hazard(_as_gumbel(s), x)
 
 
 # -- series systems ----------------------------------------------------------
@@ -347,7 +315,7 @@ def _series_pass(s: SystemModel, x, survival: bool = True, hazard: bool = True):
     stores both.
     """
     xv = _checked_x(x)
-    key = _memo_key(s, xv, 2)
+    key = _memo_key(s, xv)
     if key is None:
         log_sf, rate = _series_rows(s, xv.reshape(-1), survival, hazard)
     else:
@@ -381,7 +349,7 @@ def _series_log_pdf(log_sf, rate) -> np.ndarray:
 
 def system_log_cdf(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
-        return _parallel_log_cdf(s, x)
+        return gumbel.log_cdf(_as_gumbel(s), x)
     log_sf = _series_pass(s, x, hazard=False)[0]
     with np.errstate(divide="ignore", under="ignore"):
         return _log1mexp(-log_sf)
@@ -389,21 +357,22 @@ def system_log_cdf(s: SystemModel, x) -> np.ndarray:
 
 def system_log_survival(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
-        return _parallel_log_survival(_parallel_log_sum(s, x))
+        return gumbel.log_survival(_as_gumbel(s), x)
     return _series_pass(s, x, hazard=False)[0]
 
 
 def system_log_pdf(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
-        return _parallel_log_pdf(s, _parallel_log_sum(s, x))
+        return gumbel.log_pdf(_as_gumbel(s), x)
     return _series_log_pdf(*_series_pass(s, x))
 
 
 def _log_pdf_and_survival(s: SystemModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """``(system_log_pdf, system_log_survival)`` from one kernel pass."""
+    """``(system_log_pdf, system_log_survival)``, from one kernel pass for a
+    series system."""
     if s.topology is Topology.PARALLEL:
-        log_s = _parallel_log_sum(s, x)
-        return _parallel_log_pdf(s, log_s), _parallel_log_survival(log_s)
+        law = _as_gumbel(s)
+        return gumbel.log_pdf(law, x), gumbel.log_survival(law, x)
     log_sf, rate = _series_pass(s, x)
     return _series_log_pdf(log_sf, rate), log_sf
 
@@ -417,8 +386,7 @@ def system_cdf(s: SystemModel, x) -> np.ndarray:
 
 def system_survival(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
-        with np.errstate(under="ignore"):
-            return -np.expm1(_parallel_log_cdf(s, x))
+        return gumbel.survival(_as_gumbel(s), x)
     return series_survival(s, x)
 
 
@@ -428,13 +396,9 @@ def system_pdf(s: SystemModel, x) -> np.ndarray:
 
 
 def system_hazard(s: SystemModel, x) -> np.ndarray:
-    if s.topology is Topology.SERIES:
-        return _series_pass(s, x, survival=False)[1]
-    # the parallel lifetime is a Gumbel with inner exponential sum_i w_i,
-    # so its hazard is phi(sum_i w_i)/sigma, stable across both tails
-    with np.errstate(all="ignore"):
-        w = np.exp(_parallel_log_sum(s, x))
-        return _phi_of(w, *_exps(w)) / s.sigma
+    if s.topology is Topology.PARALLEL:
+        return gumbel.hazard(_as_gumbel(s), x)
+    return _series_pass(s, x, survival=False)[1]
 
 
 def system_reversed_hazard(s: SystemModel, x) -> np.ndarray:
@@ -455,101 +419,67 @@ def system_reversed_hazard(s: SystemModel, x) -> np.ndarray:
 
 # -- quantiles ----------------------------------------------------------------
 
-def _series_bracket(s: SystemModel, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form bracket for the series quantile from component quantiles.
+def _series_quantiles(s: SystemModel, u: np.ndarray) -> np.ndarray:
+    """Series quantiles by monotone Newton on ``log Fbar(x) = log1p(-u)``.
 
-    From min_i Fbar_i >= prod_i Fbar_i >= (min_i Fbar_i)^n it follows that
-    ``min_i Q_i(1 - (1-u)^(1/n)) <= Q(u) <= min_i Q_i(u)``.  Each
-    ``Q_i(p) = mu_i - sigma*log(-log p)`` and rounding is monotone, so the
-    minimum over i is exactly the quantile of the smallest location.
+    Every component is IFR, so the log survival is concave and decreasing
+    (Barlow and Proschan, 1975): every tangent lies above it, and Newton
+    started right of the root steps left without crossing it.  A probability
+    is done when its residual is within ``2**-52 * |log1p(-u)|``; when
+    rounding has taken over, so that its log survival no longer rises or its
+    step no longer moves x left; or when its step is not finite (the hazard
+    underflows far left).  Each step makes one kernel pass, over the
+    probabilities not yet done (see ``_TRIM_ROWS``); a done ``x`` is frozen,
+    so leaving it out of later passes changes no bit.
     """
-    weakest = GumbelParams(s.mus[-1], s.sigma)
-    p_lo = -np.expm1(np.log1p(-u) / s.n)  # 1 - (1-u)^(1/n)
-    lo = gumbel.quantile(weakest, p_lo)
-    hi = gumbel.quantile(weakest, u)
-    pad = 1e-9 * (1.0 + np.abs(lo)) * s.sigma
-    return lo - pad, hi + pad
-
-
-def system_quantiles(s: SystemModel, probs) -> np.ndarray:
-    """Quantiles of the system law at each probability, vectorized.
-
-    The parallel lifetime is itself Gumbel with location
-    ``sigma * log(sum_i exp(mu_i/sigma))``, so its quantile is closed form.
-    Series quantiles are found by safeguarded Newton on the log survival
-    inside the component bracket, with bisection as fallback, until
-    |cdf(result) - prob| < 1e-12.  Each Newton step takes the log survival,
-    the cdf residual and the hazard from one kernel pass over the
-    probabilities not yet done (see ``_TRIM_ROWS``).  A done ``x`` is frozen
-    and its bracket no longer moves, so leaving it out of later passes, or
-    keeping it in, changes no bit.
-    """
-    u = np.atleast_1d(np.asarray(probs, dtype=float))
-    if not np.all(np.isfinite(u)) or np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise DomainError(f"prob must lie strictly inside (0, 1), got {probs!r}")
-    scalar = np.ndim(probs) == 0
-
-    if s.topology is Topology.PARALLEL:
-        loc = s.sigma * logsumexp(np.asarray(s.mus) / s.sigma)
-        x = loc - s.sigma * np.log(-np.log(u))
-        return x[0] if scalar else x
-    if s.n == 1:
-        x = gumbel.quantile(GumbelParams(s.mus[0], s.sigma), u)
-        return x[0] if scalar else x
-
-    target = np.log1p(-u)  # solve log survival = target
-
-    lo, hi = _series_bracket(s, u)
-    x = 0.5 * (lo + hi)
+    target = np.log1p(-u)
+    tol = np.abs(target) * 2.0**-52
+    # prod_i Fbar_i <= min_i Fbar_i puts the root left of min_i Q_i(u), which
+    # is the quantile of the smallest location (rounding is monotone); a
+    # relative pad covers the rounding of the kernel
+    x = gumbel.quantile(GumbelParams(s.mus[-1], s.sigma), u)
+    x += 1e-9 * (s.sigma + np.abs(x))
+    last = np.full(u.size, -np.inf)  # the log survival of the previous pass
     todo = np.arange(u.size)  # the probabilities a pass runs over
-    for _ in range(120):
-        xt, lt, ht = x[todo], lo[todo], hi[todo]
+    for _ in range(100):  # a safety cap: pool solves take at most 10 passes
+        xt = x[todo]
         log_sf, rate = _series_pass(s, xt)
         gx = log_sf - target[todo]
-        with np.errstate(under="ignore"):
-            done = np.abs(-np.expm1(log_sf) - u[todo]) < 1e-12  # |system_cdf - u|
-        if done.all():
-            break
-        # log survival decreases in x: g > 0 puts x left of the root
-        lo[todo] = lt = np.where(gx > 0, np.maximum(lt, xt), lt)
-        hi[todo] = ht = np.where(gx < 0, np.minimum(ht, xt), ht)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = xt + gx / rate
-        inside = np.isfinite(newton) & (newton > lt) & (newton < ht)
-        x[todo] = np.where(done, xt, np.where(inside, newton, 0.5 * (lt + ht)))
-        if np.all(hi - lo <= 1e-13 * np.maximum(1.0, np.abs(x))):
+        # stalled: mu_i - x has stopped resolving the steps, so the log
+        # survival no longer rises
+        stalled = log_sf <= last[todo]
+        last[todo] = log_sf
+        done = ((np.abs(gx) <= tol[todo]) | stalled
+                | ~(np.isfinite(newton) & (newton < xt)))
+        x[todo] = np.where(done, xt, newton)
+        if done.all():
             break
         # drop the done probabilities, keeping a multiple of _TRIM_ROWS
         keep = -(-(done.size - np.count_nonzero(done)) // _TRIM_ROWS) * _TRIM_ROWS
         if keep < done.size:
             todo = todo[np.argsort(done, kind="stable")[:keep]]
-
-    resid = np.abs(system_cdf(s, x) - u)
-    for k in np.where(resid >= 1e-12)[0]:
-        x[k] = _bisect_quantile(s, float(u[k]), float(lo[k]), float(hi[k]))
-    return x[0] if scalar else x
+    return x
 
 
-def _bisect_quantile(s: SystemModel, u: float, lo: float, hi: float) -> float:
-    flo = float(system_cdf(s, lo)) - u
-    fhi = float(system_cdf(s, hi)) - u
-    width = max(abs(hi - lo), 1.0)
-    while not (flo <= 0.0 <= fhi):
-        lo -= width
-        hi += width
-        width *= 2.0
-        flo = float(system_cdf(s, lo)) - u
-        fhi = float(system_cdf(s, hi)) - u
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = float(system_cdf(s, mid)) - u
-        if abs(fm) < 1e-13 or (hi - lo) <= 1e-13 * max(1.0, abs(mid)):
-            return mid
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def system_quantiles(s: SystemModel, probs) -> np.ndarray:
+    """Quantiles of the system law at each probability, vectorized.
+
+    The parallel lifetime is itself Gumbel (see ``_as_gumbel``), so its
+    quantile is closed form, as is that of a one-component series system.
+    Other series quantiles come from ``_series_quantiles``.
+    """
+    u = np.atleast_1d(np.asarray(probs, dtype=float))
+    if not np.all(np.isfinite(u)) or np.any(u <= 0.0) or np.any(u >= 1.0):
+        raise DomainError(f"prob must lie strictly inside (0, 1), got {probs!r}")
+    if s.topology is Topology.PARALLEL:
+        x = gumbel.quantile(_as_gumbel(s), u)
+    elif s.n == 1:
+        x = gumbel.quantile(GumbelParams(s.mus[0], s.sigma), u)
+    else:
+        x = _series_quantiles(s, u)
+    return x[0] if np.ndim(probs) == 0 else x
 
 
 def system_quantile(s: SystemModel, prob: float) -> float:

@@ -127,6 +127,16 @@ class TestCheck:
         assert doc["config"]["system_a"]["mus"] == [2.0, 0.0]
         assert doc["exit_code"] == 0
 
+    def test_seed_key_is_ignored(self, tmp_path):
+        # check draws nothing at random: a spec may still set seed, and the
+        # report neither echoes it nor changes with it
+        plain, seeded = tmp_path / "p.json", tmp_path / "s.json"
+        assert main(["check", write(tmp_path, "p.ini", RH_INSTANCE), "--out", str(plain)]) == 0
+        spec = write(tmp_path, "s.ini", RH_INSTANCE + "seed = 7\n")
+        assert main(["check", spec, "--out", str(seeded)]) == 0
+        assert plain.read_bytes() == seeded.read_bytes()
+        assert "seed" not in json.loads(plain.read_text())["config"]
+
     def test_stdin_input(self, tmp_path, capsys, monkeypatch):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO(RH_INSTANCE))

@@ -79,6 +79,21 @@ class TestRates:
             np.testing.assert_array_equal(gu.hazard(GumbelParams(3, 2), [-1597.0, 1603.0]),
                                           [0.0, 0.5])
 
+    def test_reversed_hazard_far_left_is_inf(self):
+        with np.errstate(all="raise"):
+            assert gu.reversed_hazard(GumbelParams(0, 1e-3), -0.8) == np.inf
+
+    def test_log_survival_far_right_tail(self):
+        # log(1 - F) = log w = -z once w = exp(-z) underflows
+        with np.errstate(all="raise"):
+            np.testing.assert_array_equal(gu.log_survival(GumbelParams(0, 1), [800.0, 1e4]),
+                                          [-800.0, -1e4])
+            assert gu.log_survival(GumbelParams(3, 2), 1603.0) == -800.0
+        # where w does not underflow, the value is the plain log1mexp(w)
+        xs = np.linspace(-30.0, 700.0, 731)
+        np.testing.assert_array_equal(gu.log_survival(GumbelParams(0, 1), xs),
+                                      gu._log1mexp(np.exp(-xs)))
+
     def test_hazard_at_location(self):
         expect = E1 / (1 - E1)
         assert gu.hazard(GumbelParams(0, 1), 0.0) == pytest.approx(expect, rel=1e-13)

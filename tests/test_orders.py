@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import gumbel_r
 
 import gumbelsys as gs
@@ -244,6 +246,31 @@ class TestDefaultGrid:
             hi = max(float(la.quantiles(1.0 - 1e-8)), float(lb.quantiles(1.0 - 1e-8)))
             np.testing.assert_array_equal(od._xs(a, b, None),
                                           np.linspace(lo, hi, od.DEFAULT_X_POINTS))
+
+
+class TestParallelClosedForm:
+    """A parallel system is Gumbel(L, sigma), so for a shared sigma the pair
+    is a location family with a log-concave density: lr, hr, rh and st hold
+    in direction first_greater iff L_a >= L_b, and disp holds both ways."""
+
+    @given(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8),
+           st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8),
+           st.floats(-3.0, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_verdicts_follow_the_location(self, mus_a, mus_b, log_sigma):
+        sigma = 10.0 ** log_sigma
+        a = parallel([m * sigma for m in mus_a], sigma)
+        b = parallel([m * sigma for m in mus_b], sigma)
+        gap = od.parallel_rh_log_margin(a, b)  # (L_a - L_b)/sigma
+        # closer than this, the checks' slack lets both directions hold
+        if abs(gap) <= 1e-6 * max(1.0, sigma):
+            return
+        grid = sy.make_grid(a, b)
+        for rel in (Relation.LR, Relation.HR, Relation.RH, Relation.ST):
+            v = od.check(rel, a, b, FG, grid=grid)
+            assert (v.outcome is Outcome.HOLDS) == (gap > 0), (rel, gap, v)
+        for direction in (FG, FS):
+            assert od.check_disp(a, b, direction=direction).outcome is Outcome.HOLDS
 
 
 class TestInvariance:

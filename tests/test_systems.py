@@ -4,8 +4,11 @@ import threading
 import warnings
 from itertools import product
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gumbelsys import DomainError, SystemModel, Topology, UsageError
@@ -164,15 +167,39 @@ class TestFarRightTail:
                                    parallel([2.0, 0.0, -1.5], 0.7)])
     def test_finite_values_unchanged(self, s):
         # where exp(log w) does not underflow, the result is the plain
-        # _log1mexp(w) sum bit for bit
+        # _log1mexp(w) bit for bit: summed over the components of a series
+        # system, and of the one Gumbel(L, sigma) that a parallel system is
         xs = np.linspace(-30.0, 520.0, 1101)
         logw = (np.asarray(s.mus) - xs[:, None]) / s.sigma
         if s.topology is Topology.PARALLEL:
-            old = gu._log1mexp(np.exp(sy.logsumexp(logw, axis=-1)))
+            loc = sy._as_gumbel(s).mu
+            old = gu._log1mexp(np.exp(-(xs - loc) / s.sigma))
+            # (L - x)/sigma is the log of sum_i w_i up to rounding
+            near = np.linspace(-50.0, 50.0, 2001) * s.sigma
+            log_sum = sy.logsumexp((np.asarray(s.mus) - near[:, None]) / s.sigma, axis=-1)
+            np.testing.assert_allclose((loc - near) / s.sigma, log_sum,
+                                       rtol=4e-15, atol=4e-15)
         else:
             old = gu._log1mexp(np.exp(logw)).sum(axis=-1)
         assert np.isfinite(old).all()
         np.testing.assert_array_equal(sy.system_log_survival(s, xs), old)
+
+
+class TestOneComponent:
+    """A one-component system of either topology is the Gumbel law itself."""
+
+    @given(st.floats(-1e3, 1e3), st.floats(-3.0, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_series_parallel_and_gumbel_agree(self, mu, log_sigma):
+        sigma = 10.0 ** log_sigma
+        law = gu.GumbelParams(mu, sigma)
+        # left of -6 sigma the series log survival is subnormal or rounds to 0
+        xs = mu + sigma * np.linspace(-6.0, 700.0, 1413)
+        for f in _FUNCS:
+            want = getattr(gu, f.removeprefix("system_"))(law, xs)
+            for s in (series([mu], sigma), parallel([mu], sigma)):
+                np.testing.assert_allclose(getattr(sy, f)(s, xs), want, rtol=1e-12,
+                                           atol=0, err_msg=f"{f} {s.topology.value}")
 
 
 class TestLogSumExp:
@@ -284,6 +311,16 @@ class TestQuantiles:
         us = np.concatenate([lo, 1 - lo[::-1]])
         qs = sy.system_quantiles(s, us)
         assert np.abs(sy.system_cdf(s, qs) - us).max() < 1e-11
+
+    @pytest.mark.parametrize("n", [2, 64])
+    @pytest.mark.parametrize("sigma", [1e-3, 1e3])
+    def test_solver_edges(self, sigma, n):
+        s = _spread_system(Topology.SERIES, n, sigma)
+        us = np.array([5e-324, 1e-300, 1e-8, 1.0 - 2.0**-53])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            qs = sy.system_quantiles(s, us)
+        assert np.isfinite(qs).all() and (np.diff(qs) >= 0).all()
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -494,12 +531,11 @@ class TestGridMemo:
             fn = getattr(sy, f)
             np.testing.assert_array_equal(fn(s, grid.points), fn(s, grid.points.copy()))
 
-    @pytest.mark.parametrize("topology", _TOPOLOGIES)
+    @pytest.mark.parametrize("topology", [Topology.SERIES])  # the memo serves series only
     def test_one_pass_per_system_and_grid(self, topology, monkeypatch):
         passes = []
-        rows = "_series_rows" if topology is Topology.SERIES else "_parallel_rows"
-        real = getattr(sy, rows)
-        monkeypatch.setattr(sy, rows, lambda *a: passes.append(1) or real(*a))
+        real = sy._series_rows
+        monkeypatch.setattr(sy, "_series_rows", lambda *a: passes.append(1) or real(*a))
         s = _spread_system(topology, 4)
         xs = sy.make_grid(s, s, 1025).points
         passes.clear()  # the quantile solves of make_grid
@@ -576,36 +612,25 @@ class TestGridMemo:
         assert _memo_nbytes() <= sy._MEMO_BYTES
 
 
-def _ref_quantiles(s, probs):
-    """Series quantiles by the Newton loop that re-evaluates every
-    probability on every step, done or not."""
-    u = np.asarray(probs, dtype=float)
-    target = np.log1p(-u)
-    lo, hi = sy._series_bracket(s, u)
-    x = 0.5 * (lo + hi)
-    for _ in range(120):
-        log_sf, rate = sy._series_pass(s, x)
-        gx = log_sf - target
-        with np.errstate(under="ignore"):
-            done = np.abs(-np.expm1(log_sf) - u) < 1e-12
-        if done.all():
-            break
-        lo = np.where(gx > 0, np.maximum(lo, x), lo)
-        hi = np.where(gx < 0, np.minimum(hi, x), hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x + gx / rate
-        inside = np.isfinite(newton) & (newton > lo) & (newton < hi)
-        x = np.where(done, x, np.where(inside, newton, 0.5 * (lo + hi)))
-        if np.all(hi - lo <= 1e-13 * np.maximum(1.0, np.abs(x))):
-            break
-    resid = np.abs(sy.system_cdf(s, x) - u)
-    for k in np.where(resid >= 1e-12)[0]:
-        x[k] = sy._bisect_quantile(s, float(u[k]), float(lo[k]), float(hi[k]))
-    return x
+def _x_error(s, x, u):
+    """|x - Q(u)| / max(1, |x|) to first order: the 40-digit log survival
+    residual at x divided by the hazard there."""
+    with mp.workdps(40):
+        xm, sigma = mp.mpf(float(x)), mp.mpf(s.sigma)
+        log_sf = rate = mp.mpf(0)
+        for mu in s.mus:
+            w = mp.exp((mp.mpf(mu) - xm) / sigma)
+            log_sf += mp.log(-mp.expm1(-w))
+            rate += w / mp.expm1(w) / sigma
+        resid = log_sf - mp.log1p(-mp.mpf(float(u)))
+        return float(abs(resid / rate)) / max(1.0, abs(float(x)))
 
 
 class TestQuantileTrim:
-    """Newton steps over the unsolved probabilities only change no bit."""
+    """Series quantiles against a 40-digit oracle, and the trim of the done
+    probabilities from the Newton passes."""
+
+    _PROBS = np.concatenate([[1e-8], make_p_grid(), [1.0 - 1e-8]])
 
     @staticmethod
     def _pool(n, sigmas=(0.5, 1.0, 2.0), pool=48):
@@ -616,15 +641,28 @@ class TestQuantileTrim:
                 yield series(mus, sigma)
 
     @pytest.mark.parametrize("n", [2, 4, 16, 64])
-    def test_matches_full_passes_on_rate_sweep_pool(self, n):
-        for s in self._pool(n):
-            for us in (make_p_grid(), np.array([1e-8, 1.0 - 1e-8])):
-                np.testing.assert_array_equal(sy.system_quantiles(s, us),
-                                              _ref_quantiles(s, us))
+    def test_log_survival_residual_on_rate_sweep_pool(self, n):
+        for s in list(self._pool(n))[::48]:
+            us = self._PROBS[::16]
+            for x, u in zip(sy.system_quantiles(s, us), us):
+                assert _x_error(s, x, u) <= 1e-13, (s, u)
+
+    def test_pass_count_on_rate_sweep_pool(self, monkeypatch):
+        passes = []
+        real = sy._series_pass
+        monkeypatch.setattr(sy, "_series_pass", lambda *a: passes.append(1) or real(*a))
+        counts = []
+        for n in (2, 4, 16, 64):
+            for s in list(self._pool(n))[::8]:
+                passes.clear()
+                sy.system_quantiles(s, self._PROBS)
+                counts.append(len(passes))
+        assert max(counts) <= 12
 
     @pytest.mark.parametrize("n", [2, 16])
     def test_unpadded_trim_changes_no_bit(self, n, monkeypatch):
+        systems = list(self._pool(n, sigmas=(1.0,), pool=6))
+        padded = [sy.system_quantiles(s, self._PROBS) for s in systems]
         monkeypatch.setattr(sy, "_TRIM_ROWS", 1)
-        for s in self._pool(n, sigmas=(1.0,), pool=6):
-            np.testing.assert_array_equal(sy.system_quantiles(s, make_p_grid()),
-                                          _ref_quantiles(s, make_p_grid()))
+        for s, want in zip(systems, padded):
+            np.testing.assert_array_equal(sy.system_quantiles(s, self._PROBS), want)
