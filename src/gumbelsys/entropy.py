@@ -12,22 +12,30 @@ the hazard is taken as ``log f - log Fbar``, since the hazard spans decades.
 Each integral runs from ``t`` to the cut ``hi(t)`` where the remaining
 conditional mass drops to ``tail_mass_cutoff``, which bounds the truncation
 mismatch between the two forms by roughly ``cutoff * (1 - log(cutoff))``.
+For a system the cut is a log-survival root from :mod:`systems`: closed form
+for a parallel or one-component system, monotone Newton for a series one.
+A duck-typed law, whose log survival need not be concave, is cut by a
+bracketed search.
+
 All times of one call share one pass: the breakpoints ``ts`` and ``hi(ts)``
 are split into panels at most half the law's scale wide, each integrated by
-the 20-point Gauss-Legendre rule with the 10-point rule as error estimate
-(as in QUADPACK, Piessens et al. 1983), and ``int_t^hi(t)`` is a difference
-of suffix sums over the panels.
+the 21-point Kronrod rule with the embedded 10-point Gauss rule as error
+estimate (QUADPACK's qk21, Piessens et al. 1983), and ``int_t^hi(t)`` is a
+difference of suffix sums over the panels.  The panels of a duck-typed law
+are also split at the finite ends of its support, where its density may
+jump: no single panel's error estimate can be trusted to see a jump inside
+it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
-from .systems import SystemModel, as_law
+from .systems import SystemModel, _log_survival_roots, as_law
 
 __all__ = [
     "QuadratureSpec",
@@ -38,16 +46,38 @@ __all__ = [
     "entropy_curve",
 ]
 
-# the 20-point Gauss-Legendre rule, then the 10-point rule for its error
-(_X20, _W20), (_X10, _W10) = leggauss(20), leggauss(10)
-_NODES = np.concatenate([_X20, _X10])
+# QUADPACK's qk21 on [0, 1]: the Kronrod nodes from the right end in, their
+# weights, and the weights of the 10-point Gauss rule whose nodes are the
+# odd entries of _XK
+_XK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+# mirrored onto [-1, 1]: 21 ascending nodes, the Gauss ones at the odd indices
+_NODES = np.concatenate([-_XK, _XK[-2::-1]])
+_W21 = np.concatenate([_WK, _WK[-2::-1]])
+_W10 = np.concatenate([_WG, _WG[::-1]])
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances and budget for the panel integrator.
 
-    A panel passes when its 20- and 10-point rules differ by at most
+    A panel passes when its 21- and 10-point rules differ by at most
     ``max(abs_tol, rel_tol * int |integrand|)`` in both forms.  Failing
     panels are bisected, at most ``max_subdivisions`` times per call; a value
     whose window holds a panel that still fails is not converged.
@@ -76,7 +106,7 @@ class EntropyValue:
     converged: bool
 
     def __post_init__(self) -> None:
-        if not (np.isnan(self.error_estimate) or self.error_estimate >= 0.0):
+        if not (math.isnan(self.error_estimate) or self.error_estimate >= 0.0):
             raise DomainError("error_estimate must be nonnegative")
 
 
@@ -88,9 +118,21 @@ def _scale(law) -> float:
     return float(q3 - q1) / 1.5725
 
 
+def _support_ends(law) -> np.ndarray:
+    """The finite ends of a duck-typed law's support, read from its quantiles
+    at 0 and 1; none for a law whose quantile accepts only (0, 1)."""
+    try:
+        with np.errstate(all="ignore"):
+            ends = np.asarray(law.quantiles(np.array([0.0, 1.0])), dtype=float)
+    except ValueError:
+        return np.empty(0)
+    return ends[np.isfinite(ends)]
+
+
 def _panels(law, a: np.ndarray, b: np.ndarray, q: QuadratureSpec):
-    """Hazard- and density-form integrals of each panel [a, b] by the 20-point
-    rule, their error estimates and pass flags, each shaped (2, panels)."""
+    """Hazard- and density-form integrals of each panel [a, b] by the 21-point
+    Kronrod rule, their error estimates against the embedded 10-point Gauss
+    rule and pass flags, each shaped (2, panels)."""
     half = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
     lp, ls = (np.asarray(v, dtype=float).reshape(x.shape)
@@ -99,9 +141,9 @@ def _panels(law, a: np.ndarray, b: np.ndarray, q: QuadratureSpec):
         f = np.exp(lp)
         live = f > 0.0
         g = np.stack([np.where(live, f * (lp - ls), 0.0), np.where(live, f * lp, 0.0)])
-    value = (g[..., :20] @ _W20) * half
-    mass = (np.abs(g[..., :20]) @ _W20) * half
-    err = np.abs(value - (g[..., 20:] @ _W10) * half)
+    value = (g @ _W21) * half
+    mass = (np.abs(g) @ _W21) * half
+    err = np.abs(value - (g[..., 1::2] @ _W10) * half)
     return value, err, err <= np.maximum(q.abs_tol, q.rel_tol * mass)
 
 
@@ -135,11 +177,12 @@ def _integrate(law, edges: np.ndarray, q: QuadratureSpec):
 
 
 def _upper_cuts(law, ts: np.ndarray, log_target: np.ndarray, scale: float) -> np.ndarray:
-    """Points right of each t where the log survival falls to ``log_target``.
+    """Points right of each t where a duck-typed law's log survival falls to
+    ``log_target``.
 
-    Log survival is concave and decreasing, so Newton steps from right of the
-    root stay right of it.  The step doubles until such a point is found;
-    then Newton steps are kept in the bracket, with bisection as fallback.
+    That log survival need not be concave, so the root is bracketed: the step
+    doubles until a point past it is found, then Newton steps are kept in the
+    bracket, with bisection as fallback.
     """
     lo, hi = ts.copy(), np.full(ts.shape, np.inf)
     x, width = ts + scale, np.full(ts.shape, scale)
@@ -170,13 +213,15 @@ def _times(law, t, q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """1-D times and their survival; DomainError at the first without a value."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     sf = _survival(law, ts)
-    for tk, sk in zip(ts, sf):
+    bad = sf <= q.tail_mass_cutoff  # which holds every time that is not finite
+    if bad.any():
+        k = int(np.argmax(bad))
+        tk, sk = float(ts[k]), sf[k]
         if not np.isfinite(tk):
-            raise DomainError(f"conditioning time must be finite, got {float(tk)!r}")
-        if sk <= q.tail_mass_cutoff:
-            raise DomainError(
-                f"survival at t={float(tk)} is {sk:.3e}, at or below the tail mass "
-                f"cutoff {q.tail_mass_cutoff:.1e}; move t left or relax the cutoff")
+            raise DomainError(f"conditioning time must be finite, got {tk!r}")
+        raise DomainError(
+            f"survival at t={tk} is {sk:.3e}, at or below the tail mass "
+            f"cutoff {q.tail_mass_cutoff:.1e}; move t left or relax the cutoff")
     return ts, sf
 
 
@@ -184,13 +229,20 @@ def _residual_forms(law, ts: np.ndarray, sf_t: np.ndarray, q: QuadratureSpec):
     """Hazard-form and density-form values, errors and convergence flags at
     every t, each shaped (2, len(ts))."""
     log_sf_t = np.asarray(law.log_survival(ts), dtype=float)
-    his = _upper_cuts(law, ts, np.log(q.tail_mass_cutoff) + log_sf_t, _scale(law))
-    edges, where = np.unique(np.concatenate([ts, his]), return_inverse=True)
+    target = np.log(q.tail_mass_cutoff) + log_sf_t
+    if isinstance(law.source, SystemModel):
+        his, ends = _log_survival_roots(law.source, target), np.empty(0)
+    else:
+        his, ends = _upper_cuts(law, ts, target, _scale(law)), _support_ends(law)
+        ends = ends[(ends > ts.min(initial=np.inf)) & (ends < his.max(initial=-np.inf))]
+    edges, where = np.unique(np.concatenate([ts, his, ends]), return_inverse=True)
     value, error, failed = _integrate(law, edges, q)
+    n = ts.size
 
     def window(v):  # int_t^hi(t) as a difference of suffix sums over the gaps
-        suffix = np.cumsum(np.pad(v, [(0, 0), (0, 1)])[:, ::-1], axis=1)[:, ::-1]
-        return suffix[:, where[:ts.size]] - suffix[:, where[ts.size:]]
+        suffix = np.zeros((v.shape[0], v.shape[1] + 1), dtype=v.dtype)
+        np.cumsum(v[:, ::-1], axis=1, out=suffix[:, -2::-1])
+        return suffix[:, where[:n]] - suffix[:, where[n:2 * n]]
 
     ints = window(value)
     values = np.stack([1.0 - ints[0] / sf_t, log_sf_t - ints[1] / sf_t])
@@ -212,8 +264,8 @@ def _agreed(values, errs, ok, q: QuadratureSpec) -> list[EntropyValue]:
     within ``10 * rel_tol * max(1, |value|)``; the gap joins the error."""
     gap = np.abs(values[0] - values[1])
     agree = gap <= 10.0 * q.rel_tol * np.maximum(1.0, np.abs(values[0]))
-    return [EntropyValue(float(v), float(e), bool(c))
-            for v, e, c in zip(values[0], errs[0] + gap, ok[0] & ok[1] & agree)]
+    return [EntropyValue(v, e, c) for v, e, c in zip(
+        values[0].tolist(), (errs[0] + gap).tolist(), (ok[0] & ok[1] & agree).tolist())]
 
 
 def residual_entropy(s, t, q: QuadratureSpec = QuadratureSpec()):

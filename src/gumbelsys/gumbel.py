@@ -116,15 +116,21 @@ def _log1mexp(w) -> np.ndarray:
         return _log1mexp_of(w, *_exps(w))
 
 
-def _fill_underflow(out, logw) -> np.ndarray:
-    """Patch ``out = log(1 - exp(-exp(log w)))`` where ``exp(log w)`` underflowed.
+#: log of the smallest normal double; below it ``exp(log w)`` is subnormal
+#: or 0 and carries too few bits for ``log(1 - exp(-w))``
+_LOG_TINY = float(np.log(np.finfo(float).tiny))
 
-    There ``out`` is ``-inf`` while ``log(1 - exp(-w)) = log w`` to double
-    precision, so ``log w`` is put in its place; every finite entry is left
-    as it is.
+
+def _fill_underflow(out, logw) -> np.ndarray:
+    """Patch ``out = log(1 - exp(-exp(log w)))`` where ``exp(log w)`` is below
+    the normal range.
+
+    There ``out`` is ``-inf``, or the log of a subnormal that has lost
+    precision, while ``log(1 - exp(-w)) = log w`` to double precision, so
+    ``log w`` is put in its place; every other entry is left as it is.
     """
-    if out.size and out.min() == -np.inf:
-        out = np.where(out == -np.inf, logw, out)
+    if out.size and logw.min() < _LOG_TINY:
+        out = np.where(logw < _LOG_TINY, logw, out)
     return out
 
 
@@ -136,7 +142,7 @@ def survival(p: GumbelParams, x) -> np.ndarray:
 
 def log_survival(p: GumbelParams, x) -> np.ndarray:
     """log(1 - F(x)) without forming the complement explicitly; ``-z`` in the
-    far right tail, where ``w = exp(-z)`` underflows."""
+    far right tail, where ``w = exp(-z)`` is below the normal range."""
     z = (_checked_x(x) - p.mu) / p.sigma
     with np.errstate(over="ignore", under="ignore"):
         return _fill_underflow(_log1mexp(np.exp(-z)), -z)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .entropy import QuadratureSpec, residual_entropy
 from .errors import DomainError, NumericsError, UsageError
-from .systems import EvalGrid, SystemModel, as_law, logsumexp, make_grid
+from .systems import EvalGrid, SystemModel, _quantile_pairs, as_law, logsumexp, make_grid
 
 __all__ = [
     "Relation",
@@ -255,10 +255,8 @@ def make_t_grid(a, b, count: int = DEFAULT_T_POINTS,
     quantile its residual entropy is no longer defined at quadrature
     precision, so the window must stop at the minimum.
     """
-    la, lb = as_law(a), as_law(b)
-    lo = min(float(la.quantiles(tail_prob)), float(lb.quantiles(tail_prob)))
-    hi = min(float(la.quantiles(1.0 - tail_prob)), float(lb.quantiles(1.0 - tail_prob)))
-    return np.linspace(lo, hi, count)
+    (lo_a, hi_a), (lo_b, hi_b) = _quantile_pairs(a, b, tail_prob, 1.0 - tail_prob)
+    return np.linspace(min(lo_a, lo_b), min(hi_a, hi_b), count)
 
 
 def check_disp(a, b, p_grid=None,

@@ -32,13 +32,14 @@ larger than that is computed and not kept), hands out copies and is guarded
 by a lock.  Writeable abscissae are never stored: Newton iterates,
 quadrature nodes and Monte Carlo samples pay only the flag test.
 
-Series quantiles have no closed form for n > 1.  The log survival is concave
-(every component is IFR), so Newton started at the closed-form bound
-``min_i Q_i(u)`` moves left monotonically onto the root, one kernel pass per
-step over the probabilities not yet solved.  A probability stops when its
-log survival residual is within ``2**-52 * |log1p(-u)|``, or once rounding
-has taken over: its log survival no longer rises, or a step would no longer
-move it left.
+Where a series log survival reaches a target ``T`` (a quantile at
+``T = log1p(-u)``, or an entropy cut) has no closed form for n > 1.  The log
+survival is concave (every component is IFR), so Newton started at the
+closed-form root of the smallest location alone moves left monotonically
+onto the root, one kernel pass per step over the targets not yet solved.  A
+target stops when its log survival residual is within ``2**-52 * |T|``, or
+once rounding has taken over: its log survival no longer rises, or a step
+would no longer move it left.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ MAX_COMPONENTS = 64
 #: block is 128 KB, so the dozen a pass holds stay in a 2 MiB L2 cache.
 _BLOCK_TERMS = 16384
 
-#: The Newton passes of ``_series_quantiles`` run over the probabilities not
-#: yet done, padded with done ones to a multiple of this many.  numpy keeps
+#: The Newton passes of ``_series_roots`` run over the targets not yet
+#: done, padded with done ones to a multiple of this many.  numpy keeps
 #: freed buffers below 1 KiB per size, so arrays of every small size would
 #: hold memory that a few sizes do not.
 _TRIM_ROWS = 64
@@ -419,28 +420,25 @@ def system_reversed_hazard(s: SystemModel, x) -> np.ndarray:
 
 # -- quantiles ----------------------------------------------------------------
 
-def _series_quantiles(s: SystemModel, u: np.ndarray) -> np.ndarray:
-    """Series quantiles by monotone Newton on ``log Fbar(x) = log1p(-u)``.
+def _series_roots(s: SystemModel, target: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Where the series log survival equals each ``target``, by monotone Newton
+    from ``x``, a closed-form bound right of every root.
 
     Every component is IFR, so the log survival is concave and decreasing
     (Barlow and Proschan, 1975): every tangent lies above it, and Newton
-    started right of the root steps left without crossing it.  A probability
-    is done when its residual is within ``2**-52 * |log1p(-u)|``; when
-    rounding has taken over, so that its log survival no longer rises or its
-    step no longer moves x left; or when its step is not finite (the hazard
-    underflows far left).  Each step makes one kernel pass, over the
-    probabilities not yet done (see ``_TRIM_ROWS``); a done ``x`` is frozen,
-    so leaving it out of later passes changes no bit.
+    started right of the root steps left without crossing it.  A target is
+    done when its residual is within ``2**-52 * |target|``; when rounding has
+    taken over, so that its log survival no longer rises or its step no
+    longer moves x left; or when its step is not finite (the hazard
+    underflows far left).  Each step makes one kernel pass, over the targets
+    not yet done (see ``_TRIM_ROWS``); a done ``x`` is frozen, so leaving it
+    out of later passes changes no bit.
     """
-    target = np.log1p(-u)
     tol = np.abs(target) * 2.0**-52
-    # prod_i Fbar_i <= min_i Fbar_i puts the root left of min_i Q_i(u), which
-    # is the quantile of the smallest location (rounding is monotone); a
-    # relative pad covers the rounding of the kernel
-    x = gumbel.quantile(GumbelParams(s.mus[-1], s.sigma), u)
-    x += 1e-9 * (s.sigma + np.abs(x))
-    last = np.full(u.size, -np.inf)  # the log survival of the previous pass
-    todo = np.arange(u.size)  # the probabilities a pass runs over
+    # a relative pad covers the rounding of the kernel at the start
+    x = x + 1e-9 * (s.sigma + np.abs(x))
+    last = np.full(target.size, -np.inf)  # the log survival of the previous pass
+    todo = np.arange(target.size)  # the targets a pass runs over
     for _ in range(100):  # a safety cap: pool solves take at most 10 passes
         xt = x[todo]
         log_sf, rate = _series_pass(s, xt)
@@ -456,11 +454,30 @@ def _series_quantiles(s: SystemModel, u: np.ndarray) -> np.ndarray:
         x[todo] = np.where(done, xt, newton)
         if done.all():
             break
-        # drop the done probabilities, keeping a multiple of _TRIM_ROWS
+        # drop the done targets, keeping a multiple of _TRIM_ROWS
         keep = -(-(done.size - np.count_nonzero(done)) // _TRIM_ROWS) * _TRIM_ROWS
         if keep < done.size:
             todo = todo[np.argsort(done, kind="stable")[:keep]]
     return x
+
+
+def _log_survival_roots(s: SystemModel, target: np.ndarray) -> np.ndarray:
+    """Where the system's log survival equals each ``target < 0``.
+
+    A Gumbel(m, sigma) law, which a parallel or one-component system is,
+    reaches ``log Fbar = T`` at ``m - sigma * log(-log1mexp(-T))``, taken
+    without forming ``u = -expm1(T)``, which would lose the low bits of a
+    target near 0; where ``exp(T)`` is below the normal range that log is
+    ``T`` itself.  Other series systems start from that point at the smallest
+    location, right of the root since ``prod_i Fbar_i <= min_i Fbar_i``, and
+    run ``_series_roots``.
+    """
+    with np.errstate(divide="ignore"):
+        logw = _fill_underflow(np.log(-_log1mexp(-target)), target)
+    if s.topology is Topology.PARALLEL:
+        return _as_gumbel(s).mu - s.sigma * logw
+    x = s.mus[-1] - s.sigma * logw
+    return x if s.n == 1 else _series_roots(s, target, x)
 
 
 def system_quantiles(s: SystemModel, probs) -> np.ndarray:
@@ -468,7 +485,7 @@ def system_quantiles(s: SystemModel, probs) -> np.ndarray:
 
     The parallel lifetime is itself Gumbel (see ``_as_gumbel``), so its
     quantile is closed form, as is that of a one-component series system.
-    Other series quantiles come from ``_series_quantiles``.
+    Other series quantiles come from ``_series_roots`` at ``log1p(-u)``.
     """
     u = np.atleast_1d(np.asarray(probs, dtype=float))
     if not np.all(np.isfinite(u)) or np.any(u <= 0.0) or np.any(u >= 1.0):
@@ -478,7 +495,10 @@ def system_quantiles(s: SystemModel, probs) -> np.ndarray:
     elif s.n == 1:
         x = gumbel.quantile(GumbelParams(s.mus[0], s.sigma), u)
     else:
-        x = _series_quantiles(s, u)
+        # prod_i Fbar_i <= min_i Fbar_i puts the root left of min_i Q_i(u),
+        # the quantile of the smallest location (rounding is monotone)
+        x = _series_roots(s, np.log1p(-u),
+                          gumbel.quantile(GumbelParams(s.mus[-1], s.sigma), u))
     return x[0] if np.ndim(probs) == 0 else x
 
 
@@ -546,22 +566,27 @@ def as_law(obj) -> LawOps:
     return obj if isinstance(obj, LawOps) else LawOps(obj)
 
 
+def _quantile_pairs(a, b, lo_p: float, hi_p: float):
+    """``(Q(lo_p), Q(hi_p))`` of each of ``a`` and ``b``, as floats; each law
+    solves both of its quantiles in one call."""
+    return tuple(tuple(float(v) for v in as_law(s).quantiles(np.array([lo_p, hi_p])))
+                 for s in (a, b))
+
+
 def make_grid(a, b, count: int = 2049, tail_cutoff: float = 1e-8) -> EvalGrid:
     """Uniform grid covering both laws up to the given tail mass.
 
     The window runs from the smaller of the two ``tail_cutoff`` quantiles to
     the larger of the two ``1 - tail_cutoff`` quantiles; beyond those points
     the ordering functions are dominated by rounding.  ``a`` and ``b`` are
-    systems or duck-typed laws (see :class:`LawOps`); each law solves both
-    of its quantiles in one call.
+    systems or duck-typed laws (see :class:`LawOps`).
     """
     if count < 33:
         raise UsageError(f"count must be >= 33, got {count}")
     if not (0.0 < tail_cutoff < 0.5):
         raise DomainError(f"tail_cutoff must lie in (0, 0.5), got {tail_cutoff}")
     lo_p, hi_p = tail_cutoff, 1.0 - tail_cutoff
-    (lo_a, hi_a), (lo_b, hi_b) = (
-        np.asarray(as_law(s).quantiles(np.array([lo_p, hi_p])), dtype=float) for s in (a, b))
-    lo, hi = min(float(lo_a), float(lo_b)), max(float(hi_a), float(hi_b))
+    (lo_a, hi_a), (lo_b, hi_b) = _quantile_pairs(a, b, lo_p, hi_p)
+    lo, hi = min(lo_a, lo_b), max(hi_a, hi_b)
     return EvalGrid(points=np.linspace(lo, hi, count), lo_prob=lo_p, hi_prob=hi_p,
                     count=count)

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -17,6 +18,40 @@ from gumbelsys import systems as sy
 from conftest import parallel, series
 
 EULER_GAMMA = 0.5772156649015328
+
+
+class StepHazardLaw:
+    """Hazard lam1 on [0, c) and lam2 beyond: the density jumps at c, inside
+    the support."""
+
+    def __init__(self, lam1: float, lam2: float, c: float):
+        self.lam1, self.lam2, self.c = float(lam1), float(lam2), float(c)
+
+    def log_survival(self, x):
+        x = np.asarray(x, dtype=float)
+        return -self.lam1 * np.clip(x, 0.0, self.c) - self.lam2 * np.maximum(x - self.c, 0.0)
+
+    def log_pdf(self, x):
+        x = np.asarray(x, dtype=float)
+        rate = np.where(x < 0, 0.0, np.where(x < self.c, self.lam1, self.lam2))
+        with np.errstate(divide="ignore"):
+            return np.log(rate) + self.log_survival(x)
+
+    def survival(self, x):
+        with np.errstate(under="ignore"):
+            return np.exp(self.log_survival(x))
+
+    def cdf(self, x):
+        return -np.expm1(self.log_survival(x))
+
+    def pdf(self, x):
+        with np.errstate(under="ignore"):
+            return np.exp(self.log_pdf(x))
+
+    def quantile(self, u):
+        h = -np.log1p(-np.asarray(u, dtype=float))  # the cumulative hazard
+        return np.where(h < self.lam1 * self.c, h / self.lam1,
+                        self.c + (h - self.lam1 * self.c) / self.lam2)
 
 
 class TestShannon:
@@ -102,6 +137,14 @@ class TestResidual:
         b = en.residual_entropy(shifted, t + 2.0).value
         assert a == pytest.approx(b, abs=1e-9)
 
+    @pytest.mark.parametrize("s", [parallel([1.0, 0.0]), series([0.0])])
+    def test_cut_below_the_normal_range(self, s):
+        # with cutoff 1e-300 the cut's survival, about 1e-290 * 1e-300, is
+        # below the normal range; the hazard is 1/sigma there, so H = 1
+        q = en.QuadratureSpec(tail_mass_cutoff=1e-300)
+        for e in en.residual_entropy(s, np.array([600.0, 660.0]), q):
+            assert e.converged and e.value == pytest.approx(1.0, abs=1e-10)
+
     def test_too_deep_rejected(self):
         s = series([0.0])
         with pytest.raises(DomainError):
@@ -152,10 +195,13 @@ class TestEngineContract:
                 for form, one in zip(pair, en.residual_entropy_forms(s, float(t))):
                     assert form.value == pytest.approx(one.value, abs=1e-12)
 
-    def test_curve_marks_non_finite_time(self):
+    def test_curve_marks_non_finite_time(self, exponential_law):
         curve = en.entropy_curve(series([0.0]), np.array([0.0, np.nan, 1.0]))
         assert [e.converged for e in curve] == [True, False, True]
         assert math.isnan(curve[1].value)
+        # a duck-typed law with no time left to integrate from
+        curve = en.entropy_curve(exponential_law(1.0), np.array([np.nan, 1e6]))
+        assert not any(e.converged for e in curve)
 
     def test_array_with_one_time_past_cutoff_rejected(self):
         with pytest.raises(DomainError):
@@ -173,27 +219,79 @@ class TestEngineContract:
         for v in values:
             assert v.value == pytest.approx(1 - math.log(lam), abs=1e-9)
 
-    def test_refinement_budget_caps_bisections(self, exponential_law):
-        # from t < 0 the window holds the density's jump at 0, which keeps
-        # failing the panel test until several bisections have isolated it
-        law = exponential_law(1.3)
+    def test_refinement_budget_caps_bisections(self):
+        # from t = 0.5 the window holds the density's jump at 1, inside the
+        # support, which keeps failing the panel test until several
+        # bisections have isolated it
+        law = StepHazardLaw(1.3, 0.6, 1.0)
         for budget, converged in ((1, False), (10, False), (2000, True)):
             q = en.QuadratureSpec(max_subdivisions=budget)
-            a, b = en.residual_entropy_forms(law, -1.0, q)
+            a, b = en.residual_entropy_forms(law, 0.5, q)
             assert a.converged is converged and b.converged is converged
+        # 1 - E[log r]: rate 1.3 until the jump, 0.6 with its probability
+        p = math.exp(-1.3 * 0.5)
+        assert a.value == pytest.approx(1 - (1 - p) * math.log(1.3) - p * math.log(0.6),
+                                        abs=1e-10)
         # a window clear of the jump needs no bisection at all
         q = en.QuadratureSpec(max_subdivisions=1)
-        assert all(e.converged for e in en.residual_entropy_forms(law, 0.5, q))
+        assert all(e.converged for e in en.residual_entropy_forms(law, 1.5, q))
+
+    def test_density_jump_at_support_end_is_a_panel_edge(self, exponential_law):
+        # the exponential density jumps at its support end 0; a panel
+        # straddling it can pass its error test by chance (at t = -1 the two
+        # rules once agreed to 5e-15 on a value 1.2e-8 off)
+        law = exponential_law(1.3)
+        for t in np.linspace(-5.0, -0.01, 300):
+            e = en.residual_entropy(law, float(t))
+            if e.converged:
+                assert e.value == pytest.approx(1 - math.log(1.3), abs=1e-10), t
 
 
 class TestImportHygiene:
     def test_import_loads_no_scipy(self):
+        # nor numpy.polynomial, which only the quadrature table once needed
         src = str(Path(gs.__file__).resolve().parents[1])
         code = ("import sys; sys.path.insert(0, %r); import gumbelsys; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))" % src)
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+                "or m.startswith('numpy.polynomial')))" % src)
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True).stdout.strip()
         assert out == "[]"
+
+
+class TestQuadratureTable:
+    """The qk21 table: 21 Kronrod nodes with the 10 Gauss nodes at the odd
+    indices."""
+
+    @staticmethod
+    def moment_errors(nodes, weights, degrees):
+        return [abs(weights @ nodes**d - (0.0 if d % 2 else 2.0 / (d + 1))) for d in degrees]
+
+    def test_kronrod_rule_exact_to_degree_31(self):
+        assert max(self.moment_errors(en._NODES, en._W21, range(32))) <= 2e-16
+        # and no further: the error at degree 32 is about 4e-12
+        assert self.moment_errors(en._NODES, en._W21, [32])[0] > 1e-13
+
+    def test_gauss_subset_exact_to_degree_19(self):
+        assert max(self.moment_errors(en._NODES[1::2], en._W10, range(20))) <= 2e-16
+
+    def test_gauss_subset_matches_legendre(self):
+        from numpy.polynomial.legendre import leggauss
+        x, w = leggauss(10)
+        np.testing.assert_array_less(np.abs(en._NODES[1::2] - x), 2.5 * np.spacing(np.abs(x)))
+        # leggauss's own weights are up to 7 ulp off; the table is correctly
+        # rounded against 40-digit weights 2 / ((1 - x^2) P10'(x)^2)
+        with mpmath.workdps(40):
+            roots = [mpmath.findroot(lambda y: mpmath.legendre(10, y), v) for v in x]
+            exact = [float(2 / ((1 - r**2) * mpmath.diff(lambda y: mpmath.legendre(10, y), r)**2))
+                     for r in roots]
+        np.testing.assert_array_less(np.abs(en._W10 - exact), np.spacing(en._W10))
+
+    def test_symmetric_weights_sum_to_two(self):
+        for nodes, weights in ((en._NODES, en._W21), (en._NODES[1::2], en._W10)):
+            np.testing.assert_array_equal(nodes, -nodes[::-1])
+            np.testing.assert_array_equal(weights, weights[::-1])
+            assert math.fsum(weights) == pytest.approx(2.0, abs=4e-16)
 
 
 class TestCurve:

@@ -94,6 +94,14 @@ class TestRates:
         np.testing.assert_array_equal(gu.log_survival(GumbelParams(0, 1), xs),
                                       gu._log1mexp(np.exp(-xs)))
 
+    def test_log_survival_where_w_is_subnormal(self):
+        # from about 708 to 745 sigma right of the location w = exp(-z) is
+        # subnormal, too coarse for log(1 - exp(-w)); log w = -z is exact
+        zs = np.linspace(709.0, 745.0, 37)
+        with np.errstate(all="raise"):
+            np.testing.assert_array_equal(gu.log_survival(GumbelParams(0, 1), zs), -zs)
+            np.testing.assert_array_equal(gu.log_survival(GumbelParams(3, 2), 3 + 2 * zs), -zs)
+
     def test_hazard_at_location(self):
         expect = E1 / (1 - E1)
         assert gu.hazard(GumbelParams(0, 1), 0.0) == pytest.approx(expect, rel=1e-13)

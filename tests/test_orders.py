@@ -272,6 +272,25 @@ class TestParallelClosedForm:
         for direction in (FG, FS):
             assert od.check_disp(a, b, direction=direction).outcome is Outcome.HOLDS
 
+    @given(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=5),
+           st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=5),
+           st.sampled_from([0.5, 1.0, 2.0, 10.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_lu_follows_the_location(self, mus_a, mus_b, sigma):
+        # the residual entropy of Gumbel(L, sigma) is H0((t - L)/sigma) +
+        # log sigma, and H0 decreases for an IFR law (Ebrahimi, 1996): lu
+        # first_greater holds iff L_a >= L_b, first_smaller iff L_a <= L_b
+        a = parallel([m * sigma for m in mus_a], sigma)
+        b = parallel([m * sigma for m in mus_b], sigma)
+        gap = od.parallel_rh_log_margin(a, b)  # (L_a - L_b)/sigma
+        # closer than this, the quadrature tolerance lets both directions
+        # hold; measured, they did up to a gap of 3.2e-9
+        if abs(gap) <= 1e-7:
+            return
+        for direction, holds in ((FG, gap > 0), (FS, gap < 0)):
+            v = od.check_lu(a, b, direction=direction)
+            assert (v.outcome is Outcome.HOLDS) == holds, (direction, gap, v)
+
 
 class TestInvariance:
     def test_location_equivariance(self):

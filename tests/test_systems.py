@@ -166,10 +166,11 @@ class TestFarRightTail:
     @pytest.mark.parametrize("s", [series([2.0, 0.0, -1.5], 0.7),
                                    parallel([2.0, 0.0, -1.5], 0.7)])
     def test_finite_values_unchanged(self, s):
-        # where exp(log w) does not underflow, the result is the plain
-        # _log1mexp(w) bit for bit: summed over the components of a series
-        # system, and of the one Gumbel(L, sigma) that a parallel system is
-        xs = np.linspace(-30.0, 520.0, 1101)
+        # where exp(log w) is a normal double (here x < 494), the result is
+        # the plain _log1mexp(w) bit for bit: summed over the components of a
+        # series system, and of the one Gumbel(L, sigma) that a parallel
+        # system is
+        xs = np.linspace(-30.0, 490.0, 1041)
         logw = (np.asarray(s.mus) - xs[:, None]) / s.sigma
         if s.topology is Topology.PARALLEL:
             loc = sy._as_gumbel(s).mu
@@ -193,13 +194,17 @@ class TestOneComponent:
     def test_series_parallel_and_gumbel_agree(self, mu, log_sigma):
         sigma = 10.0 ** log_sigma
         law = gu.GumbelParams(mu, sigma)
-        # left of -6 sigma the series log survival is subnormal or rounds to 0
-        xs = mu + sigma * np.linspace(-6.0, 700.0, 1413)
+        # left of -6 sigma the series log survival is subnormal or rounds to 0;
+        # from 708 sigma on, w is subnormal and then 0, and so are the
+        # survival, the density and the reversed hazard, which then hold a
+        # few subnormal steps of absolute precision only
+        xs = mu + sigma * np.linspace(-6.0, 800.0, 1613)
         for f in _FUNCS:
             want = getattr(gu, f.removeprefix("system_"))(law, xs)
             for s in (series([mu], sigma), parallel([mu], sigma)):
                 np.testing.assert_allclose(getattr(sy, f)(s, xs), want, rtol=1e-12,
-                                           atol=0, err_msg=f"{f} {s.topology.value}")
+                                           atol=4 * np.finfo(float).smallest_subnormal,
+                                           err_msg=f"{f} {s.topology.value}")
 
 
 class TestLogSumExp:
@@ -386,8 +391,9 @@ def _ref_series(s, xs):
     logw = (np.asarray(s.mus) - np.asarray(xs)[..., None]) / s.sigma
     with np.errstate(over="ignore", under="ignore"):
         w = np.exp(logw)
-    terms = _ref_log1mexp(w)
-    log_sf = np.where(terms == -np.inf, logw, terms).sum(axis=-1)
+    # log w in place of log(1 - exp(-w)) wherever w is below the normal range
+    terms = np.where(w < np.finfo(float).tiny, logw, _ref_log1mexp(w))
+    log_sf = terms.sum(axis=-1)
     return log_sf, _ref_phi(w).sum(axis=-1) / s.sigma
 
 
