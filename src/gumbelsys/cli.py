@@ -25,7 +25,7 @@ from .majorization import random_majorization_pair
 from .orders import Direction, Outcome, Relation
 from .rng import stream
 from .simulate import empirical_cdf_dominance, empirical_quantile_spread
-from .systems import SystemModel, Topology, make_grid
+from .systems import SystemModel, Topology, make_grid, system_quantiles
 
 __all__ = ["main"]
 
@@ -161,6 +161,11 @@ def _parse_float(cp, section, key, default):
         raise _CliError(f"[{section}] {key}: expected a number, got {raw!r}") from exc
 
 
+def _setting(override, parse, cp, section, key, default):
+    """The command-line ``override`` when given, else the spec's value."""
+    return override if override is not None else parse(cp, section, key, default)
+
+
 def _system_doc(s: SystemModel) -> dict:
     return {"topology": s.topology.value, "mus": list(s.mus), "sigma": s.sigma}
 
@@ -232,13 +237,13 @@ def _cmd_check(args) -> int:
         raise _CliError(f"[check] direction must be first_smaller or first_greater, "
                         f"got {dir_text!r}") from None
 
-    grid_points = args.grid_points or _parse_int(cp, section, "grid_points",
-                                                 orders.DEFAULT_X_POINTS)
+    grid_points = _setting(args.grid_points, _parse_int, cp, section, "grid_points",
+                           orders.DEFAULT_X_POINTS)
     p_points = _parse_int(cp, section, "p_points", orders.DEFAULT_P_POINTS)
     t_points = _parse_int(cp, section, "t_points", orders.DEFAULT_T_POINTS)
-    tail_cutoff = args.tail_cutoff or _parse_float(cp, section, "tail_cutoff", 1e-8)
-    rel_tol = args.tol or _parse_float(cp, section, "quad_rel_tol", 1e-10)
-    quad = QuadratureSpec(rel_tol=rel_tol)
+    tail_cutoff = _setting(args.tail_cutoff, _parse_float, cp, section, "tail_cutoff", 1e-8)
+    quad = QuadratureSpec(rel_tol=_setting(args.tol, _parse_float, cp, section,
+                                           "quad_rel_tol", 1e-10))
 
     try:
         grid = make_grid(a, b, grid_points, tail_cutoff)
@@ -308,7 +313,7 @@ def _cmd_scan(args) -> int:
     if args.n < (2 if args.mode != "parallel-lr" else 1):
         raise _CliError("--n is too small for this mode")
     sigmas = args.sigmas
-    quad = QuadratureSpec(rel_tol=args.tol or 1e-10)
+    quad = QuadratureSpec(rel_tol=args.tol)
 
     failures = []
     held_counts: dict[str, int] = {}
@@ -410,7 +415,7 @@ def _cmd_entropy(args) -> int:
     cp = _read_spec(args.spec)
     s = _parse_system(cp, "system")
     sec = "entropy"
-    rel_tol = args.tol or _parse_float(cp, sec, "rel_tol", 1e-10)
+    rel_tol = _setting(args.tol, _parse_float, cp, sec, "rel_tol", 1e-10)
     abs_tol = _parse_float(cp, sec, "abs_tol", 1e-13)
     cutoff = _parse_float(cp, sec, "tail_cutoff", 1e-12)
     max_sub = _parse_int(cp, sec, "max_subdivisions", 2000)
@@ -424,7 +429,7 @@ def _cmd_entropy(args) -> int:
         count = _parse_int(cp, sec, "t_points", orders.DEFAULT_T_POINTS)
         lo_p = _parse_float(cp, sec, "t_lo_prob", 0.001)
         hi_p = _parse_float(cp, sec, "t_hi_prob", 0.999)
-        ts = list(np.linspace(_quantile(s, lo_p), _quantile(s, hi_p), count))
+        ts = list(np.linspace(*system_quantiles(s, [lo_p, hi_p]), count))
 
     try:
         total = shannon_entropy(s, quad)
@@ -462,11 +467,6 @@ def _cmd_entropy(args) -> int:
     return code
 
 
-def _quantile(s: SystemModel, p: float) -> float:
-    from .systems import system_quantile
-    return system_quantile(s, p)
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -478,14 +478,16 @@ def _cmd_simulate(args) -> int:
     sec = "simulate"
     n = _parse_int(cp, sec, "n_samples", 100_000)
     seed = _parse_int(cp, sec, "seed", 0)
-    grid_points = args.grid_points or _parse_int(cp, sec, "grid_points", 129)
-    tail_cutoff = args.tail_cutoff or _parse_float(cp, sec, "tail_cutoff", 1e-8)
+    # a spec asking for fewer than 33 points gets 33; an override must ask for 33 or more
+    grid_points = (args.grid_points if args.grid_points is not None
+                   else max(_parse_int(cp, sec, "grid_points", 129), 33))
+    tail_cutoff = _setting(args.tail_cutoff, _parse_float, cp, sec, "tail_cutoff", 1e-8)
     alpha = _parse_float(cp, sec, "alpha", 0.25)
     beta = _parse_float(cp, sec, "beta", 0.75)
     n_boot = _parse_int(cp, sec, "bootstrap", 200)
 
     try:
-        grid = make_grid(a, b, max(grid_points, 33), tail_cutoff)
+        grid = make_grid(a, b, grid_points, tail_cutoff)
         scan = empirical_cdf_dominance(a, b, seed, n, grid)
         spread = empirical_quantile_spread(a, b, seed, n, alpha, beta, n_boot)
     except GumbelSysError as exc:
@@ -543,17 +545,19 @@ def _build_parser() -> _Parser:
                             "Gumbel systems")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp):
+    overrides = {"grid-points": {"type": int}, "tail-cutoff": {"type": float},
+                 "tol": {"type": float, "help": "quadrature relative tolerance override"}}
+
+    def common(sp, *names):
+        """``--out`` plus the spec overrides that ``sp`` reads."""
         sp.add_argument("--out", default=None,
                         help="write the JSON report here ('-' for stdout)")
-        sp.add_argument("--grid-points", type=int, default=None)
-        sp.add_argument("--tail-cutoff", type=float, default=None)
-        sp.add_argument("--tol", type=float, default=None,
-                        help="quadrature relative tolerance override")
+        for name in names:
+            sp.add_argument(f"--{name}", default=None, **overrides[name])
 
     sp = sub.add_parser("check", help="run order checks from a spec file")
     sp.add_argument("spec", help="spec file path, or '-' for stdin")
-    common(sp)
+    common(sp, "grid-points", "tail-cutoff", "tol")
 
     sp = sub.add_parser("scan", help="random property sweep")
     sp.add_argument("--mode", required=True, choices=SCAN_MODES)
@@ -572,16 +576,16 @@ def _build_parser() -> _Parser:
     sp.add_argument("--t-points", type=int, default=orders.DEFAULT_T_POINTS)
     sp.add_argument("--entropy-orders", action="store_true",
                     help="include disp/lu in free-mode audits")
-    common(sp)
-    sp.set_defaults(grid_points=orders.DEFAULT_X_POINTS, tail_cutoff=1e-8)
+    common(sp, "grid-points", "tail-cutoff", "tol")
+    sp.set_defaults(grid_points=orders.DEFAULT_X_POINTS, tail_cutoff=1e-8, tol=1e-10)
 
     sp = sub.add_parser("entropy", help="entropy report from a spec file")
     sp.add_argument("spec")
-    common(sp)
+    common(sp, "tol")
 
     sp = sub.add_parser("simulate", help="Monte Carlo cross-validation report")
     sp.add_argument("spec")
-    common(sp)
+    common(sp, "grid-points", "tail-cutoff")
     return p
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .entropy import QuadratureSpec, residual_entropy
 from .errors import DomainError, NumericsError, UsageError
-from .systems import EvalGrid, SystemModel, _quantile_pairs, as_law, logsumexp, make_grid
+from .systems import EvalGrid, SystemModel, _as_gumbel, _quantile_pairs, as_law, make_grid
 
 __all__ = [
     "Relation",
@@ -356,15 +356,16 @@ def is_irhr(s, grid) -> bool:
 
 
 def parallel_rh_log_margin(a: SystemModel, b: SystemModel) -> float:
-    """log(sum_i exp(mu_i/sigma)) difference between two parallel systems.
+    """log(sum_i exp(mu_i/sigma)) difference between two parallel systems,
+    ``(L_a - L_b)/sigma`` with ``L`` the location of the Gumbel law each
+    system is.
 
     The reversed hazard of a parallel system factors as
     ``(exp(-x/sigma)/sigma) * sum_i exp(mu_i/sigma)``, so its ordering at any
     x is exactly the sign of this quantity.
     """
     _validate_pair(a, b)
-    return float(logsumexp(np.asarray(a.mus) / a.sigma)
-                 - logsumexp(np.asarray(b.mus) / b.sigma))
+    return (_as_gumbel(a).mu - _as_gumbel(b).mu) / a.sigma
 
 
 # -- implication audit ---------------------------------------------------------

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gumbel
 from .errors import DomainError
-from .rng import open_uniform, stream
+from .rng import stream
 from .systems import EvalGrid, SystemModel, Topology, system_cdf
 
 __all__ = [
@@ -61,10 +62,8 @@ def sample_system(s: SystemModel, seed: int, n: int, *,
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     draws = np.empty((s.n, n))
-    for i, mu in enumerate(s.mus):
-        g = stream(seed, label, "component", i)
-        u = open_uniform(g, n)
-        draws[i] = mu - s.sigma * np.log(-np.log(u))
+    for i, component in enumerate(s.components()):
+        draws[i] = gumbel.sample(component, stream(seed, label, "component", i), n)
     if s.topology is Topology.PARALLEL:
         return draws.max(axis=0)
     return draws.min(axis=0)

@@ -22,15 +22,15 @@ terms so that its temporaries stay in cache.  One pass yields the log
 survival and the hazard together: ``w``, ``exp(-w)`` and ``-expm1(-w)`` are
 computed once per term and shared by ``log1mexp`` and ``phi``.
 
-A series pass over a read-only float array, which is how :class:`EvalGrid`
-holds its points, is memoised: the order checks run lr, hr, rh and st on one
-grid in both directions, and every one of those functions is a view of the
-same pass, so a system is evaluated once per grid.  The memo is keyed on the
-system, the shape and the bytes of the abscissae, holds at most
-``_MEMO_BYTES`` of keys and results (least recently used first out; a pass
-larger than that is computed and not kept), hands out copies and is guarded
-by a lock.  Writeable abscissae are never stored: Newton iterates,
-quadrature nodes and Monte Carlo samples pay only the flag test.
+A series pass over a read-only float array of at most ``_MEMO_POINTS``
+points, which is how :class:`EvalGrid` holds its points, is memoised: the
+order checks run lr, hr, rh and st on one grid in both directions, and every
+one of those functions is a view of the same pass, so a system is evaluated
+once per grid.  ``_grid_pass`` is a ``functools.lru_cache`` keyed on the
+system and the bytes of the abscissae; it keeps the last ``_MEMO_ENTRIES``
+passes, and callers get copies.  Writeable abscissae are never stored:
+Newton iterates, quadrature nodes and Monte Carlo samples pay only the flag
+test.
 
 Where a series log survival reaches a target ``T`` (a quantile at
 ``T = log1p(-u)``, or an entropy cut) has no closed form for n > 1.  The log
@@ -45,9 +45,8 @@ would no longer move it left.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +62,6 @@ __all__ = [
     "SystemModel",
     "EvalGrid",
     "phi",
-    "parallel_cdf",
-    "parallel_pdf",
-    "parallel_reversed_hazard",
-    "series_survival",
-    "series_hazard",
     "system_cdf",
     "system_pdf",
     "system_survival",
@@ -81,7 +75,6 @@ __all__ = [
     "make_grid",
     "as_law",
     "LawOps",
-    "logsumexp",
 ]
 
 #: Maximum number of components accepted by :class:`SystemModel`.  The sums
@@ -99,13 +92,12 @@ _BLOCK_TERMS = 16384
 #: hold memory that a few sizes do not.
 _TRIM_ROWS = 64
 
-#: Byte budget of the grid memo, keys and stored results together: the
-#: passes of about ten series systems on 2049-point grids.
-_MEMO_BYTES = 1 << 19
-
-# (system, shape, abscissa bytes) -> flat results of that pass, oldest first
-_MEMO: OrderedDict = OrderedDict()
-_MEMO_LOCK = threading.Lock()
+#: Grid memo bounds: a pass over at most this many points is kept, and the
+#: last ``_MEMO_ENTRIES`` passes are; an entry holds 24 bytes a point (the
+#: abscissae and two results), so the memo pins at most 768 KiB.  A caller
+#: touches at most two systems per grid.
+_MEMO_POINTS = 8192
+_MEMO_ENTRIES = 4
 
 
 class Topology(enum.Enum):
@@ -187,36 +179,6 @@ def phi(t) -> np.ndarray:
         return _phi_of(arr, *_exps(arr))
 
 
-def logsumexp(a, axis=None):
-    """log(sum(exp(a))) along ``axis`` (all of ``a`` when None), for real input.
-
-    Mirrors ``scipy.special.logsumexp`` without weights bit for bit: the
-    maximal terms (ties counted in ``m``) are taken out of the shifted sum
-    ``s``, and the result is ``log1p(s/m) + log(m) + max``.  Where that is not
-    finite (infinite or NaN input) the direct ``log(sum(exp(a)))`` is used.
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    axis = tuple(range(a.ndim)) if axis is None else axis
-    a_max = np.max(a, axis=axis, keepdims=True)
-    top = a == a_max
-    m = np.sum(top, axis=axis, keepdims=True, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max), axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out,
-                           np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
-    out = np.squeeze(out, axis=axis)
-    return out[()] if out.ndim == 0 else out
-
-
-def _require(s: SystemModel, topology: Topology, op: str) -> None:
-    if s.topology is not topology:
-        raise UsageError(f"{op} requires a {topology.value} system, got {s.topology.value}")
-
-
 def _logw_blocks(s: SystemModel, flat: np.ndarray):
     """Row slices of the flat abscissae with their ``log w = (mu_i - x)/sigma``,
     in equal blocks of about ``_BLOCK_TERMS`` component terms.  A row never
@@ -226,37 +188,6 @@ def _logw_blocks(s: SystemModel, flat: np.ndarray):
     step = max(1, -(-flat.size // blocks))
     for i in range(0, flat.size, step):
         yield slice(i, i + step), (mus - flat[i:i + step, None]) / s.sigma
-
-
-def _memo_key(s: SystemModel, xv: np.ndarray):
-    """Memo key of a series pass over ``xv``, or None when the pass is not
-    memoised: ``xv`` is writeable, or its entry (the abscissae and two
-    results) would not fit the budget."""
-    if xv.flags.writeable or xv.nbytes * 3 > _MEMO_BYTES:
-        return None
-    return (s, xv.shape, xv.tobytes())
-
-
-def _entry_nbytes(key, values) -> int:
-    return len(key[2]) + sum(v.nbytes for v in values)
-
-
-def _memo_fetch(key, run) -> tuple:
-    """The stored results under ``key``, or ``run()``'s, stored first.
-
-    The tuple returned is the memo's own; callers copy what they hand out.
-    """
-    with _MEMO_LOCK:
-        found = _MEMO.get(key)
-        if found is not None:
-            _MEMO.move_to_end(key)
-            return found
-    found = run()
-    with _MEMO_LOCK:
-        _MEMO[key] = found
-        while sum(_entry_nbytes(*kv) for kv in _MEMO.items()) > _MEMO_BYTES:
-            _MEMO.popitem(last=False)
-    return found
 
 
 # -- parallel systems -------------------------------------------------------
@@ -269,25 +200,6 @@ def _as_gumbel(s: SystemModel) -> GumbelParams:
     top = s.mus[0]
     rest = math.fsum(math.exp((m - top) / s.sigma) for m in s.mus[1:])
     return GumbelParams(top + s.sigma * math.log1p(rest), s.sigma)
-
-
-def parallel_cdf(s: SystemModel, x) -> np.ndarray:
-    """cdf of the parallel lifetime: exp(-sum_i w_i)."""
-    _require(s, Topology.PARALLEL, "parallel_cdf")
-    return gumbel.cdf(_as_gumbel(s), x)
-
-
-def parallel_pdf(s: SystemModel, x) -> np.ndarray:
-    """Density of the parallel lifetime: (cdf/sigma) * sum_i w_i."""
-    _require(s, Topology.PARALLEL, "parallel_pdf")
-    return gumbel.pdf(_as_gumbel(s), x)
-
-
-def parallel_reversed_hazard(s: SystemModel, x) -> np.ndarray:
-    """Reversed hazard of the parallel lifetime, the sum of the component
-    reversed hazards: (1/sigma) * sum_i w_i."""
-    _require(s, Topology.PARALLEL, "parallel_reversed_hazard")
-    return gumbel.reversed_hazard(_as_gumbel(s), x)
 
 
 # -- series systems ----------------------------------------------------------
@@ -306,6 +218,13 @@ def _series_rows(s: SystemModel, flat: np.ndarray, survival: bool, hazard: bool)
     return log_sf, (rate / s.sigma if hazard else None)
 
 
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _grid_pass(s: SystemModel, points_bytes: bytes) -> tuple:
+    """Both outputs of a series pass over the flat abscissae ``points_bytes``.
+    The arrays are the memo's own; callers copy them."""
+    return _series_rows(s, np.frombuffer(points_bytes), True, True)
+
+
 def _series_pass(s: SystemModel, x, survival: bool = True, hazard: bool = True):
     """Log survival and hazard of a series system from one blocked pass.
 
@@ -316,28 +235,13 @@ def _series_pass(s: SystemModel, x, survival: bool = True, hazard: bool = True):
     stores both.
     """
     xv = _checked_x(x)
-    key = _memo_key(s, xv)
-    if key is None:
+    if xv.flags.writeable or xv.size > _MEMO_POINTS:
         log_sf, rate = _series_rows(s, xv.reshape(-1), survival, hazard)
     else:
-        both = _memo_fetch(key, lambda: _series_rows(s, xv.reshape(-1), True, True))
-        log_sf = both[0].copy() if survival else None
-        rate = both[1].copy() if hazard else None
+        log_sf, rate = _grid_pass(s, xv.tobytes())
+        log_sf = log_sf.copy() if survival else None
+        rate = rate.copy() if hazard else None
     return tuple(None if v is None else v.reshape(xv.shape)[()] for v in (log_sf, rate))
-
-
-def series_survival(s: SystemModel, x) -> np.ndarray:
-    """Survival of the series lifetime: prod_i (1 - exp(-w_i))."""
-    _require(s, Topology.SERIES, "series_survival")
-    with np.errstate(under="ignore"):
-        return np.exp(_series_pass(s, x, hazard=False)[0])
-
-
-def series_hazard(s: SystemModel, x) -> np.ndarray:
-    """Hazard of the series lifetime, the sum of the component hazards:
-    (1/sigma) * sum_i phi(w_i)."""
-    _require(s, Topology.SERIES, "series_hazard")
-    return _series_pass(s, x, survival=False)[1]
 
 
 def _series_log_pdf(log_sf, rate) -> np.ndarray:
@@ -353,7 +257,16 @@ def system_log_cdf(s: SystemModel, x) -> np.ndarray:
         return gumbel.log_cdf(_as_gumbel(s), x)
     log_sf = _series_pass(s, x, hazard=False)[0]
     with np.errstate(divide="ignore", under="ignore"):
-        return _log1mexp(-log_sf)
+        out = _log1mexp(-log_sf)
+    # the cdf is below the normal range, so the log survival has rounded to
+    # (or next to) 0; there 1 - prod_i (1 - exp(-w_i)) is sum_i exp(-w_i) to
+    # a relative 1e-308
+    deep = log_sf > -np.finfo(float).tiny
+    if np.any(deep):
+        logw = (np.asarray(s.mus) - np.asarray(x, dtype=float)[..., None]) / s.sigma
+        with np.errstate(over="ignore", under="ignore"):
+            out = np.where(deep, np.logaddexp.reduce(-np.exp(logw), axis=-1), out)
+    return out
 
 
 def system_log_survival(s: SystemModel, x) -> np.ndarray:
@@ -380,7 +293,7 @@ def _log_pdf_and_survival(s: SystemModel, x) -> tuple[np.ndarray, np.ndarray]:
 
 def system_cdf(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
-        return parallel_cdf(s, x)
+        return gumbel.cdf(_as_gumbel(s), x)
     with np.errstate(under="ignore"):
         return -np.expm1(_series_pass(s, x, hazard=False)[0])
 
@@ -388,7 +301,8 @@ def system_cdf(s: SystemModel, x) -> np.ndarray:
 def system_survival(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
         return gumbel.survival(_as_gumbel(s), x)
-    return series_survival(s, x)
+    with np.errstate(under="ignore"):
+        return np.exp(_series_pass(s, x, hazard=False)[0])
 
 
 def system_pdf(s: SystemModel, x) -> np.ndarray:
@@ -404,7 +318,7 @@ def system_hazard(s: SystemModel, x) -> np.ndarray:
 
 def system_reversed_hazard(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
-        return parallel_reversed_hazard(s, x)
+        return gumbel.reversed_hazard(_as_gumbel(s), x)
     log_sf, rate = _series_pass(s, x)
     with np.errstate(all="ignore"):
         out = rate * np.exp(log_sf) / (-np.expm1(log_sf))

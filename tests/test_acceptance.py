@@ -160,7 +160,7 @@ def test_criterion_06_series_hazard_schur_convex_probe():
     for _ in range(100):
         z = g.uniform(-3.0, 3.0, 4)
         for x in xs:
-            f = lambda mus: float(sy.series_hazard(
+            f = lambda mus: float(sy.system_hazard(
                 gs.SystemModel(gs.Topology.SERIES, tuple(mus), 1.0), x))
             total += 1
             if schur_test(f, z, Curvature.CONVEX):

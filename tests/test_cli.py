@@ -271,3 +271,24 @@ class TestUsage:
 
     def test_unknown_flag(self):
         assert main(["check", "x.ini", "--bogus"]) == 64
+
+    @pytest.mark.parametrize("command,flag", [("entropy", "--grid-points"),
+                                              ("entropy", "--tail-cutoff"),
+                                              ("simulate", "--tol")])
+    def test_override_the_command_does_not_read(self, tmp_path, command, flag):
+        spec = ENTROPY_SPEC if command == "entropy" else SIMULATE_SPEC
+        assert main([command, write(tmp_path, "s.ini", spec), flag, "0.3"]) == 64
+
+    @pytest.mark.parametrize("command,flag", [("check", "--grid-points"), ("check", "--tol"),
+                                              ("check", "--tail-cutoff"), ("entropy", "--tol"),
+                                              ("simulate", "--grid-points"),
+                                              ("simulate", "--tail-cutoff"),
+                                              ("scan", "--grid-points"), ("scan", "--tol")])
+    def test_zero_override_is_not_the_spec_value(self, tmp_path, command, flag):
+        # a zero override used to fall back to the spec (or default) value
+        spec = {"check": IDENTICAL, "entropy": ENTROPY_SPEC, "simulate": SIMULATE_SPEC}
+        if command == "scan":
+            argv = ["scan", "--mode", "parallel-lr", "--trials", "1", "--n", "2"]
+        else:
+            argv = [command, write(tmp_path, "s.ini", spec[command])]
+        assert main(argv + [flag, "0"]) == 64

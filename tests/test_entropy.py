@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import exp1
+from scipy.special import exp1, logsumexp
 
 import gumbelsys as gs
 from gumbelsys import DomainError
@@ -161,7 +161,7 @@ class TestParallelClosedForm:
 
     @staticmethod
     def closed_form(s, ts):
-        loc = s.sigma * sy.logsumexp(np.asarray(s.mus) / s.sigma)
+        loc = s.sigma * logsumexp(np.asarray(s.mus) / s.sigma)
         a = np.exp(-(ts - loc) / s.sigma)
         surv = -np.expm1(-a)
         inner = (-EULER_GAMMA - exp1(a) - np.exp(-a) * np.log(a)

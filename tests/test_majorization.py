@@ -121,14 +121,14 @@ class TestSchur:
         # with every inner exponential argument far enough left, the hazard
         # of a series system is Schur-convex in the locations
         x = -2.0
-        f = lambda mus: float(sy.series_hazard(series(tuple(mus)), x))
+        f = lambda mus: float(sy.system_hazard(series(tuple(mus)), x))
         assert mj.schur_test(f, [0.3, -0.2, 1.1], Curvature.CONVEX)
 
     def test_series_hazard_not_convex_mid_range(self):
         # between the locations the gradient condition genuinely reverses,
         # so an honest probe must say no
         x = 1.5
-        f = lambda mus: float(sy.series_hazard(series(tuple(mus)), x))
+        f = lambda mus: float(sy.system_hazard(series(tuple(mus)), x))
         assert not mj.schur_test(f, [0.3, -0.2, 1.1], Curvature.CONVEX)
 
     def test_sum_of_exponentials_convex_everywhere(self):

@@ -119,7 +119,7 @@ class TestHazardRate:
     def test_crossing_matches_dense_oracle(self):
         a, b = series([4, 0, -1]), series([1, 1, 1])
         grid = sy.make_grid(a, b, 8193)
-        diff = sy.series_hazard(a, grid.points) - sy.series_hazard(b, grid.points)
+        diff = sy.system_hazard(a, grid.points) - sy.system_hazard(b, grid.points)
         assert diff.min() < -1e-3 and diff.max() > 1e-3  # genuine crossing
         v = od.check_hr(a, b, grid=sy.make_grid(a, b, 2049), direction=FS)
         assert v.outcome is Outcome.FAILS
@@ -310,6 +310,26 @@ class TestInvariance:
         v1 = od.check_hr(a1, b, grid=g, direction=FS)
         v2 = od.check_hr(a2, b, grid=g, direction=FS)
         assert v1.margin == v2.margin and v1.outcome == v2.outcome
+
+    @given(st.sampled_from(["series", "parallel"]),
+           st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5),
+           st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5),
+           st.floats(-3.0, 3.0), st.sampled_from([FG, FS]), st.randoms())
+    @settings(max_examples=60, deadline=None)
+    def test_swap_and_flip(self, topology, mus_a, mus_b, log_sigma, direction, rnd):
+        # a before b in one direction is b before a in the other: the same
+        # statement, so the same outcome, margin and witness; the default
+        # grids are symmetric in the pair
+        sigma = 10.0 ** log_sigma
+        make = series if topology == "series" else parallel
+        a, b = make([m * sigma for m in mus_a], sigma), make([m * sigma for m in mus_b], sigma)
+        shuffled = make([m * sigma for m in rnd.sample(mus_a, len(mus_a))], sigma)
+        for rel in Relation:
+            v = od.check(rel, a, b, direction)
+            swapped = od.check(rel, b, a, direction.flipped())
+            assert (swapped.outcome, swapped.margin, swapped.witness) == \
+                (v.outcome, v.margin, v.witness), (rel, v, swapped)
+            assert od.check(rel, shuffled, b, direction) == v, rel
 
 
 class TestAudit:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from gumbelsys import DomainError, SystemModel, Topology, UsageError
 from gumbelsys import gumbel as gu
@@ -25,69 +26,65 @@ E1 = math.exp(-1.0)
 
 class TestParallel:
     def test_cdf_two_equal(self):
-        assert sy.parallel_cdf(parallel([0, 0]), 0.0) == pytest.approx(math.exp(-2), rel=1e-14)
+        assert sy.system_cdf(parallel([0, 0]), 0.0) == pytest.approx(math.exp(-2), rel=1e-14)
 
     def test_cdf_single_reduces(self):
-        assert sy.parallel_cdf(parallel([0]), 0.0) == pytest.approx(E1, rel=1e-14)
+        assert sy.system_cdf(parallel([0]), 0.0) == pytest.approx(E1, rel=1e-14)
 
     def test_cdf_mixed(self):
         expect = math.exp(-(1 + math.e))
-        assert sy.parallel_cdf(parallel([0, 1]), 0.0) == pytest.approx(expect, rel=1e-14)
+        assert sy.system_cdf(parallel([0, 1]), 0.0) == pytest.approx(expect, rel=1e-14)
 
     def test_pdf_single(self):
-        assert sy.parallel_pdf(parallel([0]), 0.0) == pytest.approx(E1, rel=1e-14)
+        assert sy.system_pdf(parallel([0]), 0.0) == pytest.approx(E1, rel=1e-14)
 
     def test_pdf_two_equal(self):
-        assert sy.parallel_pdf(parallel([0, 0]), 0.0) == pytest.approx(2 * math.exp(-2), rel=1e-14)
+        assert sy.system_pdf(parallel([0, 0]), 0.0) == pytest.approx(2 * math.exp(-2), rel=1e-14)
 
     def test_pdf_integrates_to_one(self):
         s = parallel([0, 1, 2])
         lo = sy.system_quantile(s, 1e-12)
         hi = sy.system_quantile(s, 1 - 1e-12)
-        val, _ = quad(lambda x: float(sy.parallel_pdf(s, x)), lo, hi,
+        val, _ = quad(lambda x: float(sy.system_pdf(s, x)), lo, hi,
                       epsabs=1e-13, epsrel=1e-11, limit=500)
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_reversed_hazard_values(self):
-        assert sy.parallel_reversed_hazard(parallel([0, 0]), 0.0) == pytest.approx(2.0, rel=1e-14)
-        assert sy.parallel_reversed_hazard(parallel([0], 2.0), 0.0) == pytest.approx(0.5, rel=1e-14)
+        assert sy.system_reversed_hazard(parallel([0, 0]), 0.0) == pytest.approx(2.0, rel=1e-14)
+        assert sy.system_reversed_hazard(parallel([0], 2.0), 0.0) == pytest.approx(0.5, rel=1e-14)
         expect = math.e + math.exp(-1)
-        assert sy.parallel_reversed_hazard(parallel([1, -1]), 0.0) == pytest.approx(expect, rel=1e-14)
+        assert sy.system_reversed_hazard(parallel([1, -1]), 0.0) == pytest.approx(expect, rel=1e-14)
 
     def test_reversed_hazard_is_component_sum(self):
         s = parallel([0.5, -1.0, 2.0], 0.7)
         xs = np.linspace(-4, 10, 61)
         total = sum(gu.reversed_hazard(c, xs) for c in s.components())
-        np.testing.assert_allclose(sy.parallel_reversed_hazard(s, xs), total, rtol=1e-12)
-
-    def test_topology_guard(self):
-        with pytest.raises(UsageError):
-            sy.parallel_cdf(series([0.0]), 0.0)
+        np.testing.assert_allclose(sy.system_reversed_hazard(s, xs), total, rtol=1e-12)
 
 
 class TestSeries:
     def test_survival_single(self):
-        assert sy.series_survival(series([0]), 0.0) == pytest.approx(1 - E1, rel=1e-14)
+        assert sy.system_survival(series([0]), 0.0) == pytest.approx(1 - E1, rel=1e-14)
 
     def test_survival_two_equal(self):
-        assert sy.series_survival(series([0, 0]), 0.0) == pytest.approx((1 - E1) ** 2, rel=1e-14)
+        assert sy.system_survival(series([0, 0]), 0.0) == pytest.approx((1 - E1) ** 2, rel=1e-14)
 
     def test_survival_lower_limit(self):
-        assert sy.series_survival(series([0]), -40.0) == 1.0
+        assert sy.system_survival(series([0]), -40.0) == 1.0
 
     def test_hazard_values(self):
-        assert sy.series_hazard(series([0]), 0.0) == pytest.approx(1 / (math.e - 1), rel=1e-13)
-        assert sy.series_hazard(series([0, 0]), 0.0) == pytest.approx(2 / (math.e - 1), rel=1e-13)
+        assert sy.system_hazard(series([0]), 0.0) == pytest.approx(1 / (math.e - 1), rel=1e-13)
+        assert sy.system_hazard(series([0, 0]), 0.0) == pytest.approx(2 / (math.e - 1), rel=1e-13)
 
     def test_hazard_upper_limit(self):
         # phi(t) -> 1 as t -> 0, so the hazard tends to n/sigma
-        assert sy.series_hazard(series([0]), 40.0) == pytest.approx(1.0, rel=1e-12)
+        assert sy.system_hazard(series([0]), 40.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_hazard_is_component_sum(self):
         s = series([0.5, -1.0, 2.0], 0.7)
         xs = np.linspace(-4, 10, 61)
         total = sum(gu.hazard(c, xs) for c in s.components())
-        np.testing.assert_allclose(sy.series_hazard(s, xs), total, rtol=1e-12)
+        np.testing.assert_allclose(sy.system_hazard(s, xs), total, rtol=1e-12)
 
     def test_hazard_matches_log_survival_slope(self):
         s = series([1.0, -0.5, 0.3], 0.8)
@@ -95,11 +92,7 @@ class TestSeries:
         xs = grid.points[40:-40]
         h = 1e-5
         slope = -(sy.system_log_survival(s, xs + h) - sy.system_log_survival(s, xs - h)) / (2 * h)
-        np.testing.assert_allclose(sy.series_hazard(s, xs), slope, rtol=1e-6)
-
-    def test_topology_guard(self):
-        with pytest.raises(UsageError):
-            sy.series_survival(parallel([0.0]), 0.0)
+        np.testing.assert_allclose(sy.system_hazard(s, xs), slope, rtol=1e-6)
 
 
 class TestPhi:
@@ -177,7 +170,7 @@ class TestFarRightTail:
             old = gu._log1mexp(np.exp(-(xs - loc) / s.sigma))
             # (L - x)/sigma is the log of sum_i w_i up to rounding
             near = np.linspace(-50.0, 50.0, 2001) * s.sigma
-            log_sum = sy.logsumexp((np.asarray(s.mus) - near[:, None]) / s.sigma, axis=-1)
+            log_sum = logsumexp((np.asarray(s.mus) - near[:, None]) / s.sigma, axis=-1)
             np.testing.assert_allclose((loc - near) / s.sigma, log_sum,
                                        rtol=4e-15, atol=4e-15)
         else:
@@ -207,39 +200,6 @@ class TestOneComponent:
                                            err_msg=f"{f} {s.topology.value}")
 
 
-class TestLogSumExp:
-    """The numpy logsumexp matches scipy.special.logsumexp bit for bit."""
-
-    def test_bitwise_equal_to_scipy(self):
-        from scipy.special import logsumexp as scipy_logsumexp
-
-        g = np.random.default_rng(20190501)
-        for n in range(1, 65):
-            for rep in range(12):
-                a = g.normal(0.0, 10.0 ** g.uniform(-3, 3), n)
-                if rep % 3 == 0:  # ties at the maximum
-                    a[g.integers(0, n, max(1, n // 3))] = a.max()
-                if rep % 4 == 0:
-                    a = np.round(a)
-                assert sy.logsumexp(a) == scipy_logsumexp(a)
-                rows = g.normal(0.0, 5.0, (7, n))
-                rows[::2, 0] = rows[::2].max(axis=1)
-                np.testing.assert_array_equal(sy.logsumexp(rows, axis=-1),
-                                              scipy_logsumexp(rows, axis=-1))
-
-    def test_edge_values_match_scipy(self):
-        from scipy.special import logsumexp as scipy_logsumexp
-
-        for a in ([-np.inf, -np.inf], [np.inf, 1.0], [0.0], [1e308, 1e308],
-                  [-800.0, -798.0]):
-            a = np.array(a)
-            np.testing.assert_array_equal(sy.logsumexp(a), scipy_logsumexp(a))
-
-    def test_scalar_result_for_1d(self):
-        assert np.ndim(sy.logsumexp(np.array([0.0, 0.0]))) == 0
-        assert sy.logsumexp(np.array([0.0, 0.0])) == pytest.approx(math.log(2.0), rel=1e-15)
-
-
 class TestModel:
     def test_canonical_descending(self):
         s = series([0.0, 2.0, -1.0])
@@ -256,21 +216,21 @@ class TestModel:
         xs = np.linspace(-4, 8, 80)
         base_s = series([0.5, -0.5])
         lifted_s = series([0.5, 0.0])
-        assert np.all(sy.series_survival(lifted_s, xs) >= sy.series_survival(base_s, xs))
+        assert np.all(sy.system_survival(lifted_s, xs) >= sy.system_survival(base_s, xs))
         base_p = parallel([0.5, -0.5])
         lifted_p = parallel([0.5, 0.0])
-        assert np.all(sy.parallel_cdf(lifted_p, xs) <= sy.parallel_cdf(base_p, xs))
+        assert np.all(sy.system_cdf(lifted_p, xs) <= sy.system_cdf(base_p, xs))
 
     def test_parallel_reversed_hazard_increasing_in_location(self):
         xs = np.linspace(-4, 8, 80)
-        lo = sy.parallel_reversed_hazard(parallel([0.5, -0.5]), xs)
-        hi = sy.parallel_reversed_hazard(parallel([0.5, 0.0]), xs)
+        lo = sy.system_reversed_hazard(parallel([0.5, -0.5]), xs)
+        hi = sy.system_reversed_hazard(parallel([0.5, 0.0]), xs)
         assert np.all(hi >= lo)
 
     def test_series_hazard_decreasing_in_location(self):
         xs = np.linspace(-4, 8, 80)
-        lo = sy.series_hazard(series([0.5, 0.0]), xs)
-        hi = sy.series_hazard(series([0.5, -0.5]), xs)
+        lo = sy.system_hazard(series([0.5, 0.0]), xs)
+        hi = sy.system_hazard(series([0.5, -0.5]), xs)
         assert np.all(hi >= lo)
 
     def test_validation(self):
@@ -300,7 +260,7 @@ class TestQuantiles:
         lo, hi = -20.0, 20.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if 1.0 - float(sy.series_survival(s, mid)) < 0.5:
+            if 1.0 - float(sy.system_survival(s, mid)) < 0.5:
                 lo = mid
             else:
                 hi = mid
@@ -519,8 +479,35 @@ class TestTailSweep:
         assert sy.system_reversed_hazard(parallel([2.0, 0.0]), -800.0) == np.inf
 
 
-def _memo_nbytes():
-    return sum(sy._entry_nbytes(k, v) for k, v in sy._MEMO.items())
+def _log_cdf_oracle(s, x):
+    """50-digit series log cdf at the double ``log w`` the kernel forms."""
+    logw = (np.asarray(s.mus) - x) / s.sigma
+    with mp.workdps(50):
+        log_sf = mp.fsum(mp.log1p(-mp.exp(-mp.exp(mp.mpf(float(v))))) for v in logw)
+        return float(mp.log(-mp.expm1(log_sf)))
+
+
+class TestDeepLeftLogCdf:
+    """Where the series cdf is below the normal range its log survival rounds
+    to 0, and the log cdf is log sum_i exp(-w_i), not -inf."""
+
+    def test_pinned_values(self):
+        assert sy.system_log_cdf(series([0.0]), -7.0) == pytest.approx(-1096.6331584284585,
+                                                                       rel=1e-15)
+        assert sy.system_log_cdf(series([2.0, 0.0]), -8.0) == pytest.approx(
+            -2980.9579870417283, rel=1e-15)
+
+    @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_finite_quiet_and_accurate(self, n, sigma):
+        s = _spread_system(Topology.SERIES, n, sigma)
+        xs = sigma * np.linspace(-700.0, -6.0, 695)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = sy.system_log_cdf(s, xs)
+        assert np.isfinite(vals).all()
+        for x, v in zip(xs[::50], vals[::50]):
+            assert v == pytest.approx(_log_cdf_oracle(s, x), rel=1e-15), x
 
 
 class TestGridMemo:
@@ -538,16 +525,14 @@ class TestGridMemo:
             np.testing.assert_array_equal(fn(s, grid.points), fn(s, grid.points.copy()))
 
     @pytest.mark.parametrize("topology", [Topology.SERIES])  # the memo serves series only
-    def test_one_pass_per_system_and_grid(self, topology, monkeypatch):
-        passes = []
-        real = sy._series_rows
-        monkeypatch.setattr(sy, "_series_rows", lambda *a: passes.append(1) or real(*a))
+    def test_one_pass_per_system_and_grid(self, topology):
         s = _spread_system(topology, 4)
         xs = sy.make_grid(s, s, 1025).points
-        passes.clear()  # the quantile solves of make_grid
+        sy._grid_pass.cache_clear()
         for f in _FUNCS:
             getattr(sy, f)(s, xs)
-        assert len(passes) == 1
+        info = sy._grid_pass.cache_info()
+        assert (info.misses, info.hits) == (1, len(_FUNCS) - 1)
 
     @pytest.mark.parametrize("topology", _TOPOLOGIES)
     def test_results_are_the_callers_own(self, topology):
@@ -560,29 +545,29 @@ class TestGridMemo:
             np.testing.assert_array_equal(fn(s, xs), fn(s, xs.copy()))
 
     def test_memo_stays_within_its_budget(self):
+        # an entry holds the abscissae and two results, 24 bytes a point
+        assert sy._MEMO_ENTRIES * 24 * sy._MEMO_POINTS <= 768 * 1024
         s = _spread_system(Topology.SERIES, 3)
         for k in range(40):
-            xs = sy.make_grid(s, s, 2049 + k).points
-            sy.system_log_pdf(s, xs)
-            assert 0 < _memo_nbytes() <= sy._MEMO_BYTES
-        stored = list(sy._MEMO)
-        # a series entry takes 24 bytes a point: 1.5 times the budget
-        big = sy.make_grid(s, s, sy._MEMO_BYTES // 16).points
+            sy.system_log_pdf(s, sy.make_grid(s, s, 2049 + k).points)
+            assert 0 < sy._grid_pass.cache_info().currsize <= sy._MEMO_ENTRIES
+        before = sy._grid_pass.cache_info()
+        big = sy.make_grid(s, s, sy._MEMO_POINTS + 1).points
         np.testing.assert_array_equal(sy.system_log_pdf(s, big),
                                       sy.system_log_pdf(s, big.copy()))
-        assert list(sy._MEMO) == stored
+        assert sy._grid_pass.cache_info() == before
 
     @pytest.mark.parametrize("topology", _TOPOLOGIES)
     def test_writeable_inputs_are_never_stored(self, topology):
         s = _spread_system(topology, 4)
-        stored = list(sy._MEMO)
+        before = sy._grid_pass.cache_info()
         xs = np.linspace(-5.0, 9.0, 2049)
         for f in _FUNCS:
             getattr(sy, f)(s, xs)
             getattr(sy, f)(s, 0.5)
         sy.system_quantiles(s, make_p_grid())
         sy.as_law(s).log_pdf_and_survival(xs)
-        assert list(sy._MEMO) == stored
+        assert sy._grid_pass.cache_info() == before
 
     def test_threads_share_the_memo(self):
         systems = [_spread_system(t, n, seed=k) for t in _TOPOLOGIES
@@ -615,7 +600,7 @@ class TestGridMemo:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert not wrong
-        assert _memo_nbytes() <= sy._MEMO_BYTES
+        assert sy._grid_pass.cache_info().currsize <= sy._MEMO_ENTRIES
 
 
 def _x_error(s, x, u):
