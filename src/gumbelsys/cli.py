@@ -2,8 +2,9 @@
 Monte Carlo reports from flat INI spec files.
 
 Exit codes: 0 all requested checks hold, 1 any check fails, 2 any check is
-inconclusive (or any quadrature fails to converge), 64 on malformed input or
-misuse.  Reports embed the fully resolved configuration and are byte-stable:
+inconclusive (or any quadrature fails to converge), 64 on any package error
+(:class:`GumbelSysError`): malformed input, an invalid value, misuse.
+Reports embed the fully resolved configuration and are byte-stable:
 identical inputs and seed produce identical bytes.
 """
 
@@ -12,9 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
-import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +34,6 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 
 SCAN_MODES = ("parallel-lr", "parallel-rh", "series-hr", "series-disp-lu", "free")
-
-
-class _CliError(UsageError):
-    """Raised for any condition that should terminate with exit 64."""
 
 
 # ---------------------------------------------------------------------------
@@ -98,72 +93,68 @@ def _read_spec(path: str) -> configparser.ConfigParser:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise _CliError(f"cannot read spec file {path!r}: {exc}") from exc
+            raise UsageError(f"cannot read spec file {path!r}: {exc}") from exc
         origin = path
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text, source=origin)
     except configparser.Error as exc:
-        raise _CliError(f"malformed spec file: {exc}") from exc
+        raise UsageError(f"malformed spec file: {exc}") from exc
     return cp
 
 
 def _floats(text: str, where: str) -> list[float]:
-    toks = [t for t in re.split(r"[,\s]+", text.strip()) if t]
     try:
-        return [float(t) for t in toks]
+        return [float(t) for t in text.replace(",", " ").split()]
     except ValueError as exc:
-        raise _CliError(f"{where}: expected numbers, got {text!r}") from exc
+        raise UsageError(f"{where}: expected numbers, got {text!r}") from exc
 
 
-def _get(cp, section: str, key: str, default=None, required: bool = False):
+def _get(cp, section: str, key: str) -> str:
+    """The required spec field ``[section] key``."""
     if not cp.has_option(section, key):
-        if required:
-            raise _CliError(f"missing field [{section}] {key}")
-        return default
+        raise UsageError(f"missing field [{section}] {key}")
     return cp.get(section, key)
+
+
+def _field(cp, section: str, key: str, default, parse=float, override=None,
+           low=-math.inf):
+    """``override`` when given, else the spec's ``[section] key`` read by
+    ``parse`` (``int`` or ``float``) and at least ``low``, else ``default``."""
+    if override is not None:
+        return override
+    raw = cp.get(section, key, fallback=None)
+    if raw is None:
+        return default
+    try:
+        value = parse(raw)
+    except ValueError:
+        what = "an integer" if parse is int else "a number"
+        raise UsageError(f"[{section}] {key}: expected {what}, got {raw!r}") from None
+    if value < low:
+        raise UsageError(f"[{section}] {key} must be >= {low}, got {value}")
+    return value
+
+
+def _choice(kind, text: str, where: str):
+    """The member of the enum ``kind`` whose value is ``text`` (any case)."""
+    try:
+        return kind(text.strip().lower())
+    except ValueError:
+        names = ", ".join(m.value for m in kind)
+        raise UsageError(f"{where} must be one of {names}, got {text!r}") from None
 
 
 def _parse_system(cp, section: str) -> SystemModel:
     if not cp.has_section(section):
-        raise _CliError(f"missing section [{section}]")
-    topo_text = _get(cp, section, "topology", required=True).strip().lower()
-    try:
-        topo = Topology(topo_text)
-    except ValueError:
-        raise _CliError(f"[{section}] topology must be 'series' or 'parallel', "
-                        f"got {topo_text!r}") from None
-    mus = _floats(_get(cp, section, "mus", required=True), f"[{section}] mus")
-    sigma_text = _get(cp, section, "sigma", required=True)
+        raise UsageError(f"missing section [{section}]")
+    topo = _choice(Topology, _get(cp, section, "topology"), f"[{section}] topology")
+    mus = _floats(_get(cp, section, "mus"), f"[{section}] mus")
+    sigma_text = _get(cp, section, "sigma")
     try:
         return SystemModel(topo, tuple(mus), float(sigma_text))
     except (GumbelSysError, ValueError) as exc:
-        raise _CliError(f"[{section}]: {exc}") from exc
-
-
-def _parse_int(cp, section, key, default):
-    raw = _get(cp, section, key)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise _CliError(f"[{section}] {key}: expected an integer, got {raw!r}") from exc
-
-
-def _parse_float(cp, section, key, default):
-    raw = _get(cp, section, key)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise _CliError(f"[{section}] {key}: expected a number, got {raw!r}") from exc
-
-
-def _setting(override, parse, cp, section, key, default):
-    """The command-line ``override`` when given, else the spec's value."""
-    return override if override is not None else parse(cp, section, key, default)
+        raise UsageError(f"[{section}]: {exc}") from exc
 
 
 def _system_doc(s: SystemModel) -> dict:
@@ -218,42 +209,27 @@ def _cmd_check(args) -> int:
     cp = _read_spec(args.spec)
     a = _parse_system(cp, "system_a")
     b = _parse_system(cp, "system_b")
-    section = "check"
-    if not cp.has_section(section):
-        raise _CliError("missing section [check]")
-    rel_text = _get(cp, section, "relations", required=True)
-    relations = []
-    for tok in (t for t in re.split(r"[,\s]+", rel_text.strip()) if t):
-        try:
-            relations.append(Relation(tok.lower()))
-        except ValueError:
-            raise _CliError(f"[check] relations: unknown relation {tok!r}") from None
+    sec = "check"
+    if not cp.has_section(sec):
+        raise UsageError(f"missing section [{sec}]")
+    relations = [_choice(Relation, tok, f"[{sec}] relations")
+                 for tok in _get(cp, sec, "relations").replace(",", " ").split()]
     if not relations:
-        raise _CliError("[check] relations must be nonempty")
-    dir_text = (_get(cp, section, "direction", "first_smaller") or "").strip().lower()
-    try:
-        direction = Direction(dir_text)
-    except ValueError:
-        raise _CliError(f"[check] direction must be first_smaller or first_greater, "
-                        f"got {dir_text!r}") from None
+        raise UsageError(f"[{sec}] relations must be nonempty")
+    direction = _choice(Direction, cp.get(sec, "direction", fallback="first_smaller"),
+                        f"[{sec}] direction")
+    grid_points = _field(cp, sec, "grid_points", orders.DEFAULT_X_POINTS, int,
+                         args.grid_points, low=33)
+    p_points = _field(cp, sec, "p_points", orders.DEFAULT_P_POINTS, int, low=33)
+    t_points = _field(cp, sec, "t_points", orders.DEFAULT_T_POINTS, int)
+    tail_cutoff = _field(cp, sec, "tail_cutoff", 1e-8, override=args.tail_cutoff)
+    quad = QuadratureSpec(rel_tol=_field(cp, sec, "quad_rel_tol", 1e-10, override=args.tol))
 
-    grid_points = _setting(args.grid_points, _parse_int, cp, section, "grid_points",
-                           orders.DEFAULT_X_POINTS)
-    p_points = _parse_int(cp, section, "p_points", orders.DEFAULT_P_POINTS)
-    t_points = _parse_int(cp, section, "t_points", orders.DEFAULT_T_POINTS)
-    tail_cutoff = _setting(args.tail_cutoff, _parse_float, cp, section, "tail_cutoff", 1e-8)
-    quad = QuadratureSpec(rel_tol=_setting(args.tol, _parse_float, cp, section,
-                                           "quad_rel_tol", 1e-10))
-
-    try:
-        grid = make_grid(a, b, grid_points, tail_cutoff)
-        p_grid = orders.make_p_grid(p_points)
-        t_grid = (orders.make_t_grid(a, b, t_points)
-                  if Relation.LU in relations else None)
-        verdicts = [orders.check(rel, a, b, direction, grid=grid, p_grid=p_grid,
-                                 t_grid=t_grid, quad=quad) for rel in relations]
-    except GumbelSysError as exc:
-        raise _CliError(str(exc)) from exc
+    grid = make_grid(a, b, grid_points, tail_cutoff)
+    p_grid = orders.make_p_grid(p_points)
+    t_grid = orders.make_t_grid(a, b, t_points) if Relation.LU in relations else None
+    verdicts = [orders.check(rel, a, b, direction, grid=grid, p_grid=p_grid,
+                             t_grid=t_grid, quad=quad) for rel in relations]
 
     code = _exit_for([v.outcome for v in verdicts])
     doc = {
@@ -283,36 +259,25 @@ def _cmd_check(args) -> int:
 
 def _scan_trial(mode: str, k: int, args, sigma: float):
     g = stream(args.seed, "scan", mode, k)
-    n = args.n
-    if mode == "parallel-lr":
-        mus_b = g.uniform(args.mu_low, args.mu_high, n)
-        mus_a = mus_b + g.uniform(0.0, args.gap, n)
-        topo = Topology.PARALLEL
-    elif mode in ("parallel-rh",):
-        mus_a, mus_b = random_majorization_pair(g, n, args.spread,
-                                                args.mu_low, args.mu_high)
-        topo = Topology.PARALLEL
-    elif mode in ("series-hr", "series-disp-lu"):
-        mus_a, mus_b = random_majorization_pair(g, n, args.spread,
-                                                args.mu_low, args.mu_high)
-        topo = Topology.SERIES
-    else:  # free
+    n, lo, hi = args.n, args.mu_low, args.mu_high
+    if mode == "free":
         topo = Topology.PARALLEL if g.integers(0, 2) else Topology.SERIES
-        mus_a = g.uniform(args.mu_low, args.mu_high, n)
-        mus_b = g.uniform(args.mu_low, args.mu_high, n)
-    a = SystemModel(topo, tuple(mus_a), sigma)
-    b = SystemModel(topo, tuple(mus_b), sigma)
-    return a, b
+        mus_a, mus_b = g.uniform(lo, hi, n), g.uniform(lo, hi, n)
+    else:
+        topo = Topology(mode.split("-")[0])
+        if mode == "parallel-lr":
+            mus_b = g.uniform(lo, hi, n)
+            mus_a = mus_b + g.uniform(0.0, args.gap, n)
+        else:
+            mus_a, mus_b = random_majorization_pair(g, n, args.spread, lo, hi)
+    return SystemModel(topo, tuple(mus_a), sigma), SystemModel(topo, tuple(mus_b), sigma)
 
 
 def _cmd_scan(args) -> int:
-    if args.mode not in SCAN_MODES:
-        raise _CliError(f"--mode must be one of {', '.join(SCAN_MODES)}")
     if args.trials < 1:
-        raise _CliError("--trials must be >= 1")
+        raise UsageError("--trials must be >= 1")
     if args.n < (2 if args.mode != "parallel-lr" else 1):
-        raise _CliError("--n is too small for this mode")
-    sigmas = args.sigmas
+        raise UsageError("--n is too small for this mode")
     quad = QuadratureSpec(rel_tol=args.tol)
 
     failures = []
@@ -320,7 +285,7 @@ def _cmd_scan(args) -> int:
     min_margins: dict[str, float] = {}
 
     for k in range(args.trials):
-        sigma = sigmas[k % len(sigmas)]
+        sigma = args.sigmas[k % len(args.sigmas)]
         a, b = _scan_trial(args.mode, k, args, sigma)
         grid = make_grid(a, b, args.grid_points, args.tail_cutoff)
         trial_verdicts: list[orders.OrderVerdict] = []
@@ -385,7 +350,7 @@ def _cmd_scan(args) -> int:
             "n_components": args.n,
             "mu_low": args.mu_low,
             "mu_high": args.mu_high,
-            "sigmas": list(sigmas),
+            "sigmas": list(args.sigmas),
             "spread": args.spread,
             "gap": args.gap,
             "grid_points": args.grid_points,
@@ -415,27 +380,21 @@ def _cmd_entropy(args) -> int:
     cp = _read_spec(args.spec)
     s = _parse_system(cp, "system")
     sec = "entropy"
-    rel_tol = _setting(args.tol, _parse_float, cp, sec, "rel_tol", 1e-10)
-    abs_tol = _parse_float(cp, sec, "abs_tol", 1e-13)
-    cutoff = _parse_float(cp, sec, "tail_cutoff", 1e-12)
-    max_sub = _parse_int(cp, sec, "max_subdivisions", 2000)
-    quad = QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol, tail_mass_cutoff=cutoff,
-                          max_subdivisions=max_sub)
+    quad = QuadratureSpec(rel_tol=_field(cp, sec, "rel_tol", 1e-10, override=args.tol),
+                          abs_tol=_field(cp, sec, "abs_tol", 1e-13),
+                          tail_mass_cutoff=_field(cp, sec, "tail_cutoff", 1e-12),
+                          max_subdivisions=_field(cp, sec, "max_subdivisions", 2000, int))
 
-    raw_ts = _get(cp, sec, "t_values") if cp.has_section(sec) else None
+    raw_ts = cp.get(sec, "t_values", fallback=None)
     if raw_ts:
-        ts = _floats(raw_ts, "[entropy] t_values")
+        ts = _floats(raw_ts, f"[{sec}] t_values")
     else:
-        count = _parse_int(cp, sec, "t_points", orders.DEFAULT_T_POINTS)
-        lo_p = _parse_float(cp, sec, "t_lo_prob", 0.001)
-        hi_p = _parse_float(cp, sec, "t_hi_prob", 0.999)
-        ts = list(np.linspace(*system_quantiles(s, [lo_p, hi_p]), count))
+        count = _field(cp, sec, "t_points", orders.DEFAULT_T_POINTS, int)
+        probs = [_field(cp, sec, "t_lo_prob", 0.001), _field(cp, sec, "t_hi_prob", 0.999)]
+        ts = list(np.linspace(*system_quantiles(s, probs), count))
 
-    try:
-        total = shannon_entropy(s, quad)
-        curve = entropy_curve(s, ts, quad)
-    except GumbelSysError as exc:
-        raise _CliError(str(exc)) from exc
+    total = shannon_entropy(s, quad)
+    curve = entropy_curve(s, ts, quad)
 
     all_ok = total.converged and all(e.converged for e in curve)
     code = EXIT_OK if all_ok else EXIT_INCONCLUSIVE
@@ -476,22 +435,17 @@ def _cmd_simulate(args) -> int:
     a = _parse_system(cp, "system_a")
     b = _parse_system(cp, "system_b")
     sec = "simulate"
-    n = _parse_int(cp, sec, "n_samples", 100_000)
-    seed = _parse_int(cp, sec, "seed", 0)
-    # a spec asking for fewer than 33 points gets 33; an override must ask for 33 or more
-    grid_points = (args.grid_points if args.grid_points is not None
-                   else max(_parse_int(cp, sec, "grid_points", 129), 33))
-    tail_cutoff = _setting(args.tail_cutoff, _parse_float, cp, sec, "tail_cutoff", 1e-8)
-    alpha = _parse_float(cp, sec, "alpha", 0.25)
-    beta = _parse_float(cp, sec, "beta", 0.75)
-    n_boot = _parse_int(cp, sec, "bootstrap", 200)
+    n = _field(cp, sec, "n_samples", 100_000, int)
+    seed = _field(cp, sec, "seed", 0, int)
+    grid_points = _field(cp, sec, "grid_points", 129, int, args.grid_points, low=33)
+    tail_cutoff = _field(cp, sec, "tail_cutoff", 1e-8, override=args.tail_cutoff)
+    alpha = _field(cp, sec, "alpha", 0.25)
+    beta = _field(cp, sec, "beta", 0.75)
+    n_boot = _field(cp, sec, "bootstrap", 200, int)
 
-    try:
-        grid = make_grid(a, b, grid_points, tail_cutoff)
-        scan = empirical_cdf_dominance(a, b, seed, n, grid)
-        spread = empirical_quantile_spread(a, b, seed, n, alpha, beta, n_boot)
-    except GumbelSysError as exc:
-        raise _CliError(str(exc)) from exc
+    grid = make_grid(a, b, grid_points, tail_cutoff)
+    scan = empirical_cdf_dominance(a, b, seed, n, grid)
+    spread = empirical_quantile_spread(a, b, seed, n, alpha, beta, n_boot)
 
     code = EXIT_OK if not scan.contradictions else EXIT_FAILS
     doc = {
@@ -536,7 +490,7 @@ def _cmd_simulate(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
-        raise _CliError(message)
+        raise UsageError(message)
 
 
 def _build_parser() -> _Parser:
@@ -556,6 +510,7 @@ def _build_parser() -> _Parser:
             sp.add_argument(f"--{name}", default=None, **overrides[name])
 
     sp = sub.add_parser("check", help="run order checks from a spec file")
+    sp.set_defaults(run=_cmd_check)
     sp.add_argument("spec", help="spec file path, or '-' for stdin")
     common(sp, "grid-points", "tail-cutoff", "tol")
 
@@ -577,34 +532,25 @@ def _build_parser() -> _Parser:
     sp.add_argument("--entropy-orders", action="store_true",
                     help="include disp/lu in free-mode audits")
     common(sp, "grid-points", "tail-cutoff", "tol")
-    sp.set_defaults(grid_points=orders.DEFAULT_X_POINTS, tail_cutoff=1e-8, tol=1e-10)
+    sp.set_defaults(run=_cmd_scan, grid_points=orders.DEFAULT_X_POINTS, tail_cutoff=1e-8,
+                    tol=1e-10)
 
     sp = sub.add_parser("entropy", help="entropy report from a spec file")
+    sp.set_defaults(run=_cmd_entropy)
     sp.add_argument("spec")
     common(sp, "tol")
 
     sp = sub.add_parser("simulate", help="Monte Carlo cross-validation report")
+    sp.set_defaults(run=_cmd_simulate)
     sp.add_argument("spec")
     common(sp, "grid-points", "tail-cutoff")
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.cmd == "check":
-            return _cmd_check(args)
-        if args.cmd == "scan":
-            return _cmd_scan(args)
-        if args.cmd == "entropy":
-            return _cmd_entropy(args)
-        if args.cmd == "simulate":
-            return _cmd_simulate(args)
-        raise _CliError(f"unknown command {args.cmd!r}")
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except GumbelSysError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

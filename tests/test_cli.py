@@ -292,3 +292,30 @@ class TestUsage:
         else:
             argv = [command, write(tmp_path, "s.ini", spec[command])]
         assert main(argv + [flag, "0"]) == 64
+
+    @pytest.mark.parametrize("command,spec,names", [
+        ("check", IDENTICAL.replace("topology = parallel", "topology = bridge", 1),
+         ["[system_a]", "topology"]),
+        ("check", IDENTICAL.replace("lr, hr, rh, st", "lr, xx"), ["[check]", "relations"]),
+        ("check", IDENTICAL.replace("first_greater", "upward"), ["[check]", "direction"]),
+        ("check", IDENTICAL.replace("= 257", "= abc"), ["[check]", "grid_points"]),
+        ("check", IDENTICAL.replace("= 257", "= 7"), ["[check]", "grid_points"]),
+        ("simulate", SIMULATE_SPEC + "alpha = x\n", ["[simulate]", "alpha"]),
+        ("entropy", ENTROPY_SPEC + "max_subdivisions = 1.5\n", ["[entropy]", "max_subdivisions"]),
+        ("check", IDENTICAL[:IDENTICAL.index("[check]")], ["[check]"]),
+        ("check", IDENTICAL.replace("mus = 0.5, -0.5\n", "", 1), ["[system_a]", "mus"]),
+    ], ids=["topology", "relation", "direction", "grid-not-int", "grid-below-33", "alpha",
+            "max-subdivisions", "no-check-section", "no-mus"])
+    def test_spec_error_names_its_field(self, tmp_path, capsys, command, spec, names):
+        assert main([command, write(tmp_path, "s.ini", spec)]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        line = err.splitlines()[0]
+        assert line.startswith("error: ") and all(name in line for name in names), line
+
+    def test_simulate_rejects_spec_grid_below_33(self, tmp_path, capsys):
+        # a spec value below 33 used to be raised to 33; it is rejected like an override
+        spec = SIMULATE_SPEC.replace("grid_points = 65", "grid_points = 7")
+        assert main(["simulate", write(tmp_path, "s.ini", spec)]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and "[simulate] grid_points" in err

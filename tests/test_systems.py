@@ -657,3 +657,58 @@ class TestQuantileTrim:
         monkeypatch.setattr(sy, "_TRIM_ROWS", 1)
         for s, want in zip(systems, padded):
             np.testing.assert_array_equal(sy.system_quantiles(s, self._PROBS), want)
+
+
+_EPS = 2.0 ** -52
+
+
+@st.composite
+def _system_and_xs(draw):
+    """Both topologies, n <= 64, sigma log-uniform in [1e-3, 1e3], locations
+    within 3 sigma of 0 and abscissae within 1000 sigma."""
+    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    units = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=sy.MAX_COMPONENTS))
+    s = SystemModel(draw(st.sampled_from(_TOPOLOGIES)), tuple(sigma * u for u in units), sigma)
+    xs = sigma * np.array(draw(st.lists(st.floats(-1000.0, 1000.0), min_size=1, max_size=8)))
+    return s, xs
+
+
+def _assert_equivariant(f, v, w, tol):
+    """``w`` matches ``v`` within ``tol`` relative to max(1, |v|) where finite,
+    and exactly where not."""
+    finite = np.isfinite(v)
+    np.testing.assert_array_equal(np.isfinite(w), finite, err_msg=f)
+    np.testing.assert_array_equal(w[~finite], v[~finite], err_msg=f)
+    err = np.abs(w[finite] - v[finite]) / np.maximum(1.0, np.abs(v[finite]))
+    assert (err <= np.broadcast_to(tol, v.shape)[finite]).all(), (f, err)
+
+
+class TestEquivariance:
+    """Shifting locations and abscissae by c shifts nothing; scaling them and
+    sigma by k leaves the log survival alone.
+
+    Left out: log cdf and log pdf under scaling, which drift by about
+    |log w| ulp, their conditioning; and log pdf and hazard under shifting
+    and the hazard under scaling, which break these bounds on parallel
+    systems with sigma near 1e-3 and x near 0 (see CHANGES.md)."""
+
+    @pytest.mark.parametrize("f", ["system_log_survival", "system_log_cdf",
+                                   "system_reversed_hazard"])
+    @given(system_xs=_system_and_xs(), c_units=st.floats(-1000.0, 1000.0))
+    @settings(max_examples=150, deadline=None)
+    def test_location(self, f, system_xs, c_units):
+        s, x = system_xs
+        c = s.sigma * c_units
+        shifted = SystemModel(s.topology, tuple(m + c for m in s.mus), s.sigma)
+        tol = 8 * _EPS * (1.0 + (np.abs(x) + np.abs(x + c)) / s.sigma)
+        fn = getattr(sy, f)
+        _assert_equivariant(f, fn(s, x), fn(shifted, x + c), tol)
+
+    @given(system_xs=_system_and_xs(), log_k=st.floats(-2.0, 2.0))
+    @settings(max_examples=150, deadline=None)
+    def test_scale(self, system_xs, log_k):
+        s, x = system_xs
+        k = 10.0 ** log_k
+        scaled = SystemModel(s.topology, tuple(k * m for m in s.mus), k * s.sigma)
+        _assert_equivariant("system_log_survival", sy.system_log_survival(s, x),
+                            sy.system_log_survival(scaled, k * x), 16 * _EPS)
