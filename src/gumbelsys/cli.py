@@ -221,7 +221,7 @@ def _cmd_check(args) -> int:
     grid_points = _field(cp, sec, "grid_points", orders.DEFAULT_X_POINTS, int,
                          args.grid_points, low=33)
     p_points = _field(cp, sec, "p_points", orders.DEFAULT_P_POINTS, int, low=33)
-    t_points = _field(cp, sec, "t_points", orders.DEFAULT_T_POINTS, int)
+    t_points = _field(cp, sec, "t_points", orders.DEFAULT_T_POINTS, int, low=1)
     tail_cutoff = _field(cp, sec, "tail_cutoff", 1e-8, override=args.tail_cutoff)
     quad = QuadratureSpec(rel_tol=_field(cp, sec, "quad_rel_tol", 1e-10, override=args.tol))
 
@@ -389,7 +389,7 @@ def _cmd_entropy(args) -> int:
     if raw_ts:
         ts = _floats(raw_ts, f"[{sec}] t_values")
     else:
-        count = _field(cp, sec, "t_points", orders.DEFAULT_T_POINTS, int)
+        count = _field(cp, sec, "t_points", orders.DEFAULT_T_POINTS, int, low=1)
         probs = [_field(cp, sec, "t_lo_prob", 0.001), _field(cp, sec, "t_hi_prob", 0.999)]
         ts = list(np.linspace(*system_quantiles(s, probs), count))
 

@@ -12,19 +12,14 @@ the hazard is taken as ``log f - log Fbar``, since the hazard spans decades.
 Each integral runs from ``t`` to the cut ``hi(t)`` where the remaining
 conditional mass drops to ``tail_mass_cutoff``, which bounds the truncation
 mismatch between the two forms by roughly ``cutoff * (1 - log(cutoff))``.
-For a system the cut is a log-survival root from :mod:`systems`: closed form
-for a parallel or one-component system, monotone Newton for a series one.
-A duck-typed law, whose log survival need not be concave, is cut by a
-bracketed search.
+The cut is a log-survival root from :mod:`systems`: closed form for a
+parallel or one-component system, monotone Newton for a series one.
 
 All times of one call share one pass: the breakpoints ``ts`` and ``hi(ts)``
-are split into panels at most half the law's scale wide, each integrated by
-the 21-point Kronrod rule with the embedded 10-point Gauss rule as error
-estimate (QUADPACK's qk21, Piessens et al. 1983), and ``int_t^hi(t)`` is a
-difference of suffix sums over the panels.  The panels of a duck-typed law
-are also split at the finite ends of its support, where its density may
-jump: no single panel's error estimate can be trusted to see a jump inside
-it.
+are split into panels at most half the system's scale ``sigma`` wide, each
+integrated by the 21-point Kronrod rule with the embedded 10-point Gauss rule
+as error estimate (QUADPACK's qk21, Piessens et al. 1983), and
+``int_t^hi(t)`` is a difference of suffix sums over the panels.
 """
 
 from __future__ import annotations
@@ -35,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .systems import SystemModel, _log_survival_roots, as_law
+from .systems import (SystemModel, _log_pdf_and_survival, _log_survival_roots,
+                      system_log_survival, system_quantiles, system_survival)
 
 __all__ = [
     "QuadratureSpec",
@@ -110,33 +106,13 @@ class EntropyValue:
             raise DomainError("error_estimate must be nonnegative")
 
 
-def _scale(law) -> float:
-    """sigma for systems, else the interquartile range over 1.5725 (sigma for a Gumbel)."""
-    if isinstance(law.source, SystemModel):
-        return law.source.sigma
-    q1, q3 = np.asarray(law.quantiles(np.array([0.25, 0.75])), dtype=float)
-    return float(q3 - q1) / 1.5725
-
-
-def _support_ends(law) -> np.ndarray:
-    """The finite ends of a duck-typed law's support, read from its quantiles
-    at 0 and 1; none for a law whose quantile accepts only (0, 1)."""
-    try:
-        with np.errstate(all="ignore"):
-            ends = np.asarray(law.quantiles(np.array([0.0, 1.0])), dtype=float)
-    except ValueError:
-        return np.empty(0)
-    return ends[np.isfinite(ends)]
-
-
-def _panels(law, a: np.ndarray, b: np.ndarray, q: QuadratureSpec):
+def _panels(s: SystemModel, a: np.ndarray, b: np.ndarray, q: QuadratureSpec):
     """Hazard- and density-form integrals of each panel [a, b] by the 21-point
     Kronrod rule, their error estimates against the embedded 10-point Gauss
     rule and pass flags, each shaped (2, panels)."""
     half = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
-    lp, ls = (np.asarray(v, dtype=float).reshape(x.shape)
-              for v in law.log_pdf_and_survival(x.ravel()))
+    lp, ls = (v.reshape(x.shape) for v in _log_pdf_and_survival(s, x.ravel()))
     with np.errstate(under="ignore", invalid="ignore"):
         f = np.exp(lp)
         live = f > 0.0
@@ -147,12 +123,12 @@ def _panels(law, a: np.ndarray, b: np.ndarray, q: QuadratureSpec):
     return value, err, err <= np.maximum(q.abs_tol, q.rel_tol * mass)
 
 
-def _integrate(law, edges: np.ndarray, q: QuadratureSpec):
+def _integrate(s: SystemModel, edges: np.ndarray, q: QuadratureSpec):
     """Both forms integrated over each gap between consecutive ``edges``:
     values and error estimates shaped (2, gaps), and per-form flags of the
     gaps that hold a panel failing its error test."""
     gaps = np.diff(edges)
-    counts = np.maximum(1, np.ceil(gaps / (0.5 * _scale(law)))).astype(int)
+    counts = np.maximum(1, np.ceil(gaps / (0.5 * s.sigma))).astype(int)
     owner = np.repeat(np.arange(gaps.size), counts)
     step = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
     cuts = np.append(edges[owner] + gaps[owner] * (step / counts[owner]), edges[-1:])
@@ -162,7 +138,7 @@ def _integrate(law, edges: np.ndarray, q: QuadratureSpec):
     failed = np.zeros((2, gaps.size), dtype=bool)
     budget = q.max_subdivisions
     while a.size:
-        v, e, ok = _panels(law, a, b, q)
+        v, e, ok = _panels(s, a, b, q)
         split = np.flatnonzero(~ok.all(axis=0))[:budget]
         budget -= split.size
         keep = ~np.isin(np.arange(a.size), split)
@@ -176,43 +152,18 @@ def _integrate(law, edges: np.ndarray, q: QuadratureSpec):
     return value, error, failed
 
 
-def _upper_cuts(law, ts: np.ndarray, log_target: np.ndarray, scale: float) -> np.ndarray:
-    """Points right of each t where a duck-typed law's log survival falls to
-    ``log_target``.
-
-    That log survival need not be concave, so the root is bracketed: the step
-    doubles until a point past it is found, then Newton steps are kept in the
-    bracket, with bisection as fallback.
-    """
-    lo, hi = ts.copy(), np.full(ts.shape, np.inf)
-    x, width = ts + scale, np.full(ts.shape, scale)
-    for _ in range(400):
-        lp, ls = (np.asarray(v, dtype=float) for v in law.log_pdf_and_survival(x))
-        g = ls - log_target
-        lo, hi = np.where(g > 0.0, x, lo), np.where(g > 0.0, hi, x)
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            newton = x + g / np.exp(lp - ls)
-        width = np.where(np.isinf(hi), 2.0 * width, width)
-        fallback = np.where(np.isinf(hi), lo + width, 0.5 * (lo + hi))
-        nxt = np.where((lo <= newton) & (newton <= hi) & np.isfinite(hi), newton, fallback)
-        if np.all(np.abs(nxt - x) <= 1e-12 * (scale + np.abs(x))):
-            return nxt
-        x = nxt
-    raise DomainError("could not locate the upper integration cut")
-
-
-def _survival(law, ts: np.ndarray) -> np.ndarray:
+def _survival(s: SystemModel, ts: np.ndarray) -> np.ndarray:
     """Survival at each finite t, 0 at the others."""
     sf = np.zeros(ts.shape)
     finite = np.isfinite(ts)
-    sf[finite] = law.survival(ts[finite])
+    sf[finite] = system_survival(s, ts[finite])
     return sf
 
 
-def _times(law, t, q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+def _times(s: SystemModel, t, q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """1-D times and their survival; DomainError at the first without a value."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    sf = _survival(law, ts)
+    sf = _survival(s, ts)
     bad = sf <= q.tail_mass_cutoff  # which holds every time that is not finite
     if bad.any():
         k = int(np.argmax(bad))
@@ -225,18 +176,13 @@ def _times(law, t, q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     return ts, sf
 
 
-def _residual_forms(law, ts: np.ndarray, sf_t: np.ndarray, q: QuadratureSpec):
+def _residual_forms(s: SystemModel, ts: np.ndarray, sf_t: np.ndarray, q: QuadratureSpec):
     """Hazard-form and density-form values, errors and convergence flags at
     every t, each shaped (2, len(ts))."""
-    log_sf_t = np.asarray(law.log_survival(ts), dtype=float)
-    target = np.log(q.tail_mass_cutoff) + log_sf_t
-    if isinstance(law.source, SystemModel):
-        his, ends = _log_survival_roots(law.source, target), np.empty(0)
-    else:
-        his, ends = _upper_cuts(law, ts, target, _scale(law)), _support_ends(law)
-        ends = ends[(ends > ts.min(initial=np.inf)) & (ends < his.max(initial=-np.inf))]
-    edges, where = np.unique(np.concatenate([ts, his, ends]), return_inverse=True)
-    value, error, failed = _integrate(law, edges, q)
+    log_sf_t = system_log_survival(s, ts)
+    his = _log_survival_roots(s, np.log(q.tail_mass_cutoff) + log_sf_t)
+    edges, where = np.unique(np.concatenate([ts, his]), return_inverse=True)
+    value, error, failed = _integrate(s, edges, q)
     n = ts.size
 
     def window(v):  # int_t^hi(t) as a difference of suffix sums over the gaps
@@ -252,8 +198,7 @@ def _residual_forms(law, ts: np.ndarray, sf_t: np.ndarray, q: QuadratureSpec):
 def residual_entropy_forms(s, t, q: QuadratureSpec = QuadratureSpec()):
     """Both integral forms of the residual entropy at ``t`` (hazard form
     first); a 1-D ``t`` gives a list with one pair per time."""
-    law = as_law(s)
-    values, errs, ok = _residual_forms(law, *_times(law, t, q), q)
+    values, errs, ok = _residual_forms(s, *_times(s, t, q), q)
     pairs = [tuple(EntropyValue(float(v), float(e), bool(c)) for v, e, c in zip(*col))
              for col in zip(values.T, errs.T, ok.T)]
     return pairs[0] if np.ndim(t) == 0 else pairs
@@ -276,8 +221,7 @@ def residual_entropy(s, t, q: QuadratureSpec = QuadratureSpec()):
     and their discrepancy is folded into the error estimate.  A scalar ``t``
     gives one :class:`EntropyValue`, a 1-D ``t`` a list of them.
     """
-    law = as_law(s)
-    out = _agreed(*_residual_forms(law, *_times(law, t, q), q), q)
+    out = _agreed(*_residual_forms(s, *_times(s, t, q), q), q)
     return out[0] if np.ndim(t) == 0 else out
 
 
@@ -285,11 +229,10 @@ def entropy_curve(s, t_grid, q: QuadratureSpec = QuadratureSpec()) -> list[Entro
     """Residual entropy at each grid time; times without a value (not finite,
     or past the cutoff) become non-converged NaN entries instead of aborting
     the remaining points."""
-    law = as_law(s)
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    sf = _survival(law, ts)
+    sf = _survival(s, ts)
     good = sf > q.tail_mass_cutoff
-    values = iter(_agreed(*_residual_forms(law, ts[good], sf[good], q), q))
+    values = iter(_agreed(*_residual_forms(s, ts[good], sf[good], q), q))
     return [next(values) if g else EntropyValue(float("nan"), float("inf"), False)
             for g in good]
 
@@ -297,8 +240,7 @@ def entropy_curve(s, t_grid, q: QuadratureSpec = QuadratureSpec()) -> list[Entro
 def shannon_entropy(s, q: QuadratureSpec = QuadratureSpec()) -> EntropyValue:
     """Differential entropy -int f log f over the tail-trimmed support window
     from ``Q(cutoff)`` to ``Q(1 - cutoff)``."""
-    law = as_law(s)
     cut = q.tail_mass_cutoff
-    edges = np.asarray(law.quantiles(np.array([cut, 1.0 - cut])), dtype=float)
-    value, error, failed = _integrate(law, edges, q)
+    edges = system_quantiles(s, np.array([cut, 1.0 - cut]))
+    value, error, failed = _integrate(s, edges, q)
     return EntropyValue(-float(value[1, 0]), float(error[1, 0]), not failed[1, 0])

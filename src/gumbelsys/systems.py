@@ -73,8 +73,6 @@ __all__ = [
     "system_quantile",
     "system_quantiles",
     "make_grid",
-    "as_law",
-    "LawOps",
 ]
 
 #: Maximum number of components accepted by :class:`SystemModel`.  The sums
@@ -421,79 +419,22 @@ def system_quantile(s: SystemModel, prob: float) -> float:
     return float(system_quantiles(s, float(prob)))
 
 
-# -- law views and evaluation grids --------------------------------------------
+# -- evaluation grids -----------------------------------------------------------
 
-class LawOps:
-    """Uniform callable view of a lifetime law.
-
-    Wraps either a :class:`SystemModel` or any duck-typed object exposing at
-    least ``pdf``, ``cdf``, ``survival`` and ``quantile`` (log-space methods
-    and hazards are derived when absent).  The entropy and order-checking
-    machinery works against this view, which is how synthetic laws (for
-    example a constant-hazard fixture) can be pushed through the same checks
-    as real systems.  ``log_pdf_and_survival`` returns both logs at once:
-    from one kernel pass for a system, from two calls for any other law.
-    """
-
-    def __init__(self, obj) -> None:
-        self.source = obj
-        if isinstance(obj, SystemModel):
-            self.cdf = lambda x: system_cdf(obj, x)
-            self.pdf = lambda x: system_pdf(obj, x)
-            self.survival = lambda x: system_survival(obj, x)
-            self.log_pdf = lambda x: system_log_pdf(obj, x)
-            self.log_cdf = lambda x: system_log_cdf(obj, x)
-            self.log_survival = lambda x: system_log_survival(obj, x)
-            self.hazard = lambda x: system_hazard(obj, x)
-            self.reversed_hazard = lambda x: system_reversed_hazard(obj, x)
-            self.quantiles = lambda u: system_quantiles(obj, u)
-            self.log_pdf_and_survival = lambda x: _log_pdf_and_survival(obj, x)
-            return
-        for name in ("pdf", "cdf", "survival", "quantile"):
-            if not callable(getattr(obj, name, None)):
-                raise UsageError(
-                    f"law object must provide a callable {name!r}, got {obj!r}"
-                )
-        self.cdf = obj.cdf
-        self.pdf = obj.pdf
-        self.survival = obj.survival
-        self.log_pdf = getattr(obj, "log_pdf", None) or _logged(obj.pdf)
-        self.log_cdf = getattr(obj, "log_cdf", None) or _logged(obj.cdf)
-        self.log_survival = getattr(obj, "log_survival", None) or _logged(obj.survival)
-        self.hazard = getattr(obj, "hazard", None) or (
-            lambda x: np.asarray(obj.pdf(x)) / np.asarray(obj.survival(x)))
-        self.reversed_hazard = getattr(obj, "reversed_hazard", None) or (
-            lambda x: np.asarray(obj.pdf(x)) / np.asarray(obj.cdf(x)))
-        self.quantiles = lambda u: np.vectorize(obj.quantile)(u)
-        self.log_pdf_and_survival = lambda x: (self.log_pdf(x), self.log_survival(x))
-
-
-def _logged(fn):
-    def wrapped(x):
-        with np.errstate(divide="ignore"):
-            return np.log(np.asarray(fn(x), dtype=float))
-    return wrapped
-
-
-def as_law(obj) -> LawOps:
-    """Return a :class:`LawOps` view of a system or duck-typed law."""
-    return obj if isinstance(obj, LawOps) else LawOps(obj)
-
-
-def _quantile_pairs(a, b, lo_p: float, hi_p: float):
-    """``(Q(lo_p), Q(hi_p))`` of each of ``a`` and ``b``, as floats; each law
-    solves both of its quantiles in one call."""
-    return tuple(tuple(float(v) for v in as_law(s).quantiles(np.array([lo_p, hi_p])))
+def _quantile_pairs(a: SystemModel, b: SystemModel, lo_p: float, hi_p: float):
+    """``(Q(lo_p), Q(hi_p))`` of each of ``a`` and ``b``, as floats; each
+    system solves both of its quantiles in one call."""
+    return tuple(tuple(float(v) for v in system_quantiles(s, np.array([lo_p, hi_p])))
                  for s in (a, b))
 
 
-def make_grid(a, b, count: int = 2049, tail_cutoff: float = 1e-8) -> EvalGrid:
-    """Uniform grid covering both laws up to the given tail mass.
+def make_grid(a: SystemModel, b: SystemModel, count: int = 2049,
+              tail_cutoff: float = 1e-8) -> EvalGrid:
+    """Uniform grid covering both systems up to the given tail mass.
 
     The window runs from the smaller of the two ``tail_cutoff`` quantiles to
     the larger of the two ``1 - tail_cutoff`` quantiles; beyond those points
-    the ordering functions are dominated by rounding.  ``a`` and ``b`` are
-    systems or duck-typed laws (see :class:`LawOps`).
+    the ordering functions are dominated by rounding.
     """
     if count < 33:
         raise UsageError(f"count must be >= 33, got {count}")

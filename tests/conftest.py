@@ -1,52 +1,4 @@
-import numpy as np
-import pytest
-
 from gumbelsys import SystemModel, Topology
-
-
-class ExponentialLaw:
-    """Constant-hazard law with rate lam, for boundary-case checks."""
-
-    def __init__(self, lam: float):
-        self.lam = float(lam)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(under="ignore"):
-            return np.where(x < 0, 0.0, self.lam * np.exp(-self.lam * x))
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0, 0.0, -np.expm1(-self.lam * x))
-
-    def survival(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(under="ignore", over="ignore"):
-            return np.where(x < 0, 1.0, np.exp(-self.lam * x))
-
-    def log_pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0, -np.inf, np.log(self.lam) - self.lam * x)
-
-    def log_survival(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0, 0.0, -self.lam * x)
-
-    def hazard(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0, 0.0, self.lam)
-
-    def reversed_hazard(self, x):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.pdf(x) / self.cdf(x)
-
-    def quantile(self, u):
-        return -np.log1p(-np.asarray(u, dtype=float)) / self.lam
-
-
-@pytest.fixture
-def exponential_law():
-    return ExponentialLaw
 
 
 def series(mus, sigma=1.0) -> SystemModel:

@@ -313,6 +313,21 @@ class TestUsage:
         line = err.splitlines()[0]
         assert line.startswith("error: ") and all(name in line for name in names), line
 
+    @pytest.mark.parametrize("count", [-1, 0])
+    @pytest.mark.parametrize("command", ["check", "scan", "entropy"])
+    def test_t_points_below_one_rejected(self, tmp_path, capsys, command, count):
+        # a negative count used to crash in np.linspace; 0 gave an empty curve
+        if command == "scan":
+            argv = ["scan", "--mode", "series-disp-lu", "--trials", "1", "--n", "2",
+                    "--t-points", str(count)]
+        else:
+            spec = (IDENTICAL.replace("lr, hr, rh, st", "lu") if command == "check"
+                    else ENTROPY_SPEC.replace("t_values = -1.0, 0.0, 1.0", ""))
+            argv = [command, write(tmp_path, "s.ini", spec + f"t_points = {count}\n")]
+        assert main(argv) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), err
+
     def test_simulate_rejects_spec_grid_below_33(self, tmp_path, capsys):
         # a spec value below 33 used to be raised to 33; it is rejected like an override
         spec = SIMULATE_SPEC.replace("grid_points = 65", "grid_points = 7")

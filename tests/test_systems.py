@@ -19,7 +19,7 @@ from gumbelsys.majorization import random_majorization_pair
 from gumbelsys.orders import make_p_grid
 from gumbelsys.rng import stream
 
-from conftest import ExponentialLaw, parallel, series
+from conftest import parallel, series
 
 E1 = math.exp(-1.0)
 
@@ -434,22 +434,13 @@ class TestFusedKernel:
         hi = max(sy.system_quantile(a, 1 - 1e-8), sy.system_quantile(b, 1 - 1e-8))
         np.testing.assert_array_equal(sy.make_grid(a, b).points, np.linspace(lo, hi, 2049))
 
-    def test_make_grid_takes_duck_typed_laws(self):
-        fast, slow = ExponentialLaw(2.0), ExponentialLaw(1.0)
-        lo = min(fast.quantile(1e-8), slow.quantile(1e-8))
-        hi = max(fast.quantile(1 - 1e-8), slow.quantile(1 - 1e-8))
-        np.testing.assert_array_equal(sy.make_grid(fast, slow, 65).points,
-                                      np.linspace(lo, hi, 65))
-
-    @pytest.mark.parametrize("law", [_spread_system(Topology.SERIES, 6),
-                                     _spread_system(Topology.PARALLEL, 6),
-                                     ExponentialLaw(1.3)], ids=["series", "parallel", "exp"])
-    def test_joint_log_pdf_and_survival(self, law):
-        ops = sy.as_law(law)
+    @pytest.mark.parametrize("topology", _TOPOLOGIES, ids=["series", "parallel"])
+    def test_joint_log_pdf_and_survival(self, topology):
+        s = _spread_system(topology, 6)
         xs = np.linspace(-5.0, 40.0, 301)
-        lp, ls = ops.log_pdf_and_survival(xs)
-        np.testing.assert_array_equal(lp, ops.log_pdf(xs))
-        np.testing.assert_array_equal(ls, ops.log_survival(xs))
+        lp, ls = sy._log_pdf_and_survival(s, xs)
+        np.testing.assert_array_equal(lp, sy.system_log_pdf(s, xs))
+        np.testing.assert_array_equal(ls, sy.system_log_survival(s, xs))
 
 
 class TestTailSweep:
@@ -566,7 +557,7 @@ class TestGridMemo:
             getattr(sy, f)(s, xs)
             getattr(sy, f)(s, 0.5)
         sy.system_quantiles(s, make_p_grid())
-        sy.as_law(s).log_pdf_and_survival(xs)
+        sy._log_pdf_and_survival(s, xs)
         assert sy._grid_pass.cache_info() == before
 
     def test_threads_share_the_memo(self):
