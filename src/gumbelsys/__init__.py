@@ -24,8 +24,8 @@ from .orders import (AuditReport, Direction, Outcome, OrderVerdict, Relation,
                      make_p_grid, make_t_grid, parallel_rh_log_margin)
 from .simulate import (DominanceScan, McEstimate, empirical_cdf_dominance,
                        empirical_quantile_spread, sample_system)
-from .systems import (EvalGrid, SystemModel, Topology, make_grid, phi, system_cdf,
-                      system_hazard, system_pdf, system_quantile, system_quantiles,
+from .systems import (SystemModel, Topology, make_grid, phi, system_cdf, system_hazard,
+                      system_pdf, system_quantile, system_quantiles,
                       system_reversed_hazard, system_survival)
 
 __version__ = "0.1.0"
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainError", "GumbelSysError", "NumericsError", "UsageError",
     "GumbelParams",
-    "EvalGrid", "SystemModel", "Topology", "make_grid", "phi",
+    "SystemModel", "Topology", "make_grid", "phi",
     "system_cdf", "system_hazard", "system_pdf", "system_quantile",
     "system_quantiles", "system_reversed_hazard", "system_survival",
     "Curvature", "MajorizationCheck", "PhiLemmaReport", "check_lemma_phi",

@@ -278,7 +278,12 @@ def _cmd_scan(args) -> int:
         raise UsageError("--trials must be >= 1")
     if args.n < (2 if args.mode != "parallel-lr" else 1):
         raise UsageError("--n is too small for this mode")
+    if args.p_points < 33:
+        raise UsageError(f"--p-points must be >= 33, got {args.p_points}")
+    if args.t_points < 1:
+        raise UsageError(f"--t-points must be >= 1, got {args.t_points}")
     quad = QuadratureSpec(rel_tol=args.tol)
+    p_grid = orders.make_p_grid(args.p_points)
 
     failures = []
     held_counts: dict[str, int] = {}
@@ -309,14 +314,15 @@ def _cmd_scan(args) -> int:
             trial_verdicts.append(v)
             trial_ok = v.holds
         elif args.mode == "series-disp-lu":
-            vd = orders.check_disp(a, b, orders.make_p_grid(args.p_points),
-                                   Direction.FIRST_SMALLER)
-            vl = orders.check_lu(a, b, orders.make_t_grid(a, b, args.t_points),
-                                 quad, Direction.FIRST_SMALLER)
+            vd = orders.check_disp(a, b, p_grid, Direction.FIRST_SMALLER)
+            vl = orders.check_lu(a, b, orders.make_t_grid(a, b, args.t_points), quad,
+                                 Direction.FIRST_SMALLER)
             trial_verdicts.extend([vd, vl])
             trial_ok = vd.holds and vl.holds
         else:  # free: exploration plus internal consistency audit
-            audit = orders.implication_audit(a, b, grid,
+            t_grid = (orders.make_t_grid(a, b, args.t_points) if args.entropy_orders
+                      else None)
+            audit = orders.implication_audit(a, b, grid, p_grid, t_grid,
                                              include_entropy_orders=args.entropy_orders,
                                              quad=quad)
             trial_verdicts = list(audit.verdicts.values())
@@ -455,7 +461,7 @@ def _cmd_simulate(args) -> int:
             "system_b": _system_doc(b),
             "n_samples": n,
             "seed": seed,
-            "grid_points": grid.count,
+            "grid_points": grid.size,
             "tail_cutoff": tail_cutoff,
             "alpha": alpha,
             "beta": beta,
@@ -467,7 +473,7 @@ def _cmd_simulate(args) -> int:
             "points": [
                 {"x": float(x), "empirical": e.value, "std_error": e.std_error,
                  "analytic": d}
-                for x, e, d in zip(grid.points, scan.estimates, scan.analytic)
+                for x, e, d in zip(grid, scan.estimates, scan.analytic)
             ],
         },
         "quantile_spread": {
@@ -477,7 +483,7 @@ def _cmd_simulate(args) -> int:
         "exit_code": code,
     }
     table = (f"cdf dominance: {len(scan.contradictions)} contradictions beyond "
-             f"{scan.threshold_ses:g} SEs on {grid.count} points\n"
+             f"{scan.threshold_ses:g} SEs on {grid.size} points\n"
              f"quantile spread diff ({alpha:g},{beta:g}): {spread.value:.6g} "
              f"+- {spread.std_error:.3g}")
     _emit(doc, table, args.out)

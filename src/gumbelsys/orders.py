@@ -18,7 +18,8 @@ audit grid and returns a three-valued :class:`OrderVerdict`:
 Direction conventions follow the usual definitions.  With ``a`` the first
 argument and ``b`` the second, ``FIRST_SMALLER`` verifies ``a <= b`` in the
 given order, e.g. hr: hazard of ``a`` dominates hazard of ``b`` pointwise;
-``FIRST_GREATER`` verifies the mirror image.  The lr check works on log
+``FIRST_GREATER`` verifies the mirror image, and is evaluated as
+``FIRST_SMALLER`` on ``(b, a)``.  The lr check works on log
 densities, never on raw ratios, because tail underflow would fabricate
 non-monotonicity.
 """
@@ -32,9 +33,9 @@ import numpy as np
 
 from .entropy import QuadratureSpec, residual_entropy
 from .errors import DomainError, NumericsError, UsageError
-from .systems import (EvalGrid, SystemModel, _as_gumbel, _quantile_pairs, make_grid,
-                      system_cdf, system_hazard, system_log_pdf, system_pdf,
-                      system_quantiles, system_reversed_hazard)
+from .systems import (SystemModel, _as_gumbel, _quantile_pairs, make_grid, system_cdf,
+                      system_hazard, system_log_pdf, system_pdf, system_quantiles,
+                      system_reversed_hazard)
 
 __all__ = [
     "Relation",
@@ -124,7 +125,9 @@ class OrderVerdict:
         return self.outcome is Outcome.HOLDS
 
 
-def _validate_pair(a, b) -> None:
+def _validate_pair(a, b, direction: Direction = Direction.FIRST_SMALLER):
+    """Check that ``a`` and ``b`` are comparable and return them in
+    FIRST_SMALLER order: ``(b, a)`` for FIRST_GREATER."""
     if not (isinstance(a, SystemModel) and isinstance(b, SystemModel)):
         raise UsageError(f"expected two SystemModel arguments, got "
                          f"{type(a).__name__} and {type(b).__name__}")
@@ -134,12 +137,11 @@ def _validate_pair(a, b) -> None:
     if a.sigma != b.sigma:
         raise UsageError(
             f"systems must share the scale parameter, got {a.sigma} and {b.sigma}")
+    return (b, a) if direction is Direction.FIRST_GREATER else (a, b)
 
 
-def _xs(a, b, grid: EvalGrid | None) -> np.ndarray:
-    if grid is None:
-        return make_grid(a, b, DEFAULT_X_POINTS).points
-    return grid.points if isinstance(grid, EvalGrid) else np.asarray(grid, dtype=float)
+def _xs(a, b, grid) -> np.ndarray:
+    return make_grid(a, b, DEFAULT_X_POINTS) if grid is None else np.asarray(grid, dtype=float)
 
 
 def _dominance_verdict(relation: Relation, direction: Direction, xs: np.ndarray,
@@ -159,15 +161,15 @@ def _dominance_verdict(relation: Relation, direction: Direction, xs: np.ndarray,
     return OrderVerdict(relation, direction, Outcome.FAILS, wit, margin)
 
 
-def check_lr(a, b, grid: EvalGrid | None = None,
+def check_lr(a, b, grid=None,
              direction: Direction = Direction.FIRST_SMALLER) -> OrderVerdict:
     """Likelihood ratio order: the log-density difference of the dominating
     law over the dominated one must be nondecreasing across the grid."""
-    _validate_pair(a, b)
+    a, b = _validate_pair(a, b, direction)
     xs = _xs(a, b, grid)
     da, db = system_log_pdf(a, xs), system_log_pdf(b, xs)
     with np.errstate(invalid="ignore"):
-        d = (da - db) if direction is Direction.FIRST_GREATER else (db - da)
+        d = db - da
 
     finite = np.isfinite(d)
     if finite.mean() < _LR_FINITE_FRACTION:
@@ -192,41 +194,33 @@ def _rate_tol(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
     return _RATE_SLACK * np.maximum(1.0, np.maximum(np.abs(ra), np.abs(rb)))
 
 
-def check_hr(a, b, grid: EvalGrid | None = None,
+def check_hr(a, b, grid=None,
              direction: Direction = Direction.FIRST_SMALLER) -> OrderVerdict:
     """Hazard rate order: the smaller lifetime carries the larger hazard."""
-    _validate_pair(a, b)
+    a, b = _validate_pair(a, b, direction)
     xs = _xs(a, b, grid)
     ra, rb = system_hazard(a, xs), system_hazard(b, xs)
-    tol = _rate_tol(ra, rb)
-    if direction is Direction.FIRST_SMALLER:
-        return _dominance_verdict(Relation.HR, direction, xs, ra, rb, tol)
-    return _dominance_verdict(Relation.HR, direction, xs, rb, ra, tol)
+    return _dominance_verdict(Relation.HR, direction, xs, ra, rb, _rate_tol(ra, rb))
 
 
-def check_rh(a, b, grid: EvalGrid | None = None,
+def check_rh(a, b, grid=None,
              direction: Direction = Direction.FIRST_GREATER) -> OrderVerdict:
     """Reversed hazard rate order: the larger lifetime carries the larger
     reversed hazard.  For parallel systems both sides are closed-form sums,
     making this check near exact."""
-    _validate_pair(a, b)
+    a, b = _validate_pair(a, b, direction)
     xs = _xs(a, b, grid)
     ra, rb = system_reversed_hazard(a, xs), system_reversed_hazard(b, xs)
-    tol = _rate_tol(ra, rb)
-    if direction is Direction.FIRST_GREATER:
-        return _dominance_verdict(Relation.RH, direction, xs, ra, rb, tol)
-    return _dominance_verdict(Relation.RH, direction, xs, rb, ra, tol)
+    return _dominance_verdict(Relation.RH, direction, xs, rb, ra, _rate_tol(ra, rb))
 
 
-def check_st(a, b, grid: EvalGrid | None = None,
+def check_st(a, b, grid=None,
              direction: Direction = Direction.FIRST_SMALLER) -> OrderVerdict:
     """Usual stochastic order: the smaller lifetime has the pointwise larger cdf."""
-    _validate_pair(a, b)
+    a, b = _validate_pair(a, b, direction)
     xs = _xs(a, b, grid)
-    fa, fb = system_cdf(a, xs), system_cdf(b, xs)
-    if direction is Direction.FIRST_SMALLER:
-        return _dominance_verdict(Relation.ST, direction, xs, fa, fb, _ST_SLACK)
-    return _dominance_verdict(Relation.ST, direction, xs, fb, fa, _ST_SLACK)
+    return _dominance_verdict(Relation.ST, direction, xs, system_cdf(a, xs),
+                              system_cdf(b, xs), _ST_SLACK)
 
 
 def make_p_grid(count: int = DEFAULT_P_POINTS, edge: float = 1e-6) -> np.ndarray:
@@ -236,13 +230,8 @@ def make_p_grid(count: int = DEFAULT_P_POINTS, edge: float = 1e-6) -> np.ndarray
     if not (0.0 < edge < 0.5):
         raise DomainError(f"edge must lie in (0, 0.5), got {edge}")
     half = count // 2
-    if count % 2:
-        left = np.geomspace(edge, 0.5, half + 1)
-        right = 1.0 - left[:-1][::-1]
-    else:
-        left = np.geomspace(edge, 0.5, half + 1)[:-1]
-        right = 1.0 - left[::-1]
-    return np.concatenate([left, right])
+    left = np.geomspace(edge, 0.5, half + 1)[:half + count % 2]
+    return np.concatenate([left, 1.0 - left[:half][::-1]])
 
 
 def make_t_grid(a, b, count: int = DEFAULT_T_POINTS,
@@ -270,25 +259,16 @@ def check_disp(a, b, p_grid=None,
     the quantile difference ``Q_b(p) - Q_a(p)`` must be nondecreasing in p.
     When the two criteria disagree the verdict is INCONCLUSIVE.
     """
-    _validate_pair(a, b)
+    a, b = _validate_pair(a, b, direction)
     ps = make_p_grid() if p_grid is None else np.asarray(p_grid, dtype=float)
     if np.any(ps <= 0.0) or np.any(ps >= 1.0):
         raise DomainError("p grid must lie strictly inside (0, 1)")
     qa, qb = system_quantiles(a, ps), system_quantiles(b, ps)
     fa, fb = system_pdf(a, qa), system_pdf(b, qb)
-
-    if direction is Direction.FIRST_SMALLER:
-        lhs, rhs = fa, fb
-        spread = qb - qa
-    else:
-        lhs, rhs = fb, fa
-        spread = qa - qb
-
-    density = _dominance_verdict(Relation.DISP, direction, ps, lhs, rhs,
-                                 _rate_tol(fa, fb))
+    density = _dominance_verdict(Relation.DISP, direction, ps, fa, fb, _rate_tol(fa, fb))
 
     q_scale = max(1.0, float(np.abs(qa).max()), float(np.abs(qb).max()))
-    steps = np.diff(spread)
+    steps = np.diff(qb - qa)
     spread_ok = bool((steps >= -_RATE_SLACK * q_scale).all())
 
     if density.holds == spread_ok:
@@ -303,7 +283,7 @@ def check_lu(a, b, t_grid=None, quad: QuadratureSpec = QuadratureSpec(),
     that of the second at every conditioning time, within twice the combined
     quadrature tolerance.  Non-converged quadrature makes the verdict
     INCONCLUSIVE rather than pretending precision."""
-    _validate_pair(a, b)
+    a, b = _validate_pair(a, b, direction)
     ts = make_t_grid(a, b) if t_grid is None else np.asarray(t_grid, dtype=float)
     ha = residual_entropy(a, ts, quad)
     hb = residual_entropy(b, ts, quad)
@@ -313,9 +293,7 @@ def check_lu(a, b, t_grid=None, quad: QuadratureSpec = QuadratureSpec(),
     vb = np.array([v.value for v in hb])
     errs = np.array([x.error_estimate + y.error_estimate for x, y in zip(ha, hb)])
     tol = 2.0 * (errs + quad.rel_tol * np.maximum(1.0, np.maximum(np.abs(va), np.abs(vb))))
-    if direction is Direction.FIRST_SMALLER:
-        return _dominance_verdict(Relation.LU, direction, ts, vb, va, tol)
-    return _dominance_verdict(Relation.LU, direction, ts, va, vb, tol)
+    return _dominance_verdict(Relation.LU, direction, ts, vb, va, tol)
 
 
 _CHECKS = {
@@ -327,7 +305,7 @@ _CHECKS = {
 
 
 def check(relation: Relation, a, b, direction: Direction,
-          grid: EvalGrid | None = None, p_grid=None, t_grid=None,
+          grid=None, p_grid=None, t_grid=None,
           quad: QuadratureSpec = QuadratureSpec()) -> OrderVerdict:
     """Dispatch a single relation check with the grid appropriate to it."""
     if relation is Relation.DISP:
@@ -339,16 +317,14 @@ def check(relation: Relation, a, b, direction: Direction,
 
 def is_dhr(s, grid) -> bool:
     """True when the hazard is nonincreasing in time across the grid."""
-    xs = grid.points if isinstance(grid, EvalGrid) else np.asarray(grid, dtype=float)
-    r = system_hazard(s, xs)
+    r = system_hazard(s, np.asarray(grid, dtype=float))
     tol = _rate_tol(r[:-1], r[1:])
     return bool((np.diff(r) <= tol).all())
 
 
 def is_irhr(s, grid) -> bool:
     """True when the reversed hazard is nondecreasing in time across the grid."""
-    xs = grid.points if isinstance(grid, EvalGrid) else np.asarray(grid, dtype=float)
-    r = system_reversed_hazard(s, xs)
+    r = system_reversed_hazard(s, np.asarray(grid, dtype=float))
     tol = _rate_tol(r[:-1], r[1:])
     return bool((np.diff(r) >= -tol).all())
 
@@ -389,7 +365,7 @@ class AuditReport:
         return not self.violations
 
 
-def implication_audit(a, b, grid: EvalGrid | None = None,
+def implication_audit(a, b, grid=None, p_grid=None, t_grid=None,
                       relations: tuple[Relation, ...] = (Relation.LR, Relation.HR,
                                                          Relation.RH, Relation.ST),
                       include_entropy_orders: bool = False,
@@ -397,11 +373,11 @@ def implication_audit(a, b, grid: EvalGrid | None = None,
     """Run the requested checks in both directions and flag verdict
     combinations that contradict the implication chain.
 
-    When ``include_entropy_orders`` is set, disp and lu are checked as well.
+    When ``include_entropy_orders`` is set, disp and lu are checked as well,
+    on ``p_grid`` and ``t_grid``.
     """
     _validate_pair(a, b)
-    if grid is None:
-        grid = _xs(a, b, None)
+    grid = _xs(a, b, grid)
     verdicts: dict = {}
     rels = tuple(relations)
     if include_entropy_orders:
@@ -409,7 +385,7 @@ def implication_audit(a, b, grid: EvalGrid | None = None,
     for direction in (Direction.FIRST_SMALLER, Direction.FIRST_GREATER):
         for rel in rels:
             verdicts[(rel, direction)] = check(rel, a, b, direction, grid=grid,
-                                               quad=quad)
+                                               p_grid=p_grid, t_grid=t_grid, quad=quad)
 
     violations: list[str] = []
     for direction in (Direction.FIRST_SMALLER, Direction.FIRST_GREATER):

@@ -23,7 +23,7 @@ survival and the hazard together: ``w``, ``exp(-w)`` and ``-expm1(-w)`` are
 computed once per term and shared by ``log1mexp`` and ``phi``.
 
 A series pass over a read-only float array of at most ``_MEMO_POINTS``
-points, which is how :class:`EvalGrid` holds its points, is memoised: the
+points, which is what :func:`make_grid` returns, is memoised: the
 order checks run lr, hr, rh and st on one grid in both directions, and every
 one of those functions is a view of the same pass, so a system is evaluated
 once per grid.  ``_grid_pass`` is a ``functools.lru_cache`` keyed on the
@@ -60,7 +60,6 @@ __all__ = [
     "MAX_COMPONENTS",
     "Topology",
     "SystemModel",
-    "EvalGrid",
     "phi",
     "system_cdf",
     "system_pdf",
@@ -142,27 +141,6 @@ class SystemModel:
         return tuple(GumbelParams(m, self.sigma) for m in self.mus)
 
 
-@dataclass(frozen=True)
-class EvalGrid:
-    """Deterministic evaluation abscissae with construction metadata."""
-
-    points: np.ndarray
-    lo_prob: float
-    hi_prob: float
-    count: int
-
-    def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 33:
-            raise UsageError(f"a grid needs at least 33 points, got {pts.size}")
-        if not np.all(np.isfinite(pts)) or not np.all(np.diff(pts) > 0):
-            raise UsageError("grid points must be finite and strictly increasing")
-        pts = pts.copy()
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "count", int(pts.size))
-
-
 def phi(t) -> np.ndarray:
     """t / (e^t - 1) on t >= 0, continuously extended to phi(0) = 1.
 
@@ -202,44 +180,38 @@ def _as_gumbel(s: SystemModel) -> GumbelParams:
 
 # -- series systems ----------------------------------------------------------
 
-def _series_rows(s: SystemModel, flat: np.ndarray, survival: bool, hazard: bool):
-    log_sf = np.empty(flat.size) if survival else None
-    rate = np.empty(flat.size) if hazard else None
+def _series_rows(s: SystemModel, flat: np.ndarray):
+    log_sf = np.empty(flat.size)
+    rate = np.empty(flat.size)
     with np.errstate(all="ignore"):
         for rows, logw in _logw_blocks(s, flat):
             w = np.exp(logw)
             e, m = _exps(w)
-            if survival:
-                log_sf[rows] = _fill_underflow(_log1mexp_of(w, e, m), logw).sum(axis=-1)
-            if hazard:
-                rate[rows] = _phi_of(w, e, m).sum(axis=-1)
-    return log_sf, (rate / s.sigma if hazard else None)
+            log_sf[rows] = _fill_underflow(_log1mexp_of(w, e, m), logw).sum(axis=-1)
+            rate[rows] = _phi_of(w, e, m).sum(axis=-1)
+    return log_sf, rate / s.sigma
 
 
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def _grid_pass(s: SystemModel, points_bytes: bytes) -> tuple:
     """Both outputs of a series pass over the flat abscissae ``points_bytes``.
     The arrays are the memo's own; callers copy them."""
-    return _series_rows(s, np.frombuffer(points_bytes), True, True)
+    return _series_rows(s, np.frombuffer(points_bytes))
 
 
-def _series_pass(s: SystemModel, x, survival: bool = True, hazard: bool = True):
+def _series_pass(s: SystemModel, x):
     """Log survival and hazard of a series system from one blocked pass.
 
     For every component term ``log w``, ``w``, ``exp(-w)`` and ``-expm1(-w)``
     are computed once and feed both ``sum_i log(1 - exp(-w_i))`` and
-    ``(1/sigma) * sum_i phi(w_i)``.  An output not asked for comes back as
-    None; it is not computed unless the pass goes through the memo, which
-    stores both.
+    ``(1/sigma) * sum_i phi(w_i)``.
     """
     xv = _checked_x(x)
     if xv.flags.writeable or xv.size > _MEMO_POINTS:
-        log_sf, rate = _series_rows(s, xv.reshape(-1), survival, hazard)
+        log_sf, rate = _series_rows(s, xv.reshape(-1))
     else:
-        log_sf, rate = _grid_pass(s, xv.tobytes())
-        log_sf = log_sf.copy() if survival else None
-        rate = rate.copy() if hazard else None
-    return tuple(None if v is None else v.reshape(xv.shape)[()] for v in (log_sf, rate))
+        log_sf, rate = (v.copy() for v in _grid_pass(s, xv.tobytes()))
+    return log_sf.reshape(xv.shape)[()], rate.reshape(xv.shape)[()]
 
 
 def _series_log_pdf(log_sf, rate) -> np.ndarray:
@@ -253,7 +225,7 @@ def _series_log_pdf(log_sf, rate) -> np.ndarray:
 def system_log_cdf(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
         return gumbel.log_cdf(_as_gumbel(s), x)
-    log_sf = _series_pass(s, x, hazard=False)[0]
+    log_sf = _series_pass(s, x)[0]
     with np.errstate(divide="ignore", under="ignore"):
         out = _log1mexp(-log_sf)
     # the cdf is below the normal range, so the log survival has rounded to
@@ -270,7 +242,7 @@ def system_log_cdf(s: SystemModel, x) -> np.ndarray:
 def system_log_survival(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
         return gumbel.log_survival(_as_gumbel(s), x)
-    return _series_pass(s, x, hazard=False)[0]
+    return _series_pass(s, x)[0]
 
 
 def system_log_pdf(s: SystemModel, x) -> np.ndarray:
@@ -293,14 +265,14 @@ def system_cdf(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
         return gumbel.cdf(_as_gumbel(s), x)
     with np.errstate(under="ignore"):
-        return -np.expm1(_series_pass(s, x, hazard=False)[0])
+        return -np.expm1(_series_pass(s, x)[0])
 
 
 def system_survival(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
         return gumbel.survival(_as_gumbel(s), x)
     with np.errstate(under="ignore"):
-        return np.exp(_series_pass(s, x, hazard=False)[0])
+        return np.exp(_series_pass(s, x)[0])
 
 
 def system_pdf(s: SystemModel, x) -> np.ndarray:
@@ -311,7 +283,7 @@ def system_pdf(s: SystemModel, x) -> np.ndarray:
 def system_hazard(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
         return gumbel.hazard(_as_gumbel(s), x)
-    return _series_pass(s, x, survival=False)[1]
+    return _series_pass(s, x)[1]
 
 
 def system_reversed_hazard(s: SystemModel, x) -> np.ndarray:
@@ -429,19 +401,24 @@ def _quantile_pairs(a: SystemModel, b: SystemModel, lo_p: float, hi_p: float):
 
 
 def make_grid(a: SystemModel, b: SystemModel, count: int = 2049,
-              tail_cutoff: float = 1e-8) -> EvalGrid:
+              tail_cutoff: float = 1e-8) -> np.ndarray:
     """Uniform grid covering both systems up to the given tail mass.
 
     The window runs from the smaller of the two ``tail_cutoff`` quantiles to
     the larger of the two ``1 - tail_cutoff`` quantiles; beyond those points
-    the ordering functions are dominated by rounding.
+    the ordering functions are dominated by rounding.  The points come back
+    as a read-only float array, so that passes over them are memoised.  A
+    window that overflows or collapses at the ends of the double range
+    raises a :class:`GumbelSysError` and no RuntimeWarning.
     """
     if count < 33:
         raise UsageError(f"count must be >= 33, got {count}")
     if not (0.0 < tail_cutoff < 0.5):
         raise DomainError(f"tail_cutoff must lie in (0, 0.5), got {tail_cutoff}")
-    lo_p, hi_p = tail_cutoff, 1.0 - tail_cutoff
-    (lo_a, hi_a), (lo_b, hi_b) = _quantile_pairs(a, b, lo_p, hi_p)
-    lo, hi = min(lo_a, lo_b), max(hi_a, hi_b)
-    return EvalGrid(points=np.linspace(lo, hi, count), lo_prob=lo_p, hi_prob=hi_p,
-                    count=count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (lo_a, hi_a), (lo_b, hi_b) = _quantile_pairs(a, b, tail_cutoff, 1.0 - tail_cutoff)
+        points = np.linspace(min(lo_a, lo_b), max(hi_a, hi_b), count)
+    if not np.all(np.isfinite(points)) or not np.all(np.diff(points) > 0):
+        raise UsageError("grid points must be finite and strictly increasing")
+    points.flags.writeable = False
+    return points

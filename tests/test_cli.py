@@ -185,6 +185,18 @@ class TestScan:
         assert config["grid_points"] == 2049 and config["tail_cutoff"] == 1e-8
         assert implicit.read_bytes() == explicit.read_bytes()
 
+    def test_free_entropy_orders_use_the_point_counts(self, tmp_path):
+        # free mode used to run disp and lu on the default grids whatever
+        # --p-points and --t-points said
+        base = ["scan", "--mode", "free", "--entropy-orders", "--trials", "2", "--n", "3",
+                "--seed", "1", "--grid-points", "257"]
+        margins = []
+        for counts in ([], ["--t-points", "2", "--p-points", "33"]):
+            out = tmp_path / f"{len(counts)}.json"
+            main(base + counts + ["--out", str(out)])
+            margins.append(json.loads(out.read_text())["min_margins"])
+        assert margins[0] != margins[1]
+
     def test_bad_mode(self, capsys):
         assert main(["scan", "--mode", "bogus", "--trials", "1", "--n", "2"]) == 64
 
@@ -327,6 +339,25 @@ class TestUsage:
         assert main(argv) == 64
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: "), err
+
+    @pytest.mark.parametrize("flag,count", [("--t-points", -1), ("--t-points", 0),
+                                            ("--p-points", 32)])
+    @pytest.mark.parametrize("mode", ["parallel-lr", "parallel-rh", "series-hr",
+                                      "series-disp-lu", "free"])
+    def test_scan_point_counts_checked_in_every_mode(self, capsys, mode, flag, count):
+        # the counts used to be read only where a mode built its p or t grid,
+        # and an error there did not name the flag
+        argv = ["scan", "--mode", mode, "--trials", "1", "--n", "2", flag, str(count)]
+        assert main(argv) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and flag in err, err
+
+    def test_grid_overflow_is_one_error_line(self, tmp_path, capsys):
+        spec = (IDENTICAL.replace("mus = 0.5, -0.5", "mus = 1e308")
+                .replace("sigma = 1.0", "sigma = 1e307"))
+        assert main(["check", write(tmp_path, "s.ini", spec)]) == 64
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: grid points must be finite and strictly increasing\n")
 
     def test_simulate_rejects_spec_grid_below_33(self, tmp_path, capsys):
         # a spec value below 33 used to be raised to 33; it is rejected like an override

@@ -44,7 +44,7 @@ class TestLikelihoodRatio:
                 return np.log(F) + np.log(tot)
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            d = oracle_logpdf(a.mus, grid.points) - oracle_logpdf(b.mus, grid.points)
+            d = oracle_logpdf(a.mus, grid) - oracle_logpdf(b.mus, grid)
         steps = np.diff(d[np.isfinite(d)])
         assert steps.min() > -1e-9  # oracle sees a monotone ratio
 
@@ -119,7 +119,7 @@ class TestHazardRate:
     def test_crossing_matches_dense_oracle(self):
         a, b = series([4, 0, -1]), series([1, 1, 1])
         grid = sy.make_grid(a, b, 8193)
-        diff = sy.system_hazard(a, grid.points) - sy.system_hazard(b, grid.points)
+        diff = sy.system_hazard(a, grid) - sy.system_hazard(b, grid)
         assert diff.min() < -1e-3 and diff.max() > 1e-3  # genuine crossing
         v = od.check_hr(a, b, grid=sy.make_grid(a, b, 2049), direction=FS)
         assert v.outcome is Outcome.FAILS
@@ -157,7 +157,7 @@ class TestStochastic:
         a, b = series([2, 0]), series([1, 1])
         grid = sy.make_grid(a, b, 4097)
         # oracle: cdf dominance via scipy.stats survival products
-        xs = grid.points
+        xs = grid
         sf_a = (1 - np.exp(-np.exp(-(xs - 2)))) * (1 - np.exp(-np.exp(-xs)))
         sf_b = (1 - np.exp(-np.exp(-(xs - 1)))) ** 2
         assert np.all(sf_a <= sf_b + 1e-12)
@@ -312,6 +312,21 @@ class TestInvariance:
            st.floats(-3.0, 3.0), st.sampled_from([FG, FS]), st.randoms())
     @settings(max_examples=60, deadline=None)
     def test_swap_and_flip(self, topology, mus_a, mus_b, log_sigma, direction, rnd):
+        self._assert_swap_and_flip(topology, mus_a, mus_b, log_sigma, direction, rnd)
+
+    @pytest.mark.parametrize("n", [16, sy.MAX_COMPONENTS])
+    @pytest.mark.parametrize("topology", ["series", "parallel"])
+    @given(data=st.data(), log_sigma=st.floats(-3.0, 3.0), direction=st.sampled_from([FG, FS]),
+           rnd=st.randoms())
+    @settings(max_examples=5, deadline=None)
+    def test_swap_and_flip_up_to_max_components(self, n, topology, data, log_sigma,
+                                                direction, rnd):
+        mus_a = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        mus_b = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=n))
+        self._assert_swap_and_flip(topology, mus_a, mus_b, log_sigma, direction, rnd)
+
+    @staticmethod
+    def _assert_swap_and_flip(topology, mus_a, mus_b, log_sigma, direction, rnd):
         # a before b in one direction is b before a in the other: the same
         # statement, so the same outcome, margin and witness; the default
         # grids are symmetric in the pair
@@ -365,6 +380,18 @@ class TestAudit:
         assert rep.verdicts[(Relation.HR, FG)].holds
         assert rep.verdicts[(Relation.LU, FG)].outcome is Outcome.FAILS
         assert rep.consistent, rep.violations
+
+    def test_entropy_orders_use_the_given_grids(self):
+        a, b = series([0.0, 0.0]), series([1.0, 1.0])
+        ps, ts = od.make_p_grid(33), od.make_t_grid(a, b, 3, tail_prob=0.01)
+        rep = od.implication_audit(a, b, sy.make_grid(a, b, 129), ps, ts,
+                                   include_entropy_orders=True)
+        for direction in (FS, FG):
+            assert rep.verdicts[(Relation.DISP, direction)] == od.check_disp(a, b, ps, direction)
+            assert rep.verdicts[(Relation.LU, direction)] == \
+                od.check_lu(a, b, ts, direction=direction)
+            assert rep.verdicts[(Relation.LU, direction)] != \
+                od.check_lu(a, b, direction=direction)
 
     @pytest.mark.parametrize("run", [od.check_hr, od.check_lu, od.implication_audit],
                              ids=["hr", "lu", "audit"])

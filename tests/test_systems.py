@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
-from gumbelsys import DomainError, SystemModel, Topology, UsageError
+from gumbelsys import DomainError, GumbelSysError, SystemModel, Topology, UsageError
 from gumbelsys import gumbel as gu
 from gumbelsys import systems as sy
 from gumbelsys.majorization import random_majorization_pair
@@ -89,7 +89,7 @@ class TestSeries:
     def test_hazard_matches_log_survival_slope(self):
         s = series([1.0, -0.5, 0.3], 0.8)
         grid = sy.make_grid(s, s, 201)
-        xs = grid.points[40:-40]
+        xs = grid[40:-40]
         h = 1e-5
         slope = -(sy.system_log_survival(s, xs + h) - sy.system_log_survival(s, xs - h)) / (2 * h)
         np.testing.assert_allclose(sy.system_hazard(s, xs), slope, rtol=1e-6)
@@ -120,7 +120,7 @@ class TestDispatch:
                                    parallel([0.4, -1.2, 2.0], 0.6)])
     def test_five_functions_consistent(self, s):
         grid = sy.make_grid(s, s, 201)
-        xs = grid.points
+        xs = grid
         f = sy.system_pdf(s, xs)
         hz_sv = sy.system_hazard(s, xs) * sy.system_survival(s, xs)
         rh_cdf = sy.system_reversed_hazard(s, xs) * sy.system_cdf(s, xs)
@@ -297,8 +297,8 @@ class TestQuantiles:
 class TestGrid:
     def test_count_and_monotone(self):
         g = sy.make_grid(series([0.0, 1.0]), series([0.5, 0.5]), 33)
-        assert g.count == 33 and len(g.points) == 33
-        assert (np.diff(g.points) > 0).all()
+        assert g.size == 33 and len(g) == 33
+        assert (np.diff(g) > 0).all()
 
     def test_standard_window_endpoints(self):
         s = parallel([0.0])
@@ -306,25 +306,39 @@ class TestGrid:
         # closed-form component quantiles are the oracle for the window
         expect_lo = -math.log(-math.log(1e-8))
         expect_hi = -math.log(-math.log(1 - 1e-8))
-        assert g.points[0] == pytest.approx(expect_lo, abs=1e-9)
-        assert g.points[-1] == pytest.approx(expect_hi, abs=1e-9)
-        assert g.points[0] == pytest.approx(-2.9134739869277917, abs=1e-10)
-        assert g.points[-1] == pytest.approx(18.420680733927608, abs=1e-9)
+        assert g[0] == pytest.approx(expect_lo, abs=1e-9)
+        assert g[-1] == pytest.approx(expect_hi, abs=1e-9)
+        assert g[0] == pytest.approx(-2.9134739869277917, abs=1e-10)
+        assert g[-1] == pytest.approx(18.420680733927608, abs=1e-9)
 
     def test_identical_systems_symmetric_window(self):
         a = series([0.7, -0.7])
         g = sy.make_grid(a, a, 41)
-        assert g.points[0] == pytest.approx(sy.system_quantile(a, 1e-8), abs=1e-9)
-        assert g.points[-1] == pytest.approx(sy.system_quantile(a, 1 - 1e-8), abs=1e-9)
+        assert g[0] == pytest.approx(sy.system_quantile(a, 1e-8), abs=1e-9)
+        assert g[-1] == pytest.approx(sy.system_quantile(a, 1 - 1e-8), abs=1e-9)
 
     def test_too_few_points(self):
         with pytest.raises(UsageError):
             sy.make_grid(series([0.0]), series([0.0]), 32)
 
+    @pytest.mark.parametrize("s,error", [
+        (series([1e308, 0.0], 1e307), GumbelSysError),
+        (parallel([1e308], 1e307), GumbelSysError),
+        (series([-1e308], 1e307), GumbelSysError),
+        (series([1e17, 1e17], 1e-3), UsageError),
+    ], ids=["series-top", "parallel-top", "series-bottom", "collapsed"])
+    def test_window_beyond_doubles_is_an_error(self, s, error):
+        # at sigma = 1e307 the tail quantiles overflow; at 1e17 the window,
+        # about 21 sigma = 0.021 wide, is far below one ulp (16) there and
+        # collapses onto one double.  Either is a clean error: no
+        # RuntimeWarning escapes (pyproject makes them errors)
+        with pytest.raises(error):
+            sy.make_grid(s, s, 33)
+
     def test_grid_immutable(self):
         g = sy.make_grid(series([0.0]), series([0.0]), 33)
         with pytest.raises(ValueError):
-            g.points[0] = 0.0
+            g[0] = 0.0
 
 
 # -- reference compositions: the separate passes the fused kernel replaced ----
@@ -374,7 +388,7 @@ class TestFusedKernel:
     @pytest.mark.parametrize("n,sigma", [(1, 1.0), (2, 0.5), (5, 2.0), (64, 1.0)])
     def test_series_log_survival_and_hazard(self, n, sigma):
         s = _spread_system(Topology.SERIES, n, sigma)
-        xs = np.concatenate([sy.make_grid(s, s, 2049).points,
+        xs = np.concatenate([sy.make_grid(s, s, 2049),
                              sigma * np.linspace(-740.0, 900.0, 331)])
         log_sf, rate = _ref_series(s, xs)
         np.testing.assert_array_equal(sy.system_log_survival(s, xs), log_sf)
@@ -405,7 +419,7 @@ class TestFusedKernel:
     @pytest.mark.parametrize("topology", _TOPOLOGIES)
     def test_blocking_does_not_change_a_bit(self, topology, monkeypatch):
         s = _spread_system(topology, 64)
-        xs = sy.make_grid(s, s, 2049).points.copy()  # writeable: the memo does not answer
+        xs = sy.make_grid(s, s, 2049).copy()  # writeable: the memo does not answer
         blocked = {f: getattr(sy, f)(s, xs) for f in _FUNCS}
         monkeypatch.setattr(sy, "_BLOCK_TERMS", 10**9)
         for f in _FUNCS:
@@ -432,7 +446,7 @@ class TestFusedKernel:
         a, b = _spread_system(topology, 4, seed=1), _spread_system(topology, 4, seed=2)
         lo = min(sy.system_quantile(a, 1e-8), sy.system_quantile(b, 1e-8))
         hi = max(sy.system_quantile(a, 1 - 1e-8), sy.system_quantile(b, 1 - 1e-8))
-        np.testing.assert_array_equal(sy.make_grid(a, b).points, np.linspace(lo, hi, 2049))
+        np.testing.assert_array_equal(sy.make_grid(a, b), np.linspace(lo, hi, 2049))
 
     @pytest.mark.parametrize("topology", _TOPOLOGIES, ids=["series", "parallel"])
     def test_joint_log_pdf_and_survival(self, topology):
@@ -510,15 +524,15 @@ class TestGridMemo:
     def test_grid_points_match_writeable_copy(self, topology, n, sigma):
         s = _spread_system(topology, n, sigma)
         grid = sy.make_grid(s, _spread_system(topology, n, sigma, seed=4), 2049)
-        assert not grid.points.flags.writeable
+        assert not grid.flags.writeable
         for f in _FUNCS + _FUNCS:  # the second round is served by the memo
             fn = getattr(sy, f)
-            np.testing.assert_array_equal(fn(s, grid.points), fn(s, grid.points.copy()))
+            np.testing.assert_array_equal(fn(s, grid), fn(s, grid.copy()))
 
     @pytest.mark.parametrize("topology", [Topology.SERIES])  # the memo serves series only
     def test_one_pass_per_system_and_grid(self, topology):
         s = _spread_system(topology, 4)
-        xs = sy.make_grid(s, s, 1025).points
+        xs = sy.make_grid(s, s, 1025)
         sy._grid_pass.cache_clear()
         for f in _FUNCS:
             getattr(sy, f)(s, xs)
@@ -528,7 +542,7 @@ class TestGridMemo:
     @pytest.mark.parametrize("topology", _TOPOLOGIES)
     def test_results_are_the_callers_own(self, topology):
         s = _spread_system(topology, 5)
-        xs = sy.make_grid(s, s, 257).points
+        xs = sy.make_grid(s, s, 257)
         for f in _FUNCS:
             fn = getattr(sy, f)
             first = fn(s, xs)
@@ -540,10 +554,10 @@ class TestGridMemo:
         assert sy._MEMO_ENTRIES * 24 * sy._MEMO_POINTS <= 768 * 1024
         s = _spread_system(Topology.SERIES, 3)
         for k in range(40):
-            sy.system_log_pdf(s, sy.make_grid(s, s, 2049 + k).points)
+            sy.system_log_pdf(s, sy.make_grid(s, s, 2049 + k))
             assert 0 < sy._grid_pass.cache_info().currsize <= sy._MEMO_ENTRIES
         before = sy._grid_pass.cache_info()
-        big = sy.make_grid(s, s, sy._MEMO_POINTS + 1).points
+        big = sy.make_grid(s, s, sy._MEMO_POINTS + 1)
         np.testing.assert_array_equal(sy.system_log_pdf(s, big),
                                       sy.system_log_pdf(s, big.copy()))
         assert sy._grid_pass.cache_info() == before
@@ -563,7 +577,7 @@ class TestGridMemo:
     def test_threads_share_the_memo(self):
         systems = [_spread_system(t, n, seed=k) for t in _TOPOLOGIES
                    for n, k in ((2, 1), (6, 2), (16, 3))]
-        grids = [sy.make_grid(s, s, 2049 + 97 * k).points
+        grids = [sy.make_grid(s, s, 2049 + 97 * k)
                  for k, s in enumerate(systems[:4])]
         want = {(i, j, f): getattr(sy, f)(s, xs.copy())
                 for i, s in enumerate(systems) for j, xs in enumerate(grids) for f in _FUNCS}
