@@ -20,8 +20,8 @@ from .majorization import (Curvature, MajorizationCheck, PhiLemmaReport,
                            random_majorization_pair, schur_test)
 from .orders import (AuditReport, Direction, Outcome, OrderVerdict, Relation,
                      Witness, check, check_disp, check_hr, check_lr, check_lu,
-                     check_rh, check_st, implication_audit, is_dhr, is_irhr,
-                     make_p_grid, make_t_grid, parallel_rh_log_margin)
+                     check_rh, check_st, implication_audit, make_p_grid,
+                     make_t_grid, parallel_rh_log_margin)
 from .simulate import (DominanceScan, McEstimate, empirical_cdf_dominance,
                        empirical_quantile_spread, sample_system)
 from .systems import (SystemModel, Topology, make_grid, phi, system_cdf, system_hazard,
@@ -41,7 +41,7 @@ __all__ = [
     "random_majorization_pair", "schur_test",
     "AuditReport", "Direction", "Outcome", "OrderVerdict", "Relation",
     "Witness", "check", "check_disp", "check_hr", "check_lr", "check_lu",
-    "check_rh", "check_st", "implication_audit", "is_dhr", "is_irhr",
+    "check_rh", "check_st", "implication_audit",
     "make_p_grid", "make_t_grid", "parallel_rh_log_margin",
     "EntropyValue", "QuadratureSpec", "entropy_curve", "residual_entropy",
     "residual_entropy_forms", "shannon_entropy",

@@ -33,7 +33,15 @@ EXIT_FAILS = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 
-SCAN_MODES = ("parallel-lr", "parallel-rh", "series-hr", "series-disp-lu", "free")
+#: scan mode -> the (relation, direction) rows every trial must hold; free audits instead
+_SCAN_ROWS = {
+    "parallel-lr": ((Relation.LR, Direction.FIRST_GREATER),),
+    "parallel-rh": ((Relation.RH, Direction.FIRST_GREATER),),
+    "series-hr": ((Relation.HR, Direction.FIRST_SMALLER),),
+    "series-disp-lu": ((Relation.DISP, Direction.FIRST_SMALLER),
+                       (Relation.LU, Direction.FIRST_SMALLER)),
+}
+SCAN_MODES = (*_SCAN_ROWS, "free")
 
 
 # ---------------------------------------------------------------------------
@@ -292,36 +300,15 @@ def _cmd_scan(args) -> int:
     for k in range(args.trials):
         sigma = args.sigmas[k % len(args.sigmas)]
         a, b = _scan_trial(args.mode, k, args, sigma)
-        grid = make_grid(a, b, args.grid_points, args.tail_cutoff)
-        trial_verdicts: list[orders.OrderVerdict] = []
-        trial_ok = True
+        free = args.mode == "free"
+        rels = {rel for rel, _ in _SCAN_ROWS.get(args.mode, ())}
+        grid = (make_grid(a, b, args.grid_points, args.tail_cutoff)
+                if free or rels - {Relation.DISP, Relation.LU} else None)
+        t_grid = (orders.make_t_grid(a, b, args.t_points)
+                  if Relation.LU in rels or (free and args.entropy_orders) else None)
         extra: dict = {}
 
-        if args.mode == "parallel-lr":
-            v = orders.check_lr(a, b, grid, Direction.FIRST_GREATER)
-            trial_verdicts.append(v)
-            trial_ok = v.holds
-        elif args.mode == "parallel-rh":
-            v = orders.check_rh(a, b, grid, Direction.FIRST_GREATER)
-            trial_verdicts.append(v)
-            closed = orders.parallel_rh_log_margin(a, b)
-            agree = (closed >= 0.0) == v.holds
-            extra["closed_form_log_margin"] = closed
-            extra["closed_form_agrees"] = agree
-            trial_ok = v.holds and agree
-        elif args.mode == "series-hr":
-            v = orders.check_hr(a, b, grid, Direction.FIRST_SMALLER)
-            trial_verdicts.append(v)
-            trial_ok = v.holds
-        elif args.mode == "series-disp-lu":
-            vd = orders.check_disp(a, b, p_grid, Direction.FIRST_SMALLER)
-            vl = orders.check_lu(a, b, orders.make_t_grid(a, b, args.t_points), quad,
-                                 Direction.FIRST_SMALLER)
-            trial_verdicts.extend([vd, vl])
-            trial_ok = vd.holds and vl.holds
-        else:  # free: exploration plus internal consistency audit
-            t_grid = (orders.make_t_grid(a, b, args.t_points) if args.entropy_orders
-                      else None)
+        if free:  # exploration plus internal consistency audit
             audit = orders.implication_audit(a, b, grid, p_grid, t_grid,
                                              include_entropy_orders=args.entropy_orders,
                                              quad=quad)
@@ -333,6 +320,16 @@ def _cmd_scan(args) -> int:
             trial_ok = audit.consistent
             if not audit.consistent:
                 extra["audit_violations"] = list(audit.violations)
+        else:
+            trial_verdicts = [orders.check(rel, a, b, direction, grid, p_grid, t_grid, quad)
+                              for rel, direction in _SCAN_ROWS[args.mode]]
+            trial_ok = all(v.holds for v in trial_verdicts)
+            if args.mode == "parallel-rh":
+                closed = orders.parallel_rh_log_margin(a, b)
+                agree = (closed >= 0.0) == trial_ok
+                extra["closed_form_log_margin"] = closed
+                extra["closed_form_agrees"] = agree
+                trial_ok = trial_ok and agree
 
         for v in trial_verdicts:
             key = f"{v.relation.value}:{v.direction.value}"
@@ -447,7 +444,7 @@ def _cmd_simulate(args) -> int:
     tail_cutoff = _field(cp, sec, "tail_cutoff", 1e-8, override=args.tail_cutoff)
     alpha = _field(cp, sec, "alpha", 0.25)
     beta = _field(cp, sec, "beta", 0.75)
-    n_boot = _field(cp, sec, "bootstrap", 200, int)
+    n_boot = _field(cp, sec, "bootstrap", 200, int, low=2)
 
     grid = make_grid(a, b, grid_points, tail_cutoff)
     scan = empirical_cdf_dominance(a, b, seed, n, grid)

@@ -21,7 +21,9 @@ given order, e.g. hr: hazard of ``a`` dominates hazard of ``b`` pointwise;
 ``FIRST_GREATER`` verifies the mirror image, and is evaluated as
 ``FIRST_SMALLER`` on ``(b, a)``.  The lr check works on log
 densities, never on raw ratios, because tail underflow would fabricate
-non-monotonicity.
+non-monotonicity.  Every HOLDS and FAILS verdict comes from
+:func:`_dominance_verdict`; lr passes it the steps of the log-density
+difference.
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ __all__ = [
     "check_disp",
     "check_lu",
     "check",
-    "is_dhr",
-    "is_irhr",
     "parallel_rh_log_margin",
     "implication_audit",
 ]
@@ -140,19 +140,23 @@ def _validate_pair(a, b, direction: Direction = Direction.FIRST_SMALLER):
     return (b, a) if direction is Direction.FIRST_GREATER else (a, b)
 
 
-def _xs(a, b, grid) -> np.ndarray:
-    return make_grid(a, b, DEFAULT_X_POINTS) if grid is None else np.asarray(grid, dtype=float)
+def _points(grid, default) -> np.ndarray:
+    """``default()`` when ``grid`` is None, else ``grid`` as a nonempty float array."""
+    pts = default() if grid is None else np.asarray(grid, dtype=float)
+    if pts.size == 0:
+        raise UsageError("a grid needs at least one point")
+    return pts
 
 
 def _dominance_verdict(relation: Relation, direction: Direction, xs: np.ndarray,
                        lhs: np.ndarray, rhs: np.ndarray, tol) -> OrderVerdict:
-    """HOLDS iff lhs >= rhs - tol at every point; margin is min(lhs - rhs)."""
+    """HOLDS iff lhs >= rhs - tol everywhere; margin is min(lhs - rhs), 0.0 on no points."""
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
         raise NumericsError(f"{relation.value} check produced non-finite values")
     diff = lhs - rhs
-    margin = float(diff.min())
+    margin = float(diff.min()) if diff.size else 0.0
     bad = diff < -np.asarray(tol)
     if not bad.any():
         return OrderVerdict(relation, direction, Outcome.HOLDS, None, margin)
@@ -166,7 +170,7 @@ def check_lr(a, b, grid=None,
     """Likelihood ratio order: the log-density difference of the dominating
     law over the dominated one must be nondecreasing across the grid."""
     a, b = _validate_pair(a, b, direction)
-    xs = _xs(a, b, grid)
+    xs = _points(grid, lambda: make_grid(a, b, DEFAULT_X_POINTS))
     da, db = system_log_pdf(a, xs), system_log_pdf(b, xs)
     with np.errstate(invalid="ignore"):
         d = db - da
@@ -177,14 +181,8 @@ def check_lr(a, b, grid=None,
         return OrderVerdict(Relation.LR, direction, Outcome.INCONCLUSIVE, None, 0.0)
     dk = d[finite]
     xk = xs[finite]
-    steps = np.diff(dk)
-    margin = float(steps.min()) if steps.size else 0.0
-    bad = steps < -_LR_STEP_SLACK
-    if not bad.any():
-        return OrderVerdict(Relation.LR, direction, Outcome.HOLDS, None, margin)
-    k = int(np.argmax(bad))
-    wit = Witness(x=float(xk[k + 1]), lhs=float(dk[k + 1]), rhs=float(dk[k]))
-    return OrderVerdict(Relation.LR, direction, Outcome.FAILS, wit, margin)
+    return _dominance_verdict(Relation.LR, direction, xk[1:], dk[1:], dk[:-1],
+                              _LR_STEP_SLACK)
 
 
 def _rate_tol(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
@@ -198,7 +196,7 @@ def check_hr(a, b, grid=None,
              direction: Direction = Direction.FIRST_SMALLER) -> OrderVerdict:
     """Hazard rate order: the smaller lifetime carries the larger hazard."""
     a, b = _validate_pair(a, b, direction)
-    xs = _xs(a, b, grid)
+    xs = _points(grid, lambda: make_grid(a, b, DEFAULT_X_POINTS))
     ra, rb = system_hazard(a, xs), system_hazard(b, xs)
     return _dominance_verdict(Relation.HR, direction, xs, ra, rb, _rate_tol(ra, rb))
 
@@ -209,7 +207,7 @@ def check_rh(a, b, grid=None,
     reversed hazard.  For parallel systems both sides are closed-form sums,
     making this check near exact."""
     a, b = _validate_pair(a, b, direction)
-    xs = _xs(a, b, grid)
+    xs = _points(grid, lambda: make_grid(a, b, DEFAULT_X_POINTS))
     ra, rb = system_reversed_hazard(a, xs), system_reversed_hazard(b, xs)
     return _dominance_verdict(Relation.RH, direction, xs, rb, ra, _rate_tol(ra, rb))
 
@@ -218,34 +216,31 @@ def check_st(a, b, grid=None,
              direction: Direction = Direction.FIRST_SMALLER) -> OrderVerdict:
     """Usual stochastic order: the smaller lifetime has the pointwise larger cdf."""
     a, b = _validate_pair(a, b, direction)
-    xs = _xs(a, b, grid)
+    xs = _points(grid, lambda: make_grid(a, b, DEFAULT_X_POINTS))
     return _dominance_verdict(Relation.ST, direction, xs, system_cdf(a, xs),
                               system_cdf(b, xs), _ST_SLACK)
 
 
-def make_p_grid(count: int = DEFAULT_P_POINTS, edge: float = 1e-6) -> np.ndarray:
-    """Probability grid in (0, 1), geometrically refined toward both endpoints."""
+def make_p_grid(count: int = DEFAULT_P_POINTS) -> np.ndarray:
+    """Probability grid in [1e-6, 1 - 1e-6], geometrically refined toward both ends."""
     if count < 33:
         raise UsageError(f"count must be >= 33, got {count}")
-    if not (0.0 < edge < 0.5):
-        raise DomainError(f"edge must lie in (0, 0.5), got {edge}")
     half = count // 2
-    left = np.geomspace(edge, 0.5, half + 1)[:half + count % 2]
+    left = np.geomspace(1e-6, 0.5, half + 1)[:half + count % 2]
     return np.concatenate([left, 1.0 - left[:half][::-1]])
 
 
-def make_t_grid(a, b, count: int = DEFAULT_T_POINTS,
-                tail_prob: float = 0.001) -> np.ndarray:
+def make_t_grid(a, b, count: int = DEFAULT_T_POINTS) -> np.ndarray:
     """Conditioning times valid for both laws.
 
-    Runs from the earlier of the two lower-tail quantiles up to the earlier
-    of the two upper-tail quantiles: past the shorter-lived system's upper
+    Runs from the earlier of the two 0.001 quantiles up to the earlier of
+    the two 0.999 quantiles: past the shorter-lived system's upper
     quantile its residual entropy is no longer defined at quadrature
     precision, so the window must stop at the minimum.
     """
     if count < 1:
         raise UsageError(f"count must be >= 1, got {count}")
-    (lo_a, hi_a), (lo_b, hi_b) = _quantile_pairs(a, b, tail_prob, 1.0 - tail_prob)
+    (lo_a, hi_a), (lo_b, hi_b) = _quantile_pairs(a, b, 0.001, 0.999)
     return np.linspace(min(lo_a, lo_b), min(hi_a, hi_b), count)
 
 
@@ -260,7 +255,7 @@ def check_disp(a, b, p_grid=None,
     When the two criteria disagree the verdict is INCONCLUSIVE.
     """
     a, b = _validate_pair(a, b, direction)
-    ps = make_p_grid() if p_grid is None else np.asarray(p_grid, dtype=float)
+    ps = _points(p_grid, make_p_grid)
     if np.any(ps <= 0.0) or np.any(ps >= 1.0):
         raise DomainError("p grid must lie strictly inside (0, 1)")
     qa, qb = system_quantiles(a, ps), system_quantiles(b, ps)
@@ -284,7 +279,7 @@ def check_lu(a, b, t_grid=None, quad: QuadratureSpec = QuadratureSpec(),
     quadrature tolerance.  Non-converged quadrature makes the verdict
     INCONCLUSIVE rather than pretending precision."""
     a, b = _validate_pair(a, b, direction)
-    ts = make_t_grid(a, b) if t_grid is None else np.asarray(t_grid, dtype=float)
+    ts = _points(t_grid, lambda: make_t_grid(a, b))
     ha = residual_entropy(a, ts, quad)
     hb = residual_entropy(b, ts, quad)
     if not all(v.converged for v in ha + hb):
@@ -313,20 +308,6 @@ def check(relation: Relation, a, b, direction: Direction,
     if relation is Relation.LU:
         return check_lu(a, b, t_grid=t_grid, quad=quad, direction=direction)
     return _CHECKS[relation](a, b, grid=grid, direction=direction)
-
-
-def is_dhr(s, grid) -> bool:
-    """True when the hazard is nonincreasing in time across the grid."""
-    r = system_hazard(s, np.asarray(grid, dtype=float))
-    tol = _rate_tol(r[:-1], r[1:])
-    return bool((np.diff(r) <= tol).all())
-
-
-def is_irhr(s, grid) -> bool:
-    """True when the reversed hazard is nondecreasing in time across the grid."""
-    r = system_reversed_hazard(s, np.asarray(grid, dtype=float))
-    tol = _rate_tol(r[:-1], r[1:])
-    return bool((np.diff(r) >= -tol).all())
 
 
 def parallel_rh_log_margin(a: SystemModel, b: SystemModel) -> float:
@@ -366,22 +347,18 @@ class AuditReport:
 
 
 def implication_audit(a, b, grid=None, p_grid=None, t_grid=None,
-                      relations: tuple[Relation, ...] = (Relation.LR, Relation.HR,
-                                                         Relation.RH, Relation.ST),
                       include_entropy_orders: bool = False,
                       quad: QuadratureSpec = QuadratureSpec()) -> AuditReport:
-    """Run the requested checks in both directions and flag verdict
+    """Run lr, hr, rh and st in both directions and flag verdict
     combinations that contradict the implication chain.
 
     When ``include_entropy_orders`` is set, disp and lu are checked as well,
     on ``p_grid`` and ``t_grid``.
     """
     _validate_pair(a, b)
-    grid = _xs(a, b, grid)
+    grid = _points(grid, lambda: make_grid(a, b, DEFAULT_X_POINTS))
     verdicts: dict = {}
-    rels = tuple(relations)
-    if include_entropy_orders:
-        rels = rels + (Relation.DISP, Relation.LU)
+    rels = tuple(Relation) if include_entropy_orders else tuple(_CHECKS)  # lr, hr, rh, st
     for direction in (Direction.FIRST_SMALLER, Direction.FIRST_GREATER):
         for rel in rels:
             verdicts[(rel, direction)] = check(rel, a, b, direction, grid=grid,
@@ -390,10 +367,8 @@ def implication_audit(a, b, grid=None, p_grid=None, t_grid=None,
     violations: list[str] = []
     for direction in (Direction.FIRST_SMALLER, Direction.FIRST_GREATER):
         for up, down in _IMPLICATIONS:
-            vu = verdicts.get((up, direction))
-            vd = verdicts.get((down, direction))
-            if vu is None or vd is None:
-                continue
+            vu = verdicts[(up, direction)]
+            vd = verdicts[(down, direction)]
             if vu.outcome is Outcome.HOLDS and vd.outcome is Outcome.FAILS:
                 violations.append(
                     f"{up.value} holds but {down.value} fails "

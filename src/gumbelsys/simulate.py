@@ -107,6 +107,8 @@ def empirical_quantile_spread(a: SystemModel, b: SystemModel, seed: int, n: int,
     with a bootstrap standard error."""
     if not (0.0 < alpha < beta < 1.0):
         raise DomainError(f"need 0 < alpha < beta < 1, got {alpha}, {beta}")
+    if n_boot < 2:
+        raise DomainError(f"a standard error needs n_boot >= 2, got {n_boot}")
     xa = sample_system(a, seed, n, label="system_a")
     xb = sample_system(b, seed, n, label="system_b")
     value = _spread(xb, alpha, beta) - _spread(xa, alpha, beta)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +74,24 @@ relations = rh
 """
 
 
+LU_INCONCLUSIVE = """\
+[system_a]
+topology = series
+mus = 1.0, 0.0
+sigma = 1.0
+
+[system_b]
+topology = series
+mus = 0.5, 0.5
+sigma = 1.0
+
+[check]
+relations = lu
+t_points = 4
+quad_rel_tol = 1e-16
+"""
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -95,6 +114,11 @@ class TestCheck:
         code = main(["check", write(tmp_path, "c.ini", SERIES_HR)])
         assert code == 1
         assert "fails" in capsys.readouterr().out
+
+    def test_inconclusive_exit_two(self, tmp_path, capsys):
+        # no quadrature converges to a relative tolerance of 1e-16
+        assert main(["check", write(tmp_path, "c.ini", LU_INCONCLUSIVE)]) == 2
+        assert "inconclusive" in capsys.readouterr().out
 
     def test_sigma_mismatch_usage_error(self, tmp_path, capsys):
         code = main(["check", write(tmp_path, "c.ini", SIGMA_MISMATCH)])
@@ -202,6 +226,30 @@ class TestScan:
 
     def test_bad_trials(self):
         assert main(["scan", "--mode", "free", "--trials", "0", "--n", "2"]) == 64
+
+    def test_n_too_small(self, capsys):
+        assert main(["scan", "--mode", "series-hr", "--trials", "1", "--n", "1"]) == 64
+        assert "--n" in capsys.readouterr().err
+
+    def test_grids_built_only_where_read(self, monkeypatch, capsys):
+        # series-disp-lu used to build an x grid on every trial and never read it
+        import gumbelsys.cli
+        from gumbelsys import orders
+
+        calls = {"make_grid": 0, "make_t_grid": 0}
+        for module, name in ((gumbelsys.cli, "make_grid"), (orders, "make_t_grid")):
+            def counted(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(module, name, counted)
+        golden = Path(__file__).parent / "golden" / "scan_series-disp-lu.json"
+        assert main(["scan", "--mode", "series-disp-lu", "--trials", "4", "--n", "3",
+                     "--seed", "1", "--out", "-"]) == 1
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+        assert calls == {"make_grid": 0, "make_t_grid": 4}
+        assert main(["scan", "--mode", "free", "--trials", "2", "--n", "3",
+                     "--grid-points", "257"]) == 0
+        assert calls == {"make_grid": 2, "make_t_grid": 4}
 
 
 ENTROPY_SPEC = """\
@@ -316,8 +364,14 @@ class TestUsage:
         ("entropy", ENTROPY_SPEC + "max_subdivisions = 1.5\n", ["[entropy]", "max_subdivisions"]),
         ("check", IDENTICAL[:IDENTICAL.index("[check]")], ["[check]"]),
         ("check", IDENTICAL.replace("mus = 0.5, -0.5\n", "", 1), ["[system_a]", "mus"]),
+        ("check", IDENTICAL.replace("mus = 0.5, -0.5", "mus = 1.0, x", 1), ["[system_a]", "mus"]),
+        ("check", IDENTICAL.replace("sigma = 1.0", "sigma = 0.0", 1), ["[system_a]"]),
+        ("check", IDENTICAL.replace("lr, hr, rh, st", ","), ["[check]", "relations"]),
+        *[("simulate", SIMULATE_SPEC.replace("bootstrap = 100", f"bootstrap = {n}"),
+           ["[simulate]", "bootstrap"]) for n in (-3, 0, 1)],
     ], ids=["topology", "relation", "direction", "grid-not-int", "grid-below-33", "alpha",
-            "max-subdivisions", "no-check-section", "no-mus"])
+            "max-subdivisions", "no-check-section", "no-mus", "mus-not-numbers", "zero-sigma",
+            "no-relations", "bootstrap-negative", "bootstrap-0", "bootstrap-1"])
     def test_spec_error_names_its_field(self, tmp_path, capsys, command, spec, names):
         assert main([command, write(tmp_path, "s.ini", spec)]) == 64
         out, err = capsys.readouterr()

@@ -216,17 +216,12 @@ class TestMonotoneShape:
     def test_parallel_reversed_hazard_decays_in_time(self):
         s = parallel([0.5, -0.5])
         grid = sy.make_grid(s, s, 257)
-        assert not od.is_irhr(s, grid)
+        assert (np.diff(sy.system_reversed_hazard(s, grid)) < 0).all()
 
     def test_series_hazard_rises_in_time(self):
         s = series([0.0])
         grid = sy.make_grid(s, s, 257)
-        assert not od.is_dhr(s, grid)
-
-    def test_constant_hazard_boundary_case(self):
-        # far right the series hazard is flat at n/sigma within rounding,
-        # and a flat hazard counts as nonincreasing
-        assert od.is_dhr(series([0, 0]), np.linspace(25, 35, 200))
+        assert (np.diff(sy.system_hazard(s, grid)) >= 0).all()
 
 
 class TestDefaultGrid:
@@ -239,8 +234,9 @@ class TestDefaultGrid:
         for a, b in pairs:
             lo = min(sy.system_quantile(a, 1e-8), sy.system_quantile(b, 1e-8))
             hi = max(sy.system_quantile(a, 1.0 - 1e-8), sy.system_quantile(b, 1.0 - 1e-8))
-            np.testing.assert_array_equal(od._xs(a, b, None),
-                                          np.linspace(lo, hi, od.DEFAULT_X_POINTS))
+            window = np.linspace(lo, hi, od.DEFAULT_X_POINTS)
+            for check in (od.check_lr, od.check_hr, od.check_rh, od.check_st):
+                assert check(a, b) == check(a, b, window)
 
 
 class TestParallelClosedForm:
@@ -383,7 +379,7 @@ class TestAudit:
 
     def test_entropy_orders_use_the_given_grids(self):
         a, b = series([0.0, 0.0]), series([1.0, 1.0])
-        ps, ts = od.make_p_grid(33), od.make_t_grid(a, b, 3, tail_prob=0.01)
+        ps, ts = od.make_p_grid(33), np.array([0.0, 0.5, 1.0])
         rep = od.implication_audit(a, b, sy.make_grid(a, b, 129), ps, ts,
                                    include_entropy_orders=True)
         for direction in (FS, FG):
@@ -400,6 +396,14 @@ class TestAudit:
             run(series([0.0]), object())
         with pytest.raises(UsageError, match="SystemModel"):
             run(gumbel_r(0.0, 1.0), series([0.0]))
+
+    @pytest.mark.parametrize("run", [od.check_lr, od.check_hr, od.check_rh, od.check_st,
+                                     od.check_disp, od.check_lu, od.implication_audit],
+                             ids=["lr", "hr", "rh", "st", "disp", "lu", "audit"])
+    def test_empty_grid_rejected(self, run):
+        # numpy used to raise a bare ValueError here, and lr held on no points
+        with pytest.raises(UsageError, match="at least one point"):
+            run(series([1.0, 0.0]), series([0.5, 0.5]), np.array([]))
 
 
 class TestVerdictType:

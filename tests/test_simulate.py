@@ -120,6 +120,8 @@ class TestQuantileSpread:
         a = series([0.0])
         with pytest.raises(DomainError):
             sim.empirical_quantile_spread(a, a, 1, 100, 0.75, 0.25)
+        with pytest.raises(DomainError, match="n_boot"):
+            sim.empirical_quantile_spread(a, a, 1, 100, 0.25, 0.75, n_boot=1)
 
 
 class TestEstimateType:
