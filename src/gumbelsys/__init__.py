@@ -13,7 +13,6 @@ files.
 from .entropy import (EntropyValue, QuadratureSpec, entropy_curve,
                       residual_entropy, residual_entropy_forms, shannon_entropy)
 from .errors import DomainError, GumbelSysError, NumericsError, UsageError
-from .gumbel import GumbelParams
 from .majorization import (Curvature, MajorizationCheck, PhiLemmaReport,
                            check_lemma_phi, check_lemma_sum_convex,
                            majorization_report, majorizes,
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DomainError", "GumbelSysError", "NumericsError", "UsageError",
-    "GumbelParams",
     "SystemModel", "Topology", "make_grid", "phi",
     "system_cdf", "system_hazard", "system_pdf", "system_quantile",
     "system_quantiles", "system_reversed_hazard", "system_survival",

@@ -43,6 +43,24 @@ _SCAN_ROWS = {
 }
 SCAN_MODES = (*_SCAN_ROWS, "free")
 
+#: the relations that read the x grid; the others need none
+_ON_X_GRID = {Relation.LR, Relation.HR, Relation.RH, Relation.ST}
+
+#: the keys each command reads, by spec section
+_SYSTEM_KEYS = ("topology", "mus", "sigma")
+_SPEC_KEYS = {
+    "check": {"system_a": _SYSTEM_KEYS, "system_b": _SYSTEM_KEYS,
+              # seed is accepted and ignored: check draws nothing at random
+              "check": ("relations", "direction", "grid_points", "p_points", "t_points",
+                        "tail_cutoff", "quad_rel_tol", "seed")},
+    "entropy": {"system": _SYSTEM_KEYS,
+                "entropy": ("rel_tol", "abs_tol", "tail_cutoff", "max_subdivisions",
+                            "t_values", "t_points", "t_lo_prob", "t_hi_prob")},
+    "simulate": {"system_a": _SYSTEM_KEYS, "system_b": _SYSTEM_KEYS,
+                 "simulate": ("n_samples", "seed", "grid_points", "tail_cutoff", "alpha",
+                              "beta", "bootstrap")},
+}
+
 
 # ---------------------------------------------------------------------------
 # deterministic JSON with 17-significant-digit floats
@@ -92,7 +110,9 @@ def dumps(obj, indent: int = 0) -> str:
 # spec file parsing
 # ---------------------------------------------------------------------------
 
-def _read_spec(path: str) -> configparser.ConfigParser:
+def _read_spec(path: str, command: str) -> configparser.ConfigParser:
+    """The spec file at ``path`` (``-`` for stdin); a key that ``command``
+    never reads, in a section it reads, is an error."""
     if path == "-":
         text = sys.stdin.read()
         origin = "<stdin>"
@@ -108,6 +128,11 @@ def _read_spec(path: str) -> configparser.ConfigParser:
         cp.read_string(text, source=origin)
     except configparser.Error as exc:
         raise UsageError(f"malformed spec file: {exc}") from exc
+    for section, keys in _SPEC_KEYS[command].items():
+        if cp.has_section(section):
+            for key in cp.options(section):
+                if key not in keys and key not in cp.defaults():
+                    raise UsageError(f"unknown field [{section}] {key}")
     return cp
 
 
@@ -214,7 +239,7 @@ def _emit(doc: dict, table: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args) -> int:
-    cp = _read_spec(args.spec)
+    cp = _read_spec(args.spec, "check")
     a = _parse_system(cp, "system_a")
     b = _parse_system(cp, "system_b")
     sec = "check"
@@ -233,7 +258,7 @@ def _cmd_check(args) -> int:
     tail_cutoff = _field(cp, sec, "tail_cutoff", 1e-8, override=args.tail_cutoff)
     quad = QuadratureSpec(rel_tol=_field(cp, sec, "quad_rel_tol", 1e-10, override=args.tol))
 
-    grid = make_grid(a, b, grid_points, tail_cutoff)
+    grid = make_grid(a, b, grid_points, tail_cutoff) if _ON_X_GRID & set(relations) else None
     p_grid = orders.make_p_grid(p_points)
     t_grid = orders.make_t_grid(a, b, t_points) if Relation.LU in relations else None
     verdicts = [orders.check(rel, a, b, direction, grid=grid, p_grid=p_grid,
@@ -290,6 +315,8 @@ def _cmd_scan(args) -> int:
         raise UsageError(f"--p-points must be >= 33, got {args.p_points}")
     if args.t_points < 1:
         raise UsageError(f"--t-points must be >= 1, got {args.t_points}")
+    if args.entropy_orders and args.mode != "free":
+        raise UsageError(f"--entropy-orders needs --mode free, got --mode {args.mode}")
     quad = QuadratureSpec(rel_tol=args.tol)
     p_grid = orders.make_p_grid(args.p_points)
 
@@ -303,9 +330,9 @@ def _cmd_scan(args) -> int:
         free = args.mode == "free"
         rels = {rel for rel, _ in _SCAN_ROWS.get(args.mode, ())}
         grid = (make_grid(a, b, args.grid_points, args.tail_cutoff)
-                if free or rels - {Relation.DISP, Relation.LU} else None)
+                if free or _ON_X_GRID & rels else None)
         t_grid = (orders.make_t_grid(a, b, args.t_points)
-                  if Relation.LU in rels or (free and args.entropy_orders) else None)
+                  if Relation.LU in rels or args.entropy_orders else None)
         extra: dict = {}
 
         if free:  # exploration plus internal consistency audit
@@ -380,7 +407,7 @@ def _cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_entropy(args) -> int:
-    cp = _read_spec(args.spec)
+    cp = _read_spec(args.spec, "entropy")
     s = _parse_system(cp, "system")
     sec = "entropy"
     quad = QuadratureSpec(rel_tol=_field(cp, sec, "rel_tol", 1e-10, override=args.tol),
@@ -434,7 +461,7 @@ def _cmd_entropy(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    cp = _read_spec(args.spec)
+    cp = _read_spec(args.spec, "simulate")
     a = _parse_system(cp, "system_a")
     b = _parse_system(cp, "system_b")
     sec = "simulate"

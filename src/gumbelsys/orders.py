@@ -35,7 +35,7 @@ import numpy as np
 
 from .entropy import QuadratureSpec, residual_entropy
 from .errors import DomainError, NumericsError, UsageError
-from .systems import (SystemModel, _as_gumbel, _quantile_pairs, make_grid, system_cdf,
+from .systems import (SystemModel, _location, _quantile_pairs, make_grid, system_cdf,
                       system_hazard, system_log_pdf, system_pdf, system_quantiles,
                       system_reversed_hazard)
 
@@ -320,7 +320,7 @@ def parallel_rh_log_margin(a: SystemModel, b: SystemModel) -> float:
     x is exactly the sign of this quantity.
     """
     _validate_pair(a, b)
-    return (_as_gumbel(a).mu - _as_gumbel(b).mu) / a.sigma
+    return (_location(a) - _location(b)) / a.sigma
 
 
 # -- implication audit ---------------------------------------------------------

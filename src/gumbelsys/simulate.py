@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gumbel
 from .errors import DomainError
-from .rng import stream
+from .rng import open_uniform, stream
 from .systems import SystemModel, Topology, system_cdf
 
 __all__ = [
@@ -58,12 +57,14 @@ class DominanceScan:
 def sample_system(s: SystemModel, seed: int, n: int, *,
                   label: str = "system") -> np.ndarray:
     """Draw ``n`` system lifetimes: each component from its own labeled
-    substream by inverse transform, then min (series) or max (parallel)."""
+    substream by inverse transform, ``mu - sigma * log(-log(u))``, then min
+    (series) or max (parallel)."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     draws = np.empty((s.n, n))
-    for i, component in enumerate(s.components()):
-        draws[i] = gumbel.sample(component, stream(seed, label, "component", i), n)
+    for i, mu in enumerate(s.mus):
+        u = open_uniform(stream(seed, label, "component", i), n)
+        draws[i] = mu - s.sigma * np.log(-np.log(u))
     if s.topology is Topology.PARALLEL:
         return draws.max(axis=0)
     return draws.min(axis=0)

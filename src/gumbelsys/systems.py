@@ -13,8 +13,12 @@ component lives (lifetime = max), the series system needs all of them
 
 The parallel law is exactly Gumbel(L, sigma) with
 ``L = sigma * log(sum_i exp(mu_i/sigma))`` (the family is max-stable), so
-every parallel function is the one-component formula of :mod:`gumbel` at
-``(L, sigma)``: one term per point, whatever ``n``.
+every parallel function is a closed form at ``z = (x - L)/sigma`` and
+``w = exp(-z)``: one term per point, whatever ``n``.  In log space
+``log F = -w``, ``log f = -log(sigma) - z - w`` and
+``log(1 - F) = log(1 - exp(-w))``, which is ``-z`` once ``w`` is below the
+normal range; ``1 - F = -expm1(-w)`` and ``f/F = w/sigma`` exactly.  A
+Gumbel(mu, sigma) component on its own is the one-component system.
 
 A series function is a view of one kernel pass over
 ``log w_i = (mu_i - x)/sigma``, run in row blocks of about 16k component
@@ -51,10 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gumbel
 from .errors import DomainError, UsageError
-from .gumbel import (GumbelParams, _checked_x, _exps, _fill_underflow, _log1mexp,
-                     _log1mexp_of, _phi_of)
 
 __all__ = [
     "MAX_COMPONENTS",
@@ -137,8 +138,67 @@ class SystemModel:
     def n(self) -> int:
         return len(self.mus)
 
-    def components(self) -> tuple[GumbelParams, ...]:
-        return tuple(GumbelParams(m, self.sigma) for m in self.mus)
+
+# -- log-space primitives -------------------------------------------------------
+
+def _checked_x(x) -> np.ndarray:
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"abscissa must be finite, got {x!r}")
+    return arr
+
+
+# The formulas below take w >= 0 together with ``e = exp(-w)`` and
+# ``m = -expm1(-w) = 1 - exp(-w)``, so that a caller needing several of them
+# computes the two exponentials once.  Callers run them under
+# ``np.errstate(all="ignore")``: the branches not taken may overflow or divide
+# by zero, and ``np.where`` discards them.
+
+def _exps(w) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(-w)`` and ``-expm1(-w)``, the two exponentials of the formulas."""
+    neg = -w
+    return np.exp(neg), -np.expm1(neg)
+
+
+def _log1mexp_of(w, e, m) -> np.ndarray:
+    """log(1 - exp(-w)): ``log(m)`` up to w = ln 2, ``log1p(-e)`` beyond it
+    (the two-branch form of Maechler, 2012)."""
+    return np.where(w <= 0.6931471805599453, np.log(m), np.log1p(-e))
+
+
+def _phi_of(w, e, m) -> np.ndarray:
+    """phi(w) = w/(e^w - 1) as ``w*e/m``; the series ``1 - w/2 + w^2/12``
+    below w = 1e-5, where both factors vanish, and 0 at w = inf."""
+    out = w * e / m
+    small = w < 1e-5
+    if small.any():
+        out = np.where(small, 1.0 - w / 2.0 + w * w / 12.0, out)
+    return np.where(np.isposinf(w), 0.0, out)
+
+
+def _log1mexp(w) -> np.ndarray:
+    """log(1 - exp(-w)) for w > 0, stable across the whole range."""
+    w = np.asarray(w, dtype=float)
+    with np.errstate(all="ignore"):
+        return _log1mexp_of(w, *_exps(w))
+
+
+#: log of the smallest normal double; below it ``exp(log w)`` is subnormal
+#: or 0 and carries too few bits for ``log(1 - exp(-w))``
+_LOG_TINY = float(np.log(np.finfo(float).tiny))
+
+
+def _fill_underflow(out, logw) -> np.ndarray:
+    """Patch ``out = log(1 - exp(-exp(log w)))`` where ``exp(log w)`` is below
+    the normal range.
+
+    There ``out`` is ``-inf``, or the log of a subnormal that has lost
+    precision, while ``log(1 - exp(-w)) = log w`` to double precision, so
+    ``log w`` is put in its place; every other entry is left as it is.
+    """
+    if out.size and logw.min() < _LOG_TINY:
+        out = np.where(logw < _LOG_TINY, logw, out)
+    return out
 
 
 def phi(t) -> np.ndarray:
@@ -168,14 +228,25 @@ def _logw_blocks(s: SystemModel, flat: np.ndarray):
 
 # -- parallel systems -------------------------------------------------------
 
-def _as_gumbel(s: SystemModel) -> GumbelParams:
-    """The law of a parallel system: Gumbel(L, sigma) with
-    ``L = sigma * log(sum_i exp(mu_i/sigma))``, since
+def _location(s: SystemModel) -> float:
+    """``L = sigma * log(sum_i exp(mu_i/sigma))``, the location of the Gumbel
+    law of a parallel system, since
     ``prod_i F_i(x) = exp(-sum_i w_i) = exp(-exp(-(x - L)/sigma))``.  ``L`` is
     taken relative to the largest location, so one component gives its own."""
     top = s.mus[0]
     rest = math.fsum(math.exp((m - top) / s.sigma) for m in s.mus[1:])
-    return GumbelParams(top + s.sigma * math.log1p(rest), s.sigma)
+    loc = top + s.sigma * math.log1p(rest)
+    if not math.isfinite(loc):
+        raise DomainError(f"the parallel location overflows, mus {s.mus!r}")
+    return loc
+
+
+def _zw(s: SystemModel, x) -> tuple[np.ndarray, np.ndarray]:
+    """``z = (x - L)/sigma`` and ``w = exp(-z) = sum_i w_i`` of a parallel
+    system."""
+    z = (_checked_x(x) - _location(s)) / s.sigma
+    with np.errstate(over="ignore", under="ignore"):
+        return z, np.exp(-z)
 
 
 # -- series systems ----------------------------------------------------------
@@ -224,7 +295,7 @@ def _series_log_pdf(log_sf, rate) -> np.ndarray:
 
 def system_log_cdf(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
-        return gumbel.log_cdf(_as_gumbel(s), x)
+        return -_zw(s, x)[1]
     log_sf = _series_pass(s, x)[0]
     with np.errstate(divide="ignore", under="ignore"):
         out = _log1mexp(-log_sf)
@@ -241,13 +312,16 @@ def system_log_cdf(s: SystemModel, x) -> np.ndarray:
 
 def system_log_survival(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
-        return gumbel.log_survival(_as_gumbel(s), x)
+        z, w = _zw(s, x)
+        return _fill_underflow(_log1mexp(w), -z)
     return _series_pass(s, x)[0]
 
 
 def system_log_pdf(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
-        return gumbel.log_pdf(_as_gumbel(s), x)
+        z, w = _zw(s, x)
+        with np.errstate(over="ignore", under="ignore"):
+            return -np.log(s.sigma) - z - w
     return _series_log_pdf(*_series_pass(s, x))
 
 
@@ -255,23 +329,22 @@ def _log_pdf_and_survival(s: SystemModel, x) -> tuple[np.ndarray, np.ndarray]:
     """``(system_log_pdf, system_log_survival)``, from one kernel pass for a
     series system."""
     if s.topology is Topology.PARALLEL:
-        law = _as_gumbel(s)
-        return gumbel.log_pdf(law, x), gumbel.log_survival(law, x)
+        return system_log_pdf(s, x), system_log_survival(s, x)
     log_sf, rate = _series_pass(s, x)
     return _series_log_pdf(log_sf, rate), log_sf
 
 
 def system_cdf(s: SystemModel, x) -> np.ndarray:
-    if s.topology is Topology.PARALLEL:
-        return gumbel.cdf(_as_gumbel(s), x)
     with np.errstate(under="ignore"):
+        if s.topology is Topology.PARALLEL:
+            return np.exp(-_zw(s, x)[1])
         return -np.expm1(_series_pass(s, x)[0])
 
 
 def system_survival(s: SystemModel, x) -> np.ndarray:
-    if s.topology is Topology.PARALLEL:
-        return gumbel.survival(_as_gumbel(s), x)
     with np.errstate(under="ignore"):
+        if s.topology is Topology.PARALLEL:
+            return -np.expm1(-_zw(s, x)[1])
         return np.exp(_series_pass(s, x)[0])
 
 
@@ -282,13 +355,17 @@ def system_pdf(s: SystemModel, x) -> np.ndarray:
 
 def system_hazard(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
-        return gumbel.hazard(_as_gumbel(s), x)
+        w = _zw(s, x)[1]
+        with np.errstate(all="ignore"):
+            return _phi_of(w, *_exps(w)) / s.sigma
     return _series_pass(s, x)[1]
 
 
 def system_reversed_hazard(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
-        return gumbel.reversed_hazard(_as_gumbel(s), x)
+        w = _zw(s, x)[1]
+        with np.errstate(over="ignore"):
+            return w / s.sigma
     log_sf, rate = _series_pass(s, x)
     with np.errstate(all="ignore"):
         out = rate * np.exp(log_sf) / (-np.expm1(log_sf))
@@ -314,15 +391,16 @@ def _series_roots(s: SystemModel, target: np.ndarray, x: np.ndarray) -> np.ndarr
     done when its residual is within ``2**-52 * |target|``; when rounding has
     taken over, so that its log survival no longer rises or its step no
     longer moves x left; or when its step is not finite (the hazard
-    underflows far left).  Each step makes one kernel pass, over the targets
-    not yet done (see ``_TRIM_ROWS``); a done ``x`` is frozen, so leaving it
-    out of later passes changes no bit.
+    underflows far left).  A start beyond the double range stays as it is.
+    Each step makes one kernel pass, over the targets not yet done (see
+    ``_TRIM_ROWS``); a done ``x`` is frozen, so leaving it out of later
+    passes changes no bit.
     """
     tol = np.abs(target) * 2.0**-52
     # a relative pad covers the rounding of the kernel at the start
     x = x + 1e-9 * (s.sigma + np.abs(x))
     last = np.full(target.size, -np.inf)  # the log survival of the previous pass
-    todo = np.arange(target.size)  # the targets a pass runs over
+    todo = np.flatnonzero(np.isfinite(x))  # the targets a pass runs over
     for _ in range(100):  # a safety cap: pool solves take at most 10 passes
         xt = x[todo]
         log_sf, rate = _series_pass(s, xt)
@@ -345,21 +423,23 @@ def _series_roots(s: SystemModel, target: np.ndarray, x: np.ndarray) -> np.ndarr
     return x
 
 
-def _log_survival_roots(s: SystemModel, target: np.ndarray) -> np.ndarray:
-    """Where the system's log survival equals each ``target < 0``.
+def _log_survival_roots(s: SystemModel, target: np.ndarray, logw=None) -> np.ndarray:
+    """Where the system's log survival equals each target ``T < 0``.
 
-    A Gumbel(m, sigma) law, which a parallel or one-component system is,
-    reaches ``log Fbar = T`` at ``m - sigma * log(-log1mexp(-T))``, taken
-    without forming ``u = -expm1(T)``, which would lose the low bits of a
-    target near 0; where ``exp(T)`` is below the normal range that log is
-    ``T`` itself.  Other series systems start from that point at the smallest
-    location, right of the root since ``prod_i Fbar_i <= min_i Fbar_i``, and
-    run ``_series_roots``.
+    ``logw`` is ``log(-log(1 - exp(T)))``, by default taken as
+    ``log(-log1mexp(-T))``, without forming ``u = -expm1(T)``, which would
+    lose the low bits of a target near 0; where ``exp(T)`` is below the
+    normal range that log is ``T`` itself.  A Gumbel(m, sigma) law, which a
+    parallel or one-component system is, reaches ``T`` at
+    ``m - sigma * logw``.  Other series systems start from that point at the
+    smallest location, right of the root since ``prod_i Fbar_i <= min_i Fbar_i``
+    (rounding is monotone), and run ``_series_roots``.
     """
-    with np.errstate(divide="ignore"):
-        logw = _fill_underflow(np.log(-_log1mexp(-target)), target)
+    if logw is None:
+        with np.errstate(divide="ignore"):
+            logw = _fill_underflow(np.log(-_log1mexp(-target)), target)
     if s.topology is Topology.PARALLEL:
-        return _as_gumbel(s).mu - s.sigma * logw
+        return _location(s) - s.sigma * logw
     x = s.mus[-1] - s.sigma * logw
     return x if s.n == 1 else _series_roots(s, target, x)
 
@@ -367,22 +447,14 @@ def _log_survival_roots(s: SystemModel, target: np.ndarray) -> np.ndarray:
 def system_quantiles(s: SystemModel, probs) -> np.ndarray:
     """Quantiles of the system law at each probability, vectorized.
 
-    The parallel lifetime is itself Gumbel (see ``_as_gumbel``), so its
-    quantile is closed form, as is that of a one-component series system.
-    Other series quantiles come from ``_series_roots`` at ``log1p(-u)``.
+    The quantile of a parallel or one-component system is the closed form
+    ``m - sigma * log(-log(u))``; other series quantiles come from
+    ``_series_roots`` at ``log1p(-u)``.
     """
     u = np.atleast_1d(np.asarray(probs, dtype=float))
     if not np.all(np.isfinite(u)) or np.any(u <= 0.0) or np.any(u >= 1.0):
         raise DomainError(f"prob must lie strictly inside (0, 1), got {probs!r}")
-    if s.topology is Topology.PARALLEL:
-        x = gumbel.quantile(_as_gumbel(s), u)
-    elif s.n == 1:
-        x = gumbel.quantile(GumbelParams(s.mus[0], s.sigma), u)
-    else:
-        # prod_i Fbar_i <= min_i Fbar_i puts the root left of min_i Q_i(u),
-        # the quantile of the smallest location (rounding is monotone)
-        x = _series_roots(s, np.log1p(-u),
-                          gumbel.quantile(GumbelParams(s.mus[-1], s.sigma), u))
+    x = _log_survival_roots(s, np.log1p(-u), np.log(-np.log(u)))
     return x[0] if np.ndim(probs) == 0 else x
 
 

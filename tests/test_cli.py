@@ -161,6 +161,23 @@ class TestCheck:
         assert plain.read_bytes() == seeded.read_bytes()
         assert "seed" not in json.loads(plain.read_text())["config"]
 
+    @pytest.mark.parametrize("relations,builds", [("lu", 0), ("disp", 0), ("disp, lu", 0),
+                                                  ("hr", 1), ("st, lu", 1)])
+    def test_x_grid_built_only_where_read(self, tmp_path, monkeypatch, relations, builds):
+        # check used to build the x grid whatever relations it was asked for
+        import gumbelsys.cli
+
+        calls = []
+        real = gumbelsys.cli.make_grid
+        monkeypatch.setattr(gumbelsys.cli, "make_grid", lambda *a: calls.append(a) or real(*a))
+        spec = IDENTICAL.replace("lr, hr, rh, st", relations) + "t_points = 4\n"
+        assert main(["check", write(tmp_path, "c.ini", spec)]) == 0
+        assert len(calls) == builds
+
+    def test_default_section_keys_are_shared(self, tmp_path):
+        spec = "[DEFAULT]\nsigma = 1.0\n\n" + IDENTICAL.replace("sigma = 1.0\n", "")
+        assert main(["check", write(tmp_path, "c.ini", spec)]) == 0
+
     def test_stdin_input(self, tmp_path, capsys, monkeypatch):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO(RH_INSTANCE))
@@ -220,6 +237,15 @@ class TestScan:
             main(base + counts + ["--out", str(out)])
             margins.append(json.loads(out.read_text())["min_margins"])
         assert margins[0] != margins[1]
+
+    @pytest.mark.parametrize("mode", ["parallel-lr", "parallel-rh", "series-hr",
+                                      "series-disp-lu"])
+    def test_entropy_orders_only_in_free_mode(self, capsys, mode):
+        # --entropy-orders used to be accepted and ignored outside free mode
+        argv = ["scan", "--mode", mode, "--entropy-orders", "--trials", "1", "--n", "2"]
+        assert main(argv) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "--entropy-orders" in err, err
 
     def test_bad_mode(self, capsys):
         assert main(["scan", "--mode", "bogus", "--trials", "1", "--n", "2"]) == 64
@@ -369,9 +395,17 @@ class TestUsage:
         ("check", IDENTICAL.replace("lr, hr, rh, st", ","), ["[check]", "relations"]),
         *[("simulate", SIMULATE_SPEC.replace("bootstrap = 100", f"bootstrap = {n}"),
            ["[simulate]", "bootstrap"]) for n in (-3, 0, 1)],
+        # a key the command never reads used to be ignored
+        ("check", IDENTICAL + "gridpoints = 40\n", ["[check]", "gridpoints"]),
+        ("check", IDENTICAL.replace("sigma = 1.0", "sigma = 1.0\nscale = 2.0", 1),
+         ["[system_a]", "scale"]),
+        ("entropy", ENTROPY_SPEC + "tpoints = 3\n", ["[entropy]", "tpoints"]),
+        ("simulate", SIMULATE_SPEC + "samples = 10\n", ["[simulate]", "samples"]),
     ], ids=["topology", "relation", "direction", "grid-not-int", "grid-below-33", "alpha",
             "max-subdivisions", "no-check-section", "no-mus", "mus-not-numbers", "zero-sigma",
-            "no-relations", "bootstrap-negative", "bootstrap-0", "bootstrap-1"])
+            "no-relations", "bootstrap-negative", "bootstrap-0", "bootstrap-1",
+            "check-unknown-key", "system-unknown-key", "entropy-unknown-key",
+            "simulate-unknown-key"])
     def test_spec_error_names_its_field(self, tmp_path, capsys, command, spec, names):
         assert main([command, write(tmp_path, "s.ini", spec)]) == 64
         out, err = capsys.readouterr()

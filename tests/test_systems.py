@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
-from gumbelsys import DomainError, GumbelSysError, SystemModel, Topology, UsageError
-from gumbelsys import gumbel as gu
+from gumbelsys import DomainError, SystemModel, Topology, UsageError
 from gumbelsys import systems as sy
 from gumbelsys.majorization import random_majorization_pair
 from gumbelsys.orders import make_p_grid
@@ -58,8 +57,15 @@ class TestParallel:
     def test_reversed_hazard_is_component_sum(self):
         s = parallel([0.5, -1.0, 2.0], 0.7)
         xs = np.linspace(-4, 10, 61)
-        total = sum(gu.reversed_hazard(c, xs) for c in s.components())
+        total = sum(sy.system_reversed_hazard(parallel([m], s.sigma), xs) for m in s.mus)
         np.testing.assert_allclose(sy.system_reversed_hazard(s, xs), total, rtol=1e-12)
+
+    def test_location_beyond_doubles_is_an_error(self):
+        # L = 1.7e308 * (1 + log 2) overflows
+        s = parallel([1.7e308, 1.7e308], 1.7e308)
+        for f in ("system_cdf", "system_log_survival", "system_quantile"):
+            with pytest.raises(DomainError, match="location overflows"):
+                getattr(sy, f)(s, 0.5)
 
 
 class TestSeries:
@@ -83,7 +89,7 @@ class TestSeries:
     def test_hazard_is_component_sum(self):
         s = series([0.5, -1.0, 2.0], 0.7)
         xs = np.linspace(-4, 10, 61)
-        total = sum(gu.hazard(c, xs) for c in s.components())
+        total = sum(sy.system_hazard(parallel([m], s.sigma), xs) for m in s.mus)
         np.testing.assert_allclose(sy.system_hazard(s, xs), total, rtol=1e-12)
 
     def test_hazard_matches_log_survival_slope(self):
@@ -166,38 +172,37 @@ class TestFarRightTail:
         xs = np.linspace(-30.0, 490.0, 1041)
         logw = (np.asarray(s.mus) - xs[:, None]) / s.sigma
         if s.topology is Topology.PARALLEL:
-            loc = sy._as_gumbel(s).mu
-            old = gu._log1mexp(np.exp(-(xs - loc) / s.sigma))
+            loc = sy._location(s)
+            old = sy._log1mexp(np.exp(-(xs - loc) / s.sigma))
             # (L - x)/sigma is the log of sum_i w_i up to rounding
             near = np.linspace(-50.0, 50.0, 2001) * s.sigma
             log_sum = logsumexp((np.asarray(s.mus) - near[:, None]) / s.sigma, axis=-1)
             np.testing.assert_allclose((loc - near) / s.sigma, log_sum,
                                        rtol=4e-15, atol=4e-15)
         else:
-            old = gu._log1mexp(np.exp(logw)).sum(axis=-1)
+            old = sy._log1mexp(np.exp(logw)).sum(axis=-1)
         assert np.isfinite(old).all()
         np.testing.assert_array_equal(sy.system_log_survival(s, xs), old)
 
 
 class TestOneComponent:
-    """A one-component system of either topology is the Gumbel law itself."""
+    """A one-component system of either topology is the Gumbel law itself:
+    the series kernel at n = 1 matches the parallel closed form."""
 
     @given(st.floats(-1e3, 1e3), st.floats(-3.0, 3.0))
     @settings(max_examples=40, deadline=None)
     def test_series_parallel_and_gumbel_agree(self, mu, log_sigma):
         sigma = 10.0 ** log_sigma
-        law = gu.GumbelParams(mu, sigma)
         # left of -6 sigma the series log survival is subnormal or rounds to 0;
         # from 708 sigma on, w is subnormal and then 0, and so are the
         # survival, the density and the reversed hazard, which then hold a
         # few subnormal steps of absolute precision only
         xs = mu + sigma * np.linspace(-6.0, 800.0, 1613)
         for f in _FUNCS:
-            want = getattr(gu, f.removeprefix("system_"))(law, xs)
-            for s in (series([mu], sigma), parallel([mu], sigma)):
-                np.testing.assert_allclose(getattr(sy, f)(s, xs), want, rtol=1e-12,
-                                           atol=4 * np.finfo(float).smallest_subnormal,
-                                           err_msg=f"{f} {s.topology.value}")
+            want = getattr(sy, f)(parallel([mu], sigma), xs)
+            np.testing.assert_allclose(getattr(sy, f)(series([mu], sigma), xs), want,
+                                       rtol=1e-12, atol=4 * np.finfo(float).smallest_subnormal,
+                                       err_msg=f)
 
 
 class TestModel:
@@ -236,8 +241,9 @@ class TestModel:
     def test_validation(self):
         with pytest.raises(DomainError):
             SystemModel(Topology.SERIES, (), 1.0)
-        with pytest.raises(DomainError):
-            SystemModel(Topology.SERIES, (0.0,), -1.0)
+        for sigma in (0.0, -1.0, np.nan):
+            with pytest.raises(DomainError):
+                SystemModel(Topology.SERIES, (0.0,), sigma)
         with pytest.raises(DomainError):
             SystemModel(Topology.SERIES, (np.inf,), 1.0)
         with pytest.raises(DomainError):
@@ -321,18 +327,20 @@ class TestGrid:
         with pytest.raises(UsageError):
             sy.make_grid(series([0.0]), series([0.0]), 32)
 
-    @pytest.mark.parametrize("s,error", [
-        (series([1e308, 0.0], 1e307), GumbelSysError),
-        (parallel([1e308], 1e307), GumbelSysError),
-        (series([-1e308], 1e307), GumbelSysError),
-        (series([1e17, 1e17], 1e-3), UsageError),
-    ], ids=["series-top", "parallel-top", "series-bottom", "collapsed"])
-    def test_window_beyond_doubles_is_an_error(self, s, error):
-        # at sigma = 1e307 the tail quantiles overflow; at 1e17 the window,
-        # about 21 sigma = 0.021 wide, is far below one ulp (16) there and
-        # collapses onto one double.  Either is a clean error: no
-        # RuntimeWarning escapes (pyproject makes them errors)
-        with pytest.raises(error):
+    @pytest.mark.parametrize("s", [
+        series([1e308, 0.0], 1e307),
+        series([1e308, 5e307, 0.0], 1e307),
+        parallel([1e308], 1e307),
+        series([-1e308], 1e307),
+        series([1e17, 1e17], 1e-3),
+    ], ids=["series-top", "series-top-3", "parallel-top", "series-bottom", "collapsed"])
+    def test_window_beyond_doubles_is_an_error(self, s):
+        # at sigma = 1e307 the tail quantiles overflow (a series Newton start
+        # beyond the doubles stays inf); at 1e17 the window, about 21 sigma =
+        # 0.021 wide, is far below one ulp (16) there and collapses onto one
+        # double.  Either is the same clean error: no RuntimeWarning escapes
+        # (pyproject makes them errors)
+        with pytest.raises(UsageError, match="grid points must be finite and strictly increasing"):
             sy.make_grid(s, s, 33)
 
     def test_grid_immutable(self):
@@ -403,7 +411,7 @@ class TestFusedKernel:
         logw = (np.asarray(s.mus) - x) / s.sigma
         w = np.exp(logw)
         np.testing.assert_array_equal(sy.phi(w), _ref_phi(w))
-        np.testing.assert_array_equal(gu._log1mexp(w), _ref_log1mexp(w))
+        np.testing.assert_array_equal(sy._log1mexp(w), _ref_log1mexp(w))
 
     @pytest.mark.parametrize("topology", _TOPOLOGIES)
     def test_blocks_match_per_point_calls(self, topology, monkeypatch):
