@@ -465,7 +465,7 @@ def _cmd_simulate(args) -> int:
     a = _parse_system(cp, "system_a")
     b = _parse_system(cp, "system_b")
     sec = "simulate"
-    n = _field(cp, sec, "n_samples", 100_000, int)
+    n = _field(cp, sec, "n_samples", 100_000, int, low=1)
     seed = _field(cp, sec, "seed", 0, int)
     grid_points = _field(cp, sec, "grid_points", 129, int, args.grid_points, low=33)
     tail_cutoff = _field(cp, sec, "tail_cutoff", 1e-8, override=args.tail_cutoff)
@@ -476,6 +476,9 @@ def _cmd_simulate(args) -> int:
     grid = make_grid(a, b, grid_points, tail_cutoff)
     scan = empirical_cdf_dominance(a, b, seed, n, grid)
     spread = empirical_quantile_spread(a, b, seed, n, alpha, beta, n_boot)
+    qa, qb = (system_quantiles(s, np.array([alpha, beta])) for s in (a, b))
+    analytic = float((qb[1] - qb[0]) - (qa[1] - qa[0]))
+    contradicts = abs(spread.value - analytic) > scan.threshold_ses * spread.std_error
 
     code = EXIT_OK if not scan.contradictions else EXIT_FAILS
     doc = {
@@ -502,14 +505,16 @@ def _cmd_simulate(args) -> int:
         },
         "quantile_spread": {
             "value": spread.value, "std_error": spread.std_error,
-            "n_samples": spread.n_samples,
+            "n_samples": spread.n_samples, "analytic": analytic,
+            "contradicts": contradicts,
         },
         "exit_code": code,
     }
     table = (f"cdf dominance: {len(scan.contradictions)} contradictions beyond "
              f"{scan.threshold_ses:g} SEs on {grid.size} points\n"
              f"quantile spread diff ({alpha:g},{beta:g}): {spread.value:.6g} "
-             f"+- {spread.std_error:.3g}")
+             f"+- {spread.std_error:.3g} (analytic {analytic:.6g}"
+             f"{', contradicted' if contradicts else ''})")
     _emit(doc, table, args.out)
     return code
 

@@ -41,4 +41,7 @@ def open_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return (rng.integers(0, _U53, size=n).astype(np.float64) + 0.5) / _U53
+    u = rng.integers(0, _U53, size=n).astype(np.float64)
+    u += 0.5
+    u /= _U53
+    return u

@@ -9,6 +9,7 @@ around 6e-5, quiet enough that a dense grid stays silent under the null.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +62,38 @@ def sample_system(s: SystemModel, seed: int, n: int, *,
     (series) or max (parallel)."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    draws = np.empty((s.n, n))
+    fold = np.maximum if s.topology is Topology.PARALLEL else np.minimum
+    out = None
     for i, mu in enumerate(s.mus):
-        u = open_uniform(stream(seed, label, "component", i), n)
-        draws[i] = mu - s.sigma * np.log(-np.log(u))
-    if s.topology is Topology.PARALLEL:
-        return draws.max(axis=0)
-    return draws.min(axis=0)
+        x = open_uniform(stream(seed, label, "component", i), n)
+        np.log(x, out=x)
+        np.negative(x, out=x)
+        np.log(x, out=x)
+        x *= s.sigma
+        np.subtract(mu, x, out=x)
+        out = x if out is None else fold(out, x, out=out)
+    return out
+
+
+_SHARED: dict = {}  # (system, seed, n, label) -> sorted sample awaiting its second read
+
+
+def _sorted_sample(s: SystemModel, seed: int, n: int, label: str) -> np.ndarray:
+    """``sample_system`` sorted and read-only.  Both estimators of one
+    command read the same two samples, so the first read keeps a sample for
+    the second, which takes it out: each is drawn and sorted once per
+    command, a repeated command draws afresh, and at most the last two are
+    held."""
+    key = (s, seed, n, label)
+    x = _SHARED.pop(key, None)
+    if x is None:
+        x = sample_system(s, seed, n, label=label)
+        x.sort()
+        x.flags.writeable = False
+        if len(_SHARED) >= 2:
+            _SHARED.clear()
+        _SHARED[key] = x
+    return x
 
 
 def empirical_cdf_dominance(a: SystemModel, b: SystemModel, seed: int, n: int,
@@ -75,8 +101,8 @@ def empirical_cdf_dominance(a: SystemModel, b: SystemModel, seed: int, n: int,
     """Estimate F_a(x) - F_b(x) on the grid and flag every point whose
     empirical sign contradicts the analytic difference beyond 4 SEs."""
     xs = np.asarray(grid, dtype=float)
-    xa = np.sort(sample_system(a, seed, n, label="system_a"))
-    xb = np.sort(sample_system(b, seed, n, label="system_b"))
+    xa = _sorted_sample(a, seed, n, "system_a")
+    xb = _sorted_sample(b, seed, n, "system_b")
     pa = np.searchsorted(xa, xs, side="right") / n
     pb = np.searchsorted(xb, xs, side="right") / n
     d_emp = pa - pb
@@ -96,9 +122,48 @@ def empirical_cdf_dominance(a: SystemModel, b: SystemModel, seed: int, n: int,
     )
 
 
-def _spread(x: np.ndarray, alpha: float, beta: float) -> float:
-    lo, hi = np.quantile(x, [alpha, beta])
-    return float(hi - lo)
+def _spread_ranks(n: int, alpha: float, beta: float):
+    """The four 0-based ranks that numpy's ``linear`` quantiles of ``n``
+    points read for Q(alpha) and Q(beta), and their two lerp weights."""
+    ranks, weights = [], []
+    for p in (alpha, beta):
+        v = (n - 1) * p
+        k = math.floor(v)
+        ranks += [k, min(k + 1, n - 1)]
+        weights.append(v - k)
+    return ranks, weights
+
+
+def _lerp(lo, hi, t: float):
+    """numpy's ``linear`` quantile arithmetic between the order statistics
+    ``lo <= hi``: ``lo + d*t``, or ``hi - d*(1 - t)`` where ``t >= 0.5``."""
+    d = hi - lo
+    return hi - d * (1.0 - t) if t >= 0.5 else lo + d * t
+
+
+def _spread(o, weights):
+    """Q(beta) - Q(alpha) from the order statistics ``o`` at
+    :func:`_spread_ranks`, one row per rank."""
+    return _lerp(o[2], o[3], weights[1]) - _lerp(o[0], o[1], weights[0])
+
+
+def _bootstrap_order_stats(x: np.ndarray, ranks, g: np.random.Generator,
+                           n_boot: int) -> np.ndarray:
+    """The order statistics at ``ranks`` (rows) of ``n_boot`` bootstrap
+    resamples (columns) of the sorted sample ``x``, without resampling it.
+
+    The k-th smallest of n iid uniforms is S_k / S_{n+1}, S_j a sum of j
+    standard exponentials (Renyi's representation), so cumulative gamma
+    spacings between the distinct ranks give the resample's uniforms at
+    those ranks; ``floor(n*U)`` is monotone in U, so as an index into ``x``
+    it picks the resample's order statistic.
+    """
+    n = x.size
+    distinct, row = np.unique(ranks, return_inverse=True)
+    shapes = np.diff(distinct, prepend=-1, append=n)
+    s = np.cumsum(g.standard_gamma(shapes[:, None], (shapes.size, n_boot)), axis=0)
+    idx = np.minimum((n * (s[:-1] / s[-1])).astype(np.intp), n - 1)
+    return x[idx[row]]
 
 
 def empirical_quantile_spread(a: SystemModel, b: SystemModel, seed: int, n: int,
@@ -110,15 +175,14 @@ def empirical_quantile_spread(a: SystemModel, b: SystemModel, seed: int, n: int,
         raise DomainError(f"need 0 < alpha < beta < 1, got {alpha}, {beta}")
     if n_boot < 2:
         raise DomainError(f"a standard error needs n_boot >= 2, got {n_boot}")
-    xa = sample_system(a, seed, n, label="system_a")
-    xb = sample_system(b, seed, n, label="system_b")
-    value = _spread(xb, alpha, beta) - _spread(xa, alpha, beta)
+    xa = _sorted_sample(a, seed, n, "system_a")
+    xb = _sorted_sample(b, seed, n, "system_b")
+    ranks, weights = _spread_ranks(n, alpha, beta)
+    value = _spread(xb[ranks], weights) - _spread(xa[ranks], weights)
 
     g = stream(seed, "bootstrap")
-    reps = np.empty(n_boot)
-    for r in range(n_boot):
-        ia = g.integers(0, n, n)
-        ib = g.integers(0, n, n)
-        reps[r] = _spread(xb[ib], alpha, beta) - _spread(xa[ia], alpha, beta)
-    return McEstimate(value=value, std_error=float(reps.std(ddof=1)),
+    oa = _bootstrap_order_stats(xa, ranks, g, n_boot)
+    ob = _bootstrap_order_stats(xb, ranks, g, n_boot)
+    reps = _spread(ob, weights) - _spread(oa, weights)
+    return McEstimate(value=float(value), std_error=float(reps.std(ddof=1)),
                       n_samples=n, seed=seed)

@@ -338,7 +338,23 @@ class TestSimulate:
         assert o1.read_bytes() == o2.read_bytes()
         doc = json.loads(o1.read_text())
         assert doc["cdf_dominance"]["contradictions"] == []
-        assert doc["quantile_spread"]["std_error"] >= 0.0
+        spread = doc["quantile_spread"]
+        assert spread["std_error"] >= 0.0
+        # both parallel systems are Gumbel with scale 1, so their spreads agree
+        assert abs(spread["analytic"]) < 1e-12 and spread["contradicts"] is False
+
+    def test_spread_contradiction_is_reported_not_exited_on(self, tmp_path, capsys):
+        # one sample has spread 0 and a zero standard error, against a nonzero
+        # analytic difference
+        spec = (SIMULATE_SPEC.replace("topology = parallel", "topology = series")
+                .replace("mus = 1.0, 1.0", "mus = 1.0, 1.0, 1.0, 1.0")
+                .replace("n_samples = 20000", "n_samples = 1"))
+        code = main(["simulate", write(tmp_path, "s.ini", spec), "--out", "-"])
+        doc = json.loads(capsys.readouterr().out)
+        spread = doc["quantile_spread"]
+        assert spread["std_error"] == 0.0 and spread["analytic"] != 0.0
+        assert spread["contradicts"] is True
+        assert code == (1 if doc["cdf_dominance"]["contradictions"] else 0)
 
     def test_17_digit_serialization(self, tmp_path):
         spec = write(tmp_path, "s.ini", SIMULATE_SPEC)
@@ -395,6 +411,8 @@ class TestUsage:
         ("check", IDENTICAL.replace("lr, hr, rh, st", ","), ["[check]", "relations"]),
         *[("simulate", SIMULATE_SPEC.replace("bootstrap = 100", f"bootstrap = {n}"),
            ["[simulate]", "bootstrap"]) for n in (-3, 0, 1)],
+        *[("simulate", SIMULATE_SPEC.replace("n_samples = 20000", f"n_samples = {n}"),
+           ["[simulate]", "n_samples"]) for n in (-1, 0)],
         # a key the command never reads used to be ignored
         ("check", IDENTICAL + "gridpoints = 40\n", ["[check]", "gridpoints"]),
         ("check", IDENTICAL.replace("sigma = 1.0", "sigma = 1.0\nscale = 2.0", 1),
@@ -404,6 +422,7 @@ class TestUsage:
     ], ids=["topology", "relation", "direction", "grid-not-int", "grid-below-33", "alpha",
             "max-subdivisions", "no-check-section", "no-mus", "mus-not-numbers", "zero-sigma",
             "no-relations", "bootstrap-negative", "bootstrap-0", "bootstrap-1",
+            "n-samples-negative", "n-samples-0",
             "check-unknown-key", "system-unknown-key", "entropy-unknown-key",
             "simulate-unknown-key"])
     def test_spec_error_names_its_field(self, tmp_path, capsys, command, spec, names):

@@ -1,8 +1,10 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.stats import gumbel_r, kstest
+from scipy.stats import gumbel_r, ks_2samp, kstest
 
 from gumbelsys import DomainError
 from gumbelsys import simulate as sim
@@ -50,6 +52,19 @@ class TestSampling:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             sim.sample_system(series([0.0]), 1, 0)
+
+    @pytest.mark.parametrize("make", [series, parallel])
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    @pytest.mark.parametrize("seed", [5, 2024])
+    def test_bits_match_the_inverse_transform(self, make, n, seed):
+        s = make([0.3, -1.2, 2.0], 0.7)
+        draws = []
+        for i, mu in enumerate(s.mus):
+            g = stream(seed, "system", "component", i)
+            u = (g.integers(0, 1 << 53, size=n).astype(np.float64) + 0.5) / (1 << 53)
+            draws.append(mu - s.sigma * np.log(-np.log(u)))
+        want = (np.max if make is parallel else np.min)(draws, axis=0)
+        assert sim.sample_system(s, seed, n).tobytes() == want.tobytes()
 
 
 class TestCdfDominance:
@@ -116,12 +131,85 @@ class TestQuantileSpread:
         e2 = sim.empirical_quantile_spread(a, b, 23, 80_000, 0.25, 0.75, n_boot=600)
         assert 1.8 <= e1.std_error / e2.std_error <= 2.2
 
+    def test_value_bits_match_np_quantile(self):
+        a, b = series([1.5, -0.5]), parallel([0.5, 0.5])
+        for n in (1, 2, 3, 4, 7, 1000):
+            est = sim.empirical_quantile_spread(a, b, 8, n, 0.2, 0.9, n_boot=2)
+            xa = sim.sample_system(a, 8, n, label="system_a")
+            xb = sim.sample_system(b, 8, n, label="system_b")
+            want = (np.diff(np.quantile(xb, [0.2, 0.9]))[0]
+                    - np.diff(np.quantile(xa, [0.2, 0.9]))[0])
+            assert est.value == want, n
+
+    def test_spread_bits_match_np_quantile(self):
+        g = stream(61, "sizes")
+        for n in [*range(1, 11), *g.integers(11, 5001, 200)]:
+            x = np.sort(g.normal(size=n))
+            alpha, beta = np.sort(g.uniform(size=2))
+            ranks, weights = sim._spread_ranks(n, alpha, beta)
+            want = np.diff(np.quantile(x, [alpha, beta]))[0]
+            assert sim._spread(x[ranks], weights) == want, (n, alpha, beta)
+
+    def test_each_sample_drawn_once(self, monkeypatch):
+        calls = []
+        draw = sim.sample_system
+        monkeypatch.setattr(sim, "sample_system",
+                            lambda *args, **kw: calls.append(args) or draw(*args, **kw))
+        sim._SHARED.clear()
+        a, b = series([1.0, 0.0]), series([0.5, 0.5])
+        sim.empirical_cdf_dominance(a, b, 6, 1000, sy.make_grid(a, b, 33))
+        sim.empirical_quantile_spread(a, b, 6, 1000, 0.25, 0.75, n_boot=5)
+        assert len(calls) == 2
+        # the next command draws its own samples
+        sim.empirical_cdf_dominance(a, b, 6, 1000, sy.make_grid(a, b, 33))
+        assert len(calls) == 4
+
     def test_domain(self):
         a = series([0.0])
         with pytest.raises(DomainError):
             sim.empirical_quantile_spread(a, a, 1, 100, 0.75, 0.25)
         with pytest.raises(DomainError, match="n_boot"):
             sim.empirical_quantile_spread(a, a, 1, 100, 0.25, 0.75, n_boot=1)
+
+
+def _old_bootstrap(x, alpha, beta, g, n_boot):
+    """The replicate loop the order-statistic bootstrap replaced."""
+    reps = np.empty(n_boot)
+    for r in range(n_boot):
+        lo, hi = np.quantile(x[g.integers(0, x.size, x.size)], [alpha, beta])
+        reps[r] = hi - lo
+    return reps
+
+
+def _new_bootstrap(x, alpha, beta, g, n_boot):
+    ranks, weights = sim._spread_ranks(x.size, alpha, beta)
+    return sim._spread(sim._bootstrap_order_stats(np.sort(x), ranks, g, n_boot), weights)
+
+
+class TestBootstrapLaw:
+    """The replicates of one system's spread Q(beta) - Q(alpha) have the law
+    of the spread of a resample drawn with replacement."""
+
+    @pytest.mark.parametrize("alpha,beta", [(0.25, 0.75), (0.1, 0.6)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_atoms_match_enumerated_resamples(self, n, alpha, beta):
+        # n = 2 and 3 read overlapping ranks for both quantiles
+        x = np.array([0.0, 1.0, 3.5, 10.25])[:n]
+        exact = Counter(float(np.diff(np.quantile(x[list(idx)], [alpha, beta]))[0])
+                        for idx in itertools.product(range(n), repeat=n))
+        reps = 100_000
+        got = Counter(_new_bootstrap(x, alpha, beta, stream(n, "law"), reps).tolist())
+        assert set(got) <= set(exact)
+        for value, count in exact.items():
+            p = count / n**n
+            band = 5 * math.sqrt(p * (1 - p) / reps)
+            assert abs(got[value] / reps - p) <= band, (value, got[value] / reps, p)
+
+    def test_ks_against_the_replicate_loop(self):
+        x = sim.sample_system(series([1.0, 0.0, -0.5]), 17, 20_000)
+        old = _old_bootstrap(x, 0.25, 0.75, stream(17, "old"), 2000)
+        new = _new_bootstrap(x, 0.25, 0.75, stream(17, "new"), 2000)
+        assert ks_2samp(old, new).pvalue > 0.01
 
 
 class TestEstimateType:
