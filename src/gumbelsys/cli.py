@@ -12,8 +12,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
+import enum
 import math
 import sys
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -46,27 +50,13 @@ SCAN_MODES = (*_SCAN_ROWS, "free")
 #: the relations that read the x grid; the others need none
 _ON_X_GRID = {Relation.LR, Relation.HR, Relation.RH, Relation.ST}
 
-#: the keys each command reads, by spec section
-_SYSTEM_KEYS = ("topology", "mus", "sigma")
-_SPEC_KEYS = {
-    "check": {"system_a": _SYSTEM_KEYS, "system_b": _SYSTEM_KEYS,
-              # seed is accepted and ignored: check draws nothing at random
-              "check": ("relations", "direction", "grid_points", "p_points", "t_points",
-                        "tail_cutoff", "quad_rel_tol", "seed")},
-    "entropy": {"system": _SYSTEM_KEYS,
-                "entropy": ("rel_tol", "abs_tol", "tail_cutoff", "max_subdivisions",
-                            "t_values", "t_points", "t_lo_prob", "t_hi_prob")},
-    "simulate": {"system_a": _SYSTEM_KEYS, "system_b": _SYSTEM_KEYS,
-                 "simulate": ("n_samples", "seed", "grid_points", "tail_cutoff", "alpha",
-                              "beta", "bootstrap")},
-}
-
-
 # ---------------------------------------------------------------------------
 # deterministic JSON with 17-significant-digit floats
 # ---------------------------------------------------------------------------
 
 def _dump_scalar(x) -> str:
+    if isinstance(x, enum.Enum):
+        x = x.value
     if x is None:
         return "null"
     if isinstance(x, bool):
@@ -92,6 +82,8 @@ def _dump_scalar(x) -> str:
 def dumps(obj, indent: int = 0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if dataclasses.is_dataclass(obj):  # a SystemModel, by its fields
+        obj = dataclasses.asdict(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -110,30 +102,12 @@ def dumps(obj, indent: int = 0) -> str:
 # spec file parsing
 # ---------------------------------------------------------------------------
 
-def _read_spec(path: str, command: str) -> configparser.ConfigParser:
-    """The spec file at ``path`` (``-`` for stdin); a key that ``command``
-    never reads, in a section it reads, is an error."""
-    if path == "-":
-        text = sys.stdin.read()
-        origin = "<stdin>"
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read spec file {path!r}: {exc}") from exc
-        origin = path
-    cp = configparser.ConfigParser()
+def _number(kind, text: str, where: str):
     try:
-        cp.read_string(text, source=origin)
-    except configparser.Error as exc:
-        raise UsageError(f"malformed spec file: {exc}") from exc
-    for section, keys in _SPEC_KEYS[command].items():
-        if cp.has_section(section):
-            for key in cp.options(section):
-                if key not in keys and key not in cp.defaults():
-                    raise UsageError(f"unknown field [{section}] {key}")
-    return cp
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise UsageError(f"{where}: expected {what}, got {text!r}") from None
 
 
 def _floats(text: str, where: str) -> list[float]:
@@ -141,32 +115,6 @@ def _floats(text: str, where: str) -> list[float]:
         return [float(t) for t in text.replace(",", " ").split()]
     except ValueError as exc:
         raise UsageError(f"{where}: expected numbers, got {text!r}") from exc
-
-
-def _get(cp, section: str, key: str) -> str:
-    """The required spec field ``[section] key``."""
-    if not cp.has_option(section, key):
-        raise UsageError(f"missing field [{section}] {key}")
-    return cp.get(section, key)
-
-
-def _field(cp, section: str, key: str, default, parse=float, override=None,
-           low=-math.inf):
-    """``override`` when given, else the spec's ``[section] key`` read by
-    ``parse`` (``int`` or ``float``) and at least ``low``, else ``default``."""
-    if override is not None:
-        return override
-    raw = cp.get(section, key, fallback=None)
-    if raw is None:
-        return default
-    try:
-        value = parse(raw)
-    except ValueError:
-        what = "an integer" if parse is int else "a number"
-        raise UsageError(f"[{section}] {key}: expected {what}, got {raw!r}") from None
-    if value < low:
-        raise UsageError(f"[{section}] {key} must be >= {low}, got {value}")
-    return value
 
 
 def _choice(kind, text: str, where: str):
@@ -178,20 +126,138 @@ def _choice(kind, text: str, where: str):
         raise UsageError(f"{where} must be one of {names}, got {text!r}") from None
 
 
-def _parse_system(cp, section: str) -> SystemModel:
-    if not cp.has_section(section):
+def _relations(text: str, where: str) -> list[Relation]:
+    relations = [_choice(Relation, tok, where) for tok in text.replace(",", " ").split()]
+    if not relations:
+        raise UsageError(f"{where} must be nonempty")
+    return relations
+
+
+def _at_least(value, low, where: str) -> None:
+    if value < low:
+        raise UsageError(f"{where} must be >= {low}, got {value}")
+
+
+class _Field(NamedTuple):
+    """One spec key: ``parse(text, where)`` reads its text (``None``: the key
+    is accepted and ignored), ``default`` is its value when unset (``None``:
+    the key is required), ``low`` bounds it below and ``flag`` overrides it."""
+
+    parse: Callable | None
+    default: Any = None
+    low: int | None = None
+    flag: str | None = None
+
+
+_int, _float = partial(_number, int), partial(_number, float)
+
+
+def _tail(value: float, where: str) -> float:
+    """``value``, a tail probability of the x grid, if it lies in (0, 0.5)."""
+    if not 0.0 < value < 0.5:
+        raise UsageError(f"{where} must lie in (0, 0.5), got {value}")
+    return value
+
+
+def _cutoff(text: str, where: str) -> float:
+    return _tail(_float(text, where), where)
+
+
+#: the rows of a system section
+_SYSTEM = {"topology": _Field(partial(_choice, Topology)), "mus": _Field(_floats),
+           "sigma": _Field(_float)}
+
+#: spec command -> (its system sections, the rows of its own section in the
+#: order its report echoes them)
+_SPECS = {
+    "check": (("system_a", "system_b"), {
+        "relations": _Field(_relations),
+        "direction": _Field(partial(_choice, Direction), Direction.FIRST_SMALLER),
+        "grid_points": _Field(_int, orders.DEFAULT_X_POINTS, 33, "--grid-points"),
+        "p_points": _Field(_int, orders.DEFAULT_P_POINTS, 33),
+        "t_points": _Field(_int, orders.DEFAULT_T_POINTS, 1),
+        "tail_cutoff": _Field(_cutoff, 1e-8, flag="--tail-cutoff"),
+        "quad_rel_tol": _Field(_float, 1e-10, flag="--tol"),
+        "seed": _Field(None)}),  # check draws nothing at random
+    "entropy": (("system",), {
+        "t_values": _Field(_floats, ()),
+        "rel_tol": _Field(_float, 1e-10, flag="--tol"),
+        "abs_tol": _Field(_float, 1e-13),
+        "tail_cutoff": _Field(_float, 1e-12),
+        "max_subdivisions": _Field(_int, 2000),
+        # the t grid where t_values is empty; the report echoes its points
+        "t_points": _Field(_int, orders.DEFAULT_T_POINTS, 1),
+        "t_lo_prob": _Field(_float, 0.001),
+        "t_hi_prob": _Field(_float, 0.999)}),
+    "simulate": (("system_a", "system_b"), {
+        "n_samples": _Field(_int, 100_000, 1),
+        "seed": _Field(_int, 0),
+        "grid_points": _Field(_int, 129, 33, "--grid-points"),
+        "tail_cutoff": _Field(_cutoff, 1e-8, flag="--tail-cutoff"),
+        "alpha": _Field(_float, 0.25),
+        "beta": _Field(_float, 0.75),
+        "bootstrap": _Field(_int, 200, 2)}),
+}
+
+
+def _section(cp, section: str, fields: dict, args=None) -> dict:
+    """The values of ``[section]`` by its rows ``fields``, in row order.
+
+    Each value is the row's flag when ``args`` gives it, else the spec's,
+    else the row's default, and at least the row's ``low``; an error names
+    the flag or the spec field it came from.  A key that no row names, an
+    unset required row and a missing section with a required row are errors.
+    """
+    if cp.has_section(section):
+        for key in cp.options(section):
+            if key not in fields and key not in cp.defaults():
+                raise UsageError(f"unknown field [{section}] {key}")
+    elif any(f.parse and f.default is None for f in fields.values()):
         raise UsageError(f"missing section [{section}]")
-    topo = _choice(Topology, _get(cp, section, "topology"), f"[{section}] topology")
-    mus = _floats(_get(cp, section, "mus"), f"[{section}] mus")
-    sigma_text = _get(cp, section, "sigma")
+    values = {}
+    for key, f in fields.items():
+        if f.parse is None:
+            continue
+        given = getattr(args, key) if f.flag else None
+        where = f"[{section}] {key}" if given is None else f.flag
+        text = cp.get(section, key, fallback=None) if given is None else given
+        if text is not None:
+            values[key] = f.parse(text, where)
+        elif f.default is None:
+            raise UsageError(f"missing field {where}")
+        else:
+            values[key] = f.default
+        if f.low is not None:
+            _at_least(values[key], f.low, where)
+    return values
+
+
+def _read_spec(args) -> dict:
+    """The spec file ``args.spec`` (``-`` for stdin) of the command
+    ``args.cmd``: its systems, then the values of its own section."""
+    if args.spec == "-":
+        text, origin = sys.stdin.read(), "<stdin>"
+    else:
+        try:
+            with open(args.spec, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read spec file {args.spec!r}: {exc}") from exc
+        origin = args.spec
+    cp = configparser.ConfigParser()
     try:
-        return SystemModel(topo, tuple(mus), float(sigma_text))
-    except (GumbelSysError, ValueError) as exc:
-        raise UsageError(f"[{section}]: {exc}") from exc
-
-
-def _system_doc(s: SystemModel) -> dict:
-    return {"topology": s.topology.value, "mus": list(s.mus), "sigma": s.sigma}
+        cp.read_string(text, source=origin)
+    except configparser.Error as exc:
+        raise UsageError(f"malformed spec file: {exc}") from exc
+    sections, fields = _SPECS[args.cmd]
+    spec = {}
+    for section in sections:
+        system = _section(cp, section, _SYSTEM)
+        try:
+            spec[section] = SystemModel(**system)
+        except GumbelSysError as exc:
+            raise UsageError(f"[{section}]: {exc}") from exc
+    return {**spec, **_section(cp, args.cmd, fields, args)}
 
 
 def _verdict_doc(v: orders.OrderVerdict) -> dict:
@@ -239,46 +305,20 @@ def _emit(doc: dict, table: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_check(args) -> int:
-    cp = _read_spec(args.spec, "check")
-    a = _parse_system(cp, "system_a")
-    b = _parse_system(cp, "system_b")
-    sec = "check"
-    if not cp.has_section(sec):
-        raise UsageError(f"missing section [{sec}]")
-    relations = [_choice(Relation, tok, f"[{sec}] relations")
-                 for tok in _get(cp, sec, "relations").replace(",", " ").split()]
-    if not relations:
-        raise UsageError(f"[{sec}] relations must be nonempty")
-    direction = _choice(Direction, cp.get(sec, "direction", fallback="first_smaller"),
-                        f"[{sec}] direction")
-    grid_points = _field(cp, sec, "grid_points", orders.DEFAULT_X_POINTS, int,
-                         args.grid_points, low=33)
-    p_points = _field(cp, sec, "p_points", orders.DEFAULT_P_POINTS, int, low=33)
-    t_points = _field(cp, sec, "t_points", orders.DEFAULT_T_POINTS, int, low=1)
-    tail_cutoff = _field(cp, sec, "tail_cutoff", 1e-8, override=args.tail_cutoff)
-    quad = QuadratureSpec(rel_tol=_field(cp, sec, "quad_rel_tol", 1e-10, override=args.tol))
-
-    grid = make_grid(a, b, grid_points, tail_cutoff) if _ON_X_GRID & set(relations) else None
-    p_grid = orders.make_p_grid(p_points)
-    t_grid = orders.make_t_grid(a, b, t_points) if Relation.LU in relations else None
-    verdicts = [orders.check(rel, a, b, direction, grid=grid, p_grid=p_grid,
+    cfg = _read_spec(args)
+    a, b, relations = cfg["system_a"], cfg["system_b"], cfg["relations"]
+    quad = QuadratureSpec(rel_tol=cfg["quad_rel_tol"])
+    grid = (make_grid(a, b, cfg["grid_points"], cfg["tail_cutoff"])
+            if _ON_X_GRID & set(relations) else None)
+    p_grid = orders.make_p_grid(cfg["p_points"])
+    t_grid = orders.make_t_grid(a, b, cfg["t_points"]) if Relation.LU in relations else None
+    verdicts = [orders.check(rel, a, b, cfg["direction"], grid=grid, p_grid=p_grid,
                              t_grid=t_grid, quad=quad) for rel in relations]
 
     code = _exit_for([v.outcome for v in verdicts])
     doc = {
         "command": "check",
-        "config": {
-            "system_a": _system_doc(a),
-            "system_b": _system_doc(b),
-            "relations": [r.value for r in relations],
-            "direction": direction.value,
-            "grid_points": grid_points,
-            "p_points": p_points,
-            "t_points": t_points,
-            "tail_cutoff": tail_cutoff,
-            "quad_rel_tol": quad.rel_tol,
-            "quad_abs_tol": quad.abs_tol,
-        },
+        "config": {**cfg, "quad_abs_tol": quad.abs_tol},
         "verdicts": [_verdict_doc(v) for v in verdicts],
         "exit_code": code,
     }
@@ -311,10 +351,10 @@ def _cmd_scan(args) -> int:
         raise UsageError("--trials must be >= 1")
     if args.n < (2 if args.mode != "parallel-lr" else 1):
         raise UsageError("--n is too small for this mode")
-    if args.p_points < 33:
-        raise UsageError(f"--p-points must be >= 33, got {args.p_points}")
-    if args.t_points < 1:
-        raise UsageError(f"--t-points must be >= 1, got {args.t_points}")
+    _at_least(args.grid_points, 33, "--grid-points")
+    _at_least(args.p_points, 33, "--p-points")
+    _at_least(args.t_points, 1, "--t-points")
+    _tail(args.tail_cutoff, "--tail-cutoff")
     if args.entropy_orders and args.mode != "free":
         raise UsageError(f"--entropy-orders needs --mode free, got --mode {args.mode}")
     quad = QuadratureSpec(rel_tol=args.tol)
@@ -365,8 +405,8 @@ def _cmd_scan(args) -> int:
         if not trial_ok:
             failures.append({
                 "trial": k,
-                "system_a": _system_doc(a),
-                "system_b": _system_doc(b),
+                "system_a": a,
+                "system_b": b,
                 "verdicts": [_verdict_doc(v) for v in trial_verdicts],
                 **extra,
             })
@@ -407,21 +447,14 @@ def _cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_entropy(args) -> int:
-    cp = _read_spec(args.spec, "entropy")
-    s = _parse_system(cp, "system")
-    sec = "entropy"
-    quad = QuadratureSpec(rel_tol=_field(cp, sec, "rel_tol", 1e-10, override=args.tol),
-                          abs_tol=_field(cp, sec, "abs_tol", 1e-13),
-                          tail_mass_cutoff=_field(cp, sec, "tail_cutoff", 1e-12),
-                          max_subdivisions=_field(cp, sec, "max_subdivisions", 2000, int))
-
-    raw_ts = cp.get(sec, "t_values", fallback=None)
-    if raw_ts:
-        ts = _floats(raw_ts, f"[{sec}] t_values")
-    else:
-        count = _field(cp, sec, "t_points", orders.DEFAULT_T_POINTS, int, low=1)
-        probs = [_field(cp, sec, "t_lo_prob", 0.001), _field(cp, sec, "t_hi_prob", 0.999)]
-        ts = list(np.linspace(*system_quantiles(s, probs), count))
+    cfg = _read_spec(args)
+    s = cfg["system"]
+    quad = QuadratureSpec(rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"],
+                          tail_mass_cutoff=cfg["tail_cutoff"],
+                          max_subdivisions=cfg["max_subdivisions"])
+    count, probs = cfg.pop("t_points"), [cfg.pop("t_lo_prob"), cfg.pop("t_hi_prob")]
+    ts = cfg["t_values"] or list(np.linspace(*system_quantiles(s, probs), count))
+    cfg["t_values"] = list(map(float, ts))
 
     total = shannon_entropy(s, quad)
     curve = entropy_curve(s, ts, quad)
@@ -430,14 +463,7 @@ def _cmd_entropy(args) -> int:
     code = EXIT_OK if all_ok else EXIT_INCONCLUSIVE
     doc = {
         "command": "entropy",
-        "config": {
-            "system": _system_doc(s),
-            "t_values": list(map(float, ts)),
-            "rel_tol": quad.rel_tol,
-            "abs_tol": quad.abs_tol,
-            "tail_cutoff": quad.tail_mass_cutoff,
-            "max_subdivisions": quad.max_subdivisions,
-        },
+        "config": cfg,
         "shannon": {"value": total.value, "error_estimate": total.error_estimate,
                     "converged": total.converged},
         "residual": [
@@ -461,21 +487,12 @@ def _cmd_entropy(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    cp = _read_spec(args.spec, "simulate")
-    a = _parse_system(cp, "system_a")
-    b = _parse_system(cp, "system_b")
-    sec = "simulate"
-    n = _field(cp, sec, "n_samples", 100_000, int, low=1)
-    seed = _field(cp, sec, "seed", 0, int)
-    grid_points = _field(cp, sec, "grid_points", 129, int, args.grid_points, low=33)
-    tail_cutoff = _field(cp, sec, "tail_cutoff", 1e-8, override=args.tail_cutoff)
-    alpha = _field(cp, sec, "alpha", 0.25)
-    beta = _field(cp, sec, "beta", 0.75)
-    n_boot = _field(cp, sec, "bootstrap", 200, int, low=2)
-
-    grid = make_grid(a, b, grid_points, tail_cutoff)
+    cfg = _read_spec(args)
+    a, b, n, seed, alpha, beta = (cfg[k] for k in ("system_a", "system_b", "n_samples", "seed",
+                                                   "alpha", "beta"))
+    grid = make_grid(a, b, cfg["grid_points"], cfg["tail_cutoff"])
     scan = empirical_cdf_dominance(a, b, seed, n, grid)
-    spread = empirical_quantile_spread(a, b, seed, n, alpha, beta, n_boot)
+    spread = empirical_quantile_spread(a, b, seed, n, alpha, beta, cfg["bootstrap"])
     qa, qb = (system_quantiles(s, np.array([alpha, beta])) for s in (a, b))
     analytic = float((qb[1] - qb[0]) - (qa[1] - qa[0]))
     contradicts = abs(spread.value - analytic) > scan.threshold_ses * spread.std_error
@@ -483,18 +500,7 @@ def _cmd_simulate(args) -> int:
     code = EXIT_OK if not scan.contradictions else EXIT_FAILS
     doc = {
         "command": "simulate",
-        "config": {
-            "system_a": _system_doc(a),
-            "system_b": _system_doc(b),
-            "n_samples": n,
-            "seed": seed,
-            "grid_points": grid.size,
-            "tail_cutoff": tail_cutoff,
-            "alpha": alpha,
-            "beta": beta,
-            "bootstrap": n_boot,
-            "threshold_ses": scan.threshold_ses,
-        },
+        "config": {**cfg, "threshold_ses": scan.threshold_ses},
         "cdf_dominance": {
             "contradictions": list(scan.contradictions),
             "points": [
@@ -533,23 +539,21 @@ def _build_parser() -> _Parser:
                 description="Stochastic-order checks for series/parallel "
                             "Gumbel systems")
     sub = p.add_subparsers(dest="cmd", required=True)
+    tol_help = "quadrature relative tolerance override"
 
-    overrides = {"grid-points": {"type": int}, "tail-cutoff": {"type": float},
-                 "tol": {"type": float, "help": "quadrature relative tolerance override"}}
+    def spec_command(name, run, about):
+        """A command that reads a spec file, with its rows' override flags."""
+        sp = sub.add_parser(name, help=about)
+        sp.set_defaults(run=run)
+        sp.add_argument("spec", help="spec file path, or '-' for stdin")
+        for key, f in _SPECS[name][1].items():
+            if f.flag:
+                sp.add_argument(f.flag, dest=key, help=tol_help if f.flag == "--tol" else None)
 
-    def common(sp, *names):
-        """``--out`` plus the spec overrides that ``sp`` reads."""
-        sp.add_argument("--out", default=None,
-                        help="write the JSON report here ('-' for stdout)")
-        for name in names:
-            sp.add_argument(f"--{name}", default=None, **overrides[name])
-
-    sp = sub.add_parser("check", help="run order checks from a spec file")
-    sp.set_defaults(run=_cmd_check)
-    sp.add_argument("spec", help="spec file path, or '-' for stdin")
-    common(sp, "grid-points", "tail-cutoff", "tol")
+    spec_command("check", _cmd_check, "run order checks from a spec file")
 
     sp = sub.add_parser("scan", help="random property sweep")
+    sp.set_defaults(run=_cmd_scan)
     sp.add_argument("--mode", required=True, choices=SCAN_MODES)
     sp.add_argument("--trials", type=int, required=True)
     sp.add_argument("--n", type=int, required=True, help="components per system")
@@ -562,23 +566,19 @@ def _build_parser() -> _Parser:
                     help="upper bound of the componentwise location lift")
     sp.add_argument("--spread", type=float, default=1.0,
                     help="majorization transfer size scale")
+    sp.add_argument("--grid-points", type=int, default=orders.DEFAULT_X_POINTS)
     sp.add_argument("--p-points", type=int, default=orders.DEFAULT_P_POINTS)
     sp.add_argument("--t-points", type=int, default=orders.DEFAULT_T_POINTS)
+    sp.add_argument("--tail-cutoff", type=float, default=1e-8)
+    sp.add_argument("--tol", type=float, default=1e-10, help=tol_help)
     sp.add_argument("--entropy-orders", action="store_true",
                     help="include disp/lu in free-mode audits")
-    common(sp, "grid-points", "tail-cutoff", "tol")
-    sp.set_defaults(run=_cmd_scan, grid_points=orders.DEFAULT_X_POINTS, tail_cutoff=1e-8,
-                    tol=1e-10)
 
-    sp = sub.add_parser("entropy", help="entropy report from a spec file")
-    sp.set_defaults(run=_cmd_entropy)
-    sp.add_argument("spec")
-    common(sp, "tol")
-
-    sp = sub.add_parser("simulate", help="Monte Carlo cross-validation report")
-    sp.set_defaults(run=_cmd_simulate)
-    sp.add_argument("spec")
-    common(sp, "grid-points", "tail-cutoff")
+    spec_command("entropy", _cmd_entropy, "entropy report from a spec file")
+    spec_command("simulate", _cmd_simulate, "Monte Carlo cross-validation report")
+    for sp in sub.choices.values():
+        sp.add_argument("--out", default=None,
+                        help="write the JSON report here ('-' for stdout)")
     return p
 
 

@@ -187,6 +187,17 @@ def _log1mexp(w) -> np.ndarray:
 #: or 0 and carries too few bits for ``log(1 - exp(-w))``
 _LOG_TINY = float(np.log(np.finfo(float).tiny))
 
+#: the largest double
+_MAX = float(np.finfo(float).max)
+
+
+def _standardized(a, b, sigma: float):
+    """``(a - b)/sigma`` as ``(a/2 - b/2)/(sigma/2)``, whose difference cannot
+    overflow where ``a - b`` would.  Halving a normal double is exact, so the
+    two forms round alike wherever ``a``, ``b`` and ``sigma`` are normal.
+    The quotient overflows where it lies beyond the doubles."""
+    return (0.5 * a - 0.5 * b) / (0.5 * sigma)
+
 
 def _fill_underflow(out, logw) -> np.ndarray:
     """Patch ``out = log(1 - exp(-exp(log w)))`` where ``exp(log w)`` is below
@@ -223,7 +234,7 @@ def _logw_blocks(s: SystemModel, flat: np.ndarray):
     blocks = max(1, round(flat.size * s.n / _BLOCK_TERMS))
     step = max(1, -(-flat.size // blocks))
     for i in range(0, flat.size, step):
-        yield slice(i, i + step), (mus - flat[i:i + step, None]) / s.sigma
+        yield slice(i, i + step), _standardized(mus, flat[i:i + step, None], s.sigma)
 
 
 # -- parallel systems -------------------------------------------------------
@@ -233,8 +244,10 @@ def _location(s: SystemModel) -> float:
     law of a parallel system, since
     ``prod_i F_i(x) = exp(-sum_i w_i) = exp(-exp(-(x - L)/sigma))``.  ``L`` is
     taken relative to the largest location, so one component gives its own."""
-    top = s.mus[0]
-    rest = math.fsum(math.exp((m - top) / s.sigma) for m in s.mus[1:])
+    top, half = s.mus[0], 0.5 * s.sigma
+    # (m - top)/sigma halved as in _standardized, written out because it runs
+    # once per component on every parallel call
+    rest = math.fsum(math.exp((0.5 * m - 0.5 * top) / half) for m in s.mus[1:])
     loc = top + s.sigma * math.log1p(rest)
     if not math.isfinite(loc):
         raise DomainError(f"the parallel location overflows, mus {s.mus!r}")
@@ -243,9 +256,10 @@ def _location(s: SystemModel) -> float:
 
 def _zw(s: SystemModel, x) -> tuple[np.ndarray, np.ndarray]:
     """``z = (x - L)/sigma`` and ``w = exp(-z) = sum_i w_i`` of a parallel
-    system."""
-    z = (_checked_x(x) - _location(s)) / s.sigma
+    system; ``z`` is +-inf only where it lies beyond the doubles."""
+    x, loc = _checked_x(x), _location(s)
     with np.errstate(over="ignore", under="ignore"):
+        z = _standardized(x, loc, s.sigma)
         return z, np.exp(-z)
 
 
@@ -304,8 +318,9 @@ def system_log_cdf(s: SystemModel, x) -> np.ndarray:
     # a relative 1e-308
     deep = log_sf > -np.finfo(float).tiny
     if np.any(deep):
-        logw = (np.asarray(s.mus) - np.asarray(x, dtype=float)[..., None]) / s.sigma
         with np.errstate(over="ignore", under="ignore"):
+            logw = _standardized(np.asarray(s.mus), np.asarray(x, dtype=float)[..., None],
+                                 s.sigma)
             out = np.where(deep, np.logaddexp.reduce(-np.exp(logw), axis=-1), out)
     return out
 
@@ -320,8 +335,9 @@ def system_log_survival(s: SystemModel, x) -> np.ndarray:
 def system_log_pdf(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
         z, w = _zw(s, x)
-        with np.errstate(over="ignore", under="ignore"):
-            return -np.log(s.sigma) - z - w
+        # where w overflows, -z - w is inf - inf; the density vanishes there
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            return np.where(np.isposinf(w), -np.inf, -np.log(s.sigma) - z - w)[()]
     return _series_log_pdf(*_series_pass(s, x))
 
 
@@ -374,7 +390,7 @@ def system_reversed_hazard(s: SystemModel, x) -> np.ndarray:
         # component), which overflows to inf far enough left
         deep = log_sf == 0.0
         if np.any(deep):
-            w_min = np.exp((s.mus[-1] - np.asarray(x, dtype=float)) / s.sigma)
+            w_min = np.exp(_standardized(s.mus[-1], np.asarray(x, dtype=float), s.sigma))
             out = np.where(deep, w_min / s.sigma, out)
     return out
 
@@ -391,21 +407,23 @@ def _series_roots(s: SystemModel, target: np.ndarray, x: np.ndarray) -> np.ndarr
     done when its residual is within ``2**-52 * |target|``; when rounding has
     taken over, so that its log survival no longer rises or its step no
     longer moves x left; or when its step is not finite (the hazard
-    underflows far left).  A start beyond the double range stays as it is.
+    underflows far left).  A start right of the largest double starts at
+    it, and a root found beyond it is ``inf``; a start of ``-inf`` stays.
     Each step makes one kernel pass, over the targets not yet done (see
     ``_TRIM_ROWS``); a done ``x`` is frozen, so leaving it out of later
     passes changes no bit.
     """
     tol = np.abs(target) * 2.0**-52
     # a relative pad covers the rounding of the kernel at the start
-    x = x + 1e-9 * (s.sigma + np.abs(x))
+    with np.errstate(over="ignore"):
+        x = np.minimum(x + 1e-9 * np.minimum(s.sigma + np.abs(x), _MAX), _MAX)
     last = np.full(target.size, -np.inf)  # the log survival of the previous pass
     todo = np.flatnonzero(np.isfinite(x))  # the targets a pass runs over
     for _ in range(100):  # a safety cap: pool solves take at most 10 passes
         xt = x[todo]
         log_sf, rate = _series_pass(s, xt)
         gx = log_sf - target[todo]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             newton = xt + gx / rate
         # stalled: mu_i - x has stopped resolving the steps, so the log
         # survival no longer rises
@@ -420,7 +438,15 @@ def _series_roots(s: SystemModel, target: np.ndarray, x: np.ndarray) -> np.ndarr
         keep = -(-(done.size - np.count_nonzero(done)) // _TRIM_ROWS) * _TRIM_ROWS
         if keep < done.size:
             todo = todo[np.argsort(done, kind="stable")[:keep]]
-    return x
+    # the log survival at the largest double is still above the target
+    return np.where((x == _MAX) & (last - target > tol), np.inf, x)
+
+
+def _gumbel_roots(m: float, sigma: float, logw: np.ndarray) -> np.ndarray:
+    """``m - sigma * logw`` as ``2 * (m/2 - (sigma/2) * logw)``, finite wherever
+    the root is a double (see ``_standardized``)."""
+    with np.errstate(over="ignore", under="ignore"):
+        return 2.0 * (0.5 * m - 0.5 * sigma * logw)
 
 
 def _log_survival_roots(s: SystemModel, target: np.ndarray, logw=None) -> np.ndarray:
@@ -431,16 +457,17 @@ def _log_survival_roots(s: SystemModel, target: np.ndarray, logw=None) -> np.nda
     lose the low bits of a target near 0; where ``exp(T)`` is below the
     normal range that log is ``T`` itself.  A Gumbel(m, sigma) law, which a
     parallel or one-component system is, reaches ``T`` at
-    ``m - sigma * logw``.  Other series systems start from that point at the
-    smallest location, right of the root since ``prod_i Fbar_i <= min_i Fbar_i``
-    (rounding is monotone), and run ``_series_roots``.
+    ``m - sigma * logw`` (``_gumbel_roots``).  Other series systems start from
+    that point at the smallest location, right of the root since
+    ``prod_i Fbar_i <= min_i Fbar_i`` (rounding is monotone), and run
+    ``_series_roots``.
     """
     if logw is None:
         with np.errstate(divide="ignore"):
             logw = _fill_underflow(np.log(-_log1mexp(-target)), target)
     if s.topology is Topology.PARALLEL:
-        return _location(s) - s.sigma * logw
-    x = s.mus[-1] - s.sigma * logw
+        return _gumbel_roots(_location(s), s.sigma, logw)
+    x = _gumbel_roots(s.mus[-1], s.sigma, logw)
     return x if s.n == 1 else _series_roots(s, target, x)
 
 

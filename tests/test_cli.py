@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from gumbelsys import cli
 from gumbelsys.cli import main
 
 EULER_GAMMA = 0.5772156649015328
@@ -448,16 +449,45 @@ class TestUsage:
         assert out == "" and err.startswith("error: "), err
 
     @pytest.mark.parametrize("flag,count", [("--t-points", -1), ("--t-points", 0),
-                                            ("--p-points", 32)])
+                                            ("--p-points", 32), ("--grid-points", 32),
+                                            ("--tail-cutoff", 5)])
     @pytest.mark.parametrize("mode", ["parallel-lr", "parallel-rh", "series-hr",
                                       "series-disp-lu", "free"])
     def test_scan_point_counts_checked_in_every_mode(self, capsys, mode, flag, count):
-        # the counts used to be read only where a mode built its p or t grid,
-        # and an error there did not name the flag
+        # the counts (and the tail cutoff) used to be read only where a mode
+        # built its grids, and an error there did not name the flag
         argv = ["scan", "--mode", mode, "--trials", "1", "--n", "2", flag, str(count)]
         assert main(argv) == 64
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and flag in err, err
+
+    @pytest.mark.parametrize("command,relations", [("check", "lu"), ("check", "hr"),
+                                                   ("simulate", None)])
+    def test_override_below_bound_names_the_flag(self, tmp_path, capsys, command, relations):
+        # an override used to skip the bound: check with lu accepted
+        # --grid-points 7 and echoed it, and make_grid's error named no flag
+        spec = (IDENTICAL.replace("lr, hr, rh, st", relations) if command == "check"
+                else SIMULATE_SPEC)
+        assert main([command, write(tmp_path, "s.ini", spec), "--grid-points", "7"]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "--grid-points" in err, err
+
+    @pytest.mark.parametrize("command,cutoff", [("check", "5"), ("check", "0"),
+                                                ("simulate", "0.5")])
+    def test_tail_cutoff_outside_its_range_names_its_source(self, tmp_path, capsys, command,
+                                                            cutoff):
+        # check with lu builds no x grid, and used to accept --tail-cutoff 5
+        # and echo it
+        spec = (IDENTICAL.replace("lr, hr, rh, st", "lu") if command == "check"
+                else SIMULATE_SPEC)
+        path = write(tmp_path, "s.ini", spec)
+        assert main([command, path, "--tail-cutoff", cutoff]) == 64
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: --tail-cutoff must lie in (0, 0.5), got {float(cutoff)}\n")
+        path = write(tmp_path, "s.ini", spec.replace(f"[{command}]",
+                                                     f"[{command}]\ntail_cutoff = {cutoff}"))
+        assert main([command, path]) == 64
+        assert f"[{command}] tail_cutoff must lie in (0, 0.5)" in capsys.readouterr().err
 
     def test_grid_overflow_is_one_error_line(self, tmp_path, capsys):
         spec = (IDENTICAL.replace("mus = 0.5, -0.5", "mus = 1e308")
@@ -472,3 +502,23 @@ class TestUsage:
         assert main(["simulate", write(tmp_path, "s.ini", spec)]) == 64
         out, err = capsys.readouterr()
         assert out == "" and "[simulate] grid_points" in err
+
+
+def test_spec_tables_agree_with_parser_and_reports(capsys):
+    """Each spec default meets its bound, each override flag is an option of
+    its command, and check and simulate echo their rows in table order."""
+    parser = cli._build_parser()
+    for command, (_, fields) in cli._SPECS.items():
+        for key, f in {**cli._SYSTEM, **fields}.items():
+            if f.low is not None:
+                assert f.default >= f.low, (command, key)
+            if f.parse and isinstance(f.default, (int, float)):  # the parser's own checks
+                assert f.parse(repr(f.default), key) == f.default, (command, key)
+            if f.flag:
+                assert getattr(parser.parse_args([command, "s.ini", f.flag, "1"]), key) == "1"
+    golden = Path(__file__).parent / "golden"
+    for command, ini in (("check", "check_series.ini"), ("simulate", "simulate.ini")):
+        main([command, str(golden / ini), "--out", "-"])
+        config = json.loads(capsys.readouterr().out)["config"]
+        rows = cli._SPECS[command][1]
+        assert [k for k in config if k in rows] == [k for k, f in rows.items() if f.parse]

@@ -67,6 +67,13 @@ class TestParallel:
             with pytest.raises(DomainError, match="location overflows"):
                 getattr(sy, f)(s, 0.5)
 
+    def test_location_where_the_difference_overflows(self):
+        # mu_2 - mu_1 = -2.5e308 overflows while (mu_2 - mu_1)/sigma = -25
+        # does not; L = 1e308 + 1e307 * log1p(exp(-25)) used to read 1e308,
+        # 1.4e-12 low (reference from mpmath at 40 digits)
+        s = parallel([1e308, -1.5e308], 1e307)
+        assert sy._location(s) == pytest.approx(1.0000000000013888054e308, rel=1e-15)
+
 
 class TestSeries:
     def test_survival_single(self):
@@ -328,20 +335,32 @@ class TestGrid:
             sy.make_grid(series([0.0]), series([0.0]), 32)
 
     @pytest.mark.parametrize("s", [
-        series([1e308, 0.0], 1e307),
-        series([1e308, 5e307, 0.0], 1e307),
+        series([1e308, 1e308], 1e307),
         parallel([1e308], 1e307),
         series([-1e308], 1e307),
         series([1e17, 1e17], 1e-3),
-    ], ids=["series-top", "series-top-3", "parallel-top", "series-bottom", "collapsed"])
+    ], ids=["series-beyond", "parallel-top", "series-bottom", "collapsed"])
     def test_window_beyond_doubles_is_an_error(self, s):
-        # at sigma = 1e307 the tail quantiles overflow (a series Newton start
-        # beyond the doubles stays inf); at 1e17 the window, about 21 sigma =
-        # 0.021 wide, is far below one ulp (16) there and collapses onto one
-        # double.  Either is the same clean error: no RuntimeWarning escapes
-        # (pyproject makes them errors)
+        # at sigma = 1e307 the top quantile lies beyond the doubles (1.921e308
+        # for the series pair), or the window is wider than the largest
+        # double; at 1e17 the window, about 21 sigma = 0.021 wide, is far
+        # below one ulp (16) there and collapses onto one double.  Each is the
+        # same clean error: no RuntimeWarning escapes (pyproject makes them
+        # errors)
         with pytest.raises(UsageError, match="grid points must be finite and strictly increasing"):
             sy.make_grid(s, s, 33)
+
+    @pytest.mark.parametrize("mus,top", [((1e308, 0.0), 1.4206620667486286e308),
+                                         ((1e308, 5e307, 0.0), 1.1085118648546258e308)],
+                             ids=["series-top", "series-top-3"])
+    def test_window_at_the_top_of_the_doubles(self, mus, top):
+        # the Newton start, the quantile of the smallest location alone, lies
+        # beyond the doubles, and the window used to be an error; the top is
+        # a bisection on the survival product in mpmath at 200 bits
+        s = series(mus, 1e307)
+        g = sy.make_grid(s, s, 33)
+        assert g[0] == sy.system_quantile(s, 1e-8) == -2.913473986927792e307
+        assert g[-1] == pytest.approx(top, rel=1e-15)
 
     def test_grid_immutable(self):
         g = sy.make_grid(series([0.0]), series([0.0]), 33)
@@ -480,6 +499,64 @@ class TestTailSweep:
                 vals = getattr(sy, f)(s, xs)
                 assert not np.isnan(vals).any(), f
                 assert not np.isnan(getattr(sy, f)(s, -800.0 * sigma)), f
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-5, 1.0, 1e300, 1e307])
+    @pytest.mark.parametrize("topology", _TOPOLOGIES)
+    def test_ends_of_the_double_range(self, topology, sigma):
+        # the parallel (x - L)/sigma, the series deep log-cdf branch and the
+        # quantile starts used to overflow outside np.errstate, and the
+        # parallel log pdf was inf - inf where w overflows
+        xs = [0.0, 700.0, -700.0, 1e300, -1e300, 1.7e308, -1.7e308]
+        us = np.array([1e-300, 1e-8, 0.5, 1.0 - 1e-8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mus in [(0.0,), (2.0, 0.0, -1.0), (1e308, 0.0), (-1e308,), (1e308, 1e308),
+                        (1e308, -1.5e308)]:
+                s = SystemModel(topology, mus, sigma)
+                for f in _FUNCS:
+                    for x in xs:
+                        assert not np.isnan(getattr(sy, f)(s, x)), (mus, f, x)
+                assert not np.isnan(sy.system_quantiles(s, us)).any(), mus
+
+    @pytest.mark.parametrize("s,u,expect", [
+        (series([1e308, 0.0], 1e307), 1.0 - 1e-8, 1.4206620667486286e308),
+        (parallel([-1e308], 1e307), 1.0 - 1e-8, 8.420680733927607e307),
+        (series([-1e308], 1e307), 1.0 - 1e-8, 8.420680733927607e307),
+        (series([-1.7e308, 0.0], 1e307), 1.0 - 1e-8, 5.7642508276629986e306),
+        (series([1e308, -1.5e308], 1e307), 1.0 - 1e-8, 3.4206807339276057e307),
+        (series([1e308, 1e308], 1e307), 1.0 - 1e-8, np.inf),
+        (series([-1.7e308, 0.0], 1e307), 1e-300, -np.inf),
+    ], ids=["series-start-beyond", "parallel-product-overflows", "one-component",
+            "difference-overflows", "mixed-signs", "series-beyond", "series-below"])
+    def test_quantiles_at_the_ends_of_the_double_range(self, s, u, expect):
+        # the first five were inf where the quantile is a finite double, and
+        # the last two lie beyond the doubles (the last was NaN); the finite
+        # references are bisections on the survival product in mpmath at 200
+        # bits, at the double nearest u
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sy.system_quantile(s, u)
+        assert got == pytest.approx(expect, rel=1e-14)
+
+    @pytest.mark.parametrize("topology", _TOPOLOGIES)
+    def test_log_survival_where_the_difference_overflows(self, topology):
+        # x - mu overflows while (x - mu)/sigma = 27 does not; the log
+        # survival, -27 - exp(-27)/2, used to be -inf
+        s = SystemModel(topology, (-1e308,), 1e307)
+        assert sy.system_log_survival(s, 1.7e308) == pytest.approx(-27.0, rel=1e-15)
+
+    def test_deep_left_where_the_difference_overflows(self):
+        # mu_i - x overflows while log w_i = (mu_i - x)/sigma = 27 does not;
+        # the deep branches of the series log cdf and reversed hazard used to
+        # read -inf and inf; references from the survival product in mpmath
+        # at 60 digits
+        s = series([1e308, 1e308], 1e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_cdf = sy.system_log_cdf(s, -1.7e308)
+            rh = sy.system_reversed_hazard(s, -1.7e308)
+        assert log_cdf == pytest.approx(-532048240601.10540314, rel=1e-15)
+        assert rh == pytest.approx(5.3204824060179855775e-296, rel=1e-14)
 
     def test_deep_left_series_values(self):
         s = series([2.0, 0.0])
