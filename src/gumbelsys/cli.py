@@ -28,7 +28,8 @@ from .majorization import random_majorization_pair
 from .orders import Direction, Outcome, Relation
 from .rng import stream
 from .simulate import empirical_cdf_dominance, empirical_quantile_spread
-from .systems import SystemModel, Topology, make_grid, system_quantiles
+from .systems import (DEFAULT_TAIL_CUTOFF, SystemModel, Topology, make_grid,
+                      system_quantiles)
 
 __all__ = ["main"]
 
@@ -118,82 +119,97 @@ def _floats(text: str, where: str) -> list[float]:
 
 
 def _choice(kind, text: str, where: str):
-    """The member of the enum ``kind`` whose value is ``text`` (any case)."""
+    """The member of ``kind``, an enum or a tuple of names, whose value is
+    ``text`` (any case)."""
+    members = {getattr(m, "value", m): m for m in kind}
     try:
-        return kind(text.strip().lower())
-    except ValueError:
-        names = ", ".join(m.value for m in kind)
-        raise UsageError(f"{where} must be one of {names}, got {text!r}") from None
+        return members[text.strip().lower()]
+    except KeyError:
+        raise UsageError(f"{where} must be one of {', '.join(members)}, got {text!r}") from None
 
 
-def _relations(text: str, where: str) -> list[Relation]:
-    relations = [_choice(Relation, tok, where) for tok in text.replace(",", " ").split()]
-    if not relations:
+def _list(parse, text: str, where: str) -> list:
+    """The comma- or space-separated items of ``text``, each read by ``parse``."""
+    values = [parse(tok, where) for tok in text.replace(",", " ").split()]
+    if not values:
         raise UsageError(f"{where} must be nonempty")
-    return relations
+    return values
 
 
-def _at_least(value, low, where: str) -> None:
-    if value < low:
-        raise UsageError(f"{where} must be >= {low}, got {value}")
+def _inside(high: float, text: str, where: str) -> float:
+    """``text`` read as a number in the open interval (0, ``high``)."""
+    value = _float(text, where)
+    if not 0.0 < value < high:
+        raise UsageError(f"{where} must lie in (0, {high:g}), got {value}")
+    return value
 
 
 class _Field(NamedTuple):
     """One spec key: ``parse(text, where)`` reads its text (``None``: the key
     is accepted and ignored), ``default`` is its value when unset (``None``:
-    the key is required), ``low`` bounds it below and ``flag`` overrides it."""
+    the key is required), ``low`` bounds it below, ``flag`` overrides it and
+    ``help`` describes the flag."""
 
     parse: Callable | None
     default: Any = None
     low: int | None = None
     flag: str | None = None
+    help: str | None = None
 
 
 _int, _float = partial(_number, int), partial(_number, float)
-
-
-def _tail(value: float, where: str) -> float:
-    """``value``, a tail probability of the x grid, if it lies in (0, 0.5)."""
-    if not 0.0 < value < 0.5:
-        raise UsageError(f"{where} must lie in (0, 0.5), got {value}")
-    return value
-
-
-def _cutoff(text: str, where: str) -> float:
-    return _tail(_float(text, where), where)
-
+#: a tail probability of the x grid, and a probability of the t grid
+_cutoff, _prob = partial(_inside, 0.5), partial(_inside, 1.0)
+_TOL_HELP = "quadrature relative tolerance override"
 
 #: the rows of a system section
 _SYSTEM = {"topology": _Field(partial(_choice, Topology)), "mus": _Field(_floats),
            "sigma": _Field(_float)}
 
-#: spec command -> (its system sections, the rows of its own section in the
-#: order its report echoes them)
+#: command -> (its system sections, the rows of its own section in the order
+#: its report echoes them); a command with no system sections reads no spec
 _SPECS = {
     "check": (("system_a", "system_b"), {
-        "relations": _Field(_relations),
+        "relations": _Field(partial(_list, partial(_choice, Relation))),
         "direction": _Field(partial(_choice, Direction), Direction.FIRST_SMALLER),
         "grid_points": _Field(_int, orders.DEFAULT_X_POINTS, 33, "--grid-points"),
         "p_points": _Field(_int, orders.DEFAULT_P_POINTS, 33),
         "t_points": _Field(_int, orders.DEFAULT_T_POINTS, 1),
-        "tail_cutoff": _Field(_cutoff, 1e-8, flag="--tail-cutoff"),
-        "quad_rel_tol": _Field(_float, 1e-10, flag="--tol"),
+        "tail_cutoff": _Field(_cutoff, DEFAULT_TAIL_CUTOFF, flag="--tail-cutoff"),
+        "quad_rel_tol": _Field(_float, QuadratureSpec.rel_tol, flag="--tol", help=_TOL_HELP),
         "seed": _Field(None)}),  # check draws nothing at random
+    "scan": ((), {
+        "mode": _Field(partial(_choice, SCAN_MODES), flag="--mode",
+                       help=f"one of {', '.join(SCAN_MODES)}"),
+        "trials": _Field(_int, None, 1, "--trials"),
+        "n_components": _Field(_int, flag="--n", help="components per system"),
+        "mu_low": _Field(_float, -3.0, flag="--mu-low"),
+        "mu_high": _Field(_float, 3.0, flag="--mu-high"),
+        "sigmas": _Field(partial(_list, _float), (1.0,), flag="--sigmas"),
+        "spread": _Field(_float, 1.0, flag="--spread", help="majorization transfer size scale"),
+        "gap": _Field(_float, 2.0, flag="--gap",
+                      help="upper bound of the componentwise location lift"),
+        "grid_points": _Field(_int, orders.DEFAULT_X_POINTS, 33, "--grid-points"),
+        "p_points": _Field(_int, orders.DEFAULT_P_POINTS, 33, "--p-points"),
+        "t_points": _Field(_int, orders.DEFAULT_T_POINTS, 1, "--t-points"),
+        "tail_cutoff": _Field(_cutoff, DEFAULT_TAIL_CUTOFF, flag="--tail-cutoff"),
+        "quad_rel_tol": _Field(_float, QuadratureSpec.rel_tol, flag="--tol", help=_TOL_HELP),
+        "seed": _Field(_int, 0, flag="--seed")}),
     "entropy": (("system",), {
         "t_values": _Field(_floats, ()),
-        "rel_tol": _Field(_float, 1e-10, flag="--tol"),
-        "abs_tol": _Field(_float, 1e-13),
-        "tail_cutoff": _Field(_float, 1e-12),
-        "max_subdivisions": _Field(_int, 2000),
+        "rel_tol": _Field(_float, QuadratureSpec.rel_tol, flag="--tol", help=_TOL_HELP),
+        "abs_tol": _Field(_float, QuadratureSpec.abs_tol),
+        "tail_cutoff": _Field(_float, QuadratureSpec.tail_mass_cutoff),
+        "max_subdivisions": _Field(_int, QuadratureSpec.max_subdivisions),
         # the t grid where t_values is empty; the report echoes its points
         "t_points": _Field(_int, orders.DEFAULT_T_POINTS, 1),
-        "t_lo_prob": _Field(_float, 0.001),
-        "t_hi_prob": _Field(_float, 0.999)}),
+        "t_lo_prob": _Field(_prob, 0.001),
+        "t_hi_prob": _Field(_prob, 0.999)}),
     "simulate": (("system_a", "system_b"), {
         "n_samples": _Field(_int, 100_000, 1),
         "seed": _Field(_int, 0),
         "grid_points": _Field(_int, 129, 33, "--grid-points"),
-        "tail_cutoff": _Field(_cutoff, 1e-8, flag="--tail-cutoff"),
+        "tail_cutoff": _Field(_cutoff, DEFAULT_TAIL_CUTOFF, flag="--tail-cutoff"),
         "alpha": _Field(_float, 0.25),
         "beta": _Field(_float, 0.75),
         "bootstrap": _Field(_int, 200, 2)}),
@@ -206,13 +222,14 @@ def _section(cp, section: str, fields: dict, args=None) -> dict:
     Each value is the row's flag when ``args`` gives it, else the spec's,
     else the row's default, and at least the row's ``low``; an error names
     the flag or the spec field it came from.  A key that no row names, an
-    unset required row and a missing section with a required row are errors.
+    unset required row and a missing section with a required row that no
+    flag can set are errors.
     """
     if cp.has_section(section):
         for key in cp.options(section):
             if key not in fields and key not in cp.defaults():
                 raise UsageError(f"unknown field [{section}] {key}")
-    elif any(f.parse and f.default is None for f in fields.values()):
+    elif any(f.parse and f.default is None and not f.flag for f in fields.values()):
         raise UsageError(f"missing section [{section}]")
     values = {}
     for key, f in fields.items():
@@ -227,29 +244,30 @@ def _section(cp, section: str, fields: dict, args=None) -> dict:
             raise UsageError(f"missing field {where}")
         else:
             values[key] = f.default
-        if f.low is not None:
-            _at_least(values[key], f.low, where)
+        if f.low is not None and values[key] < f.low:
+            raise UsageError(f"{where} must be >= {f.low}, got {values[key]}")
     return values
 
 
 def _read_spec(args) -> dict:
-    """The spec file ``args.spec`` (``-`` for stdin) of the command
-    ``args.cmd``: its systems, then the values of its own section."""
-    if args.spec == "-":
-        text, origin = sys.stdin.read(), "<stdin>"
-    else:
-        try:
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read spec file {args.spec!r}: {exc}") from exc
-        origin = args.spec
-    cp = configparser.ConfigParser()
-    try:
-        cp.read_string(text, source=origin)
-    except configparser.Error as exc:
-        raise UsageError(f"malformed spec file: {exc}") from exc
+    """The values of the command ``args.cmd``: the systems of its spec file
+    ``args.spec`` (``-`` for stdin), then the values of its own section."""
     sections, fields = _SPECS[args.cmd]
+    cp = configparser.ConfigParser()
+    if sections:
+        if args.spec == "-":
+            text, origin = sys.stdin.read(), "<stdin>"
+        else:
+            try:
+                with open(args.spec, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise UsageError(f"cannot read spec file {args.spec!r}: {exc}") from exc
+            origin = args.spec
+        try:
+            cp.read_string(text, source=origin)
+        except configparser.Error as exc:
+            raise UsageError(f"malformed spec file: {exc}") from exc
     spec = {}
     for section in sections:
         system = _section(cp, section, _SYSTEM)
@@ -258,6 +276,16 @@ def _read_spec(args) -> dict:
         except GumbelSysError as exc:
             raise UsageError(f"[{section}]: {exc}") from exc
     return {**spec, **_section(cp, args.cmd, fields, args)}
+
+
+def _grids(a, b, relations, cfg: dict):
+    """The x, p and t grids of ``cfg``'s point counts for checking
+    ``relations`` on ``(a, b)``; the x and t grids only where one of them
+    reads it."""
+    grid = (make_grid(a, b, cfg["grid_points"], cfg["tail_cutoff"])
+            if _ON_X_GRID & set(relations) else None)
+    t_grid = orders.make_t_grid(a, b, cfg["t_points"]) if Relation.LU in relations else None
+    return grid, orders.make_p_grid(cfg["p_points"]), t_grid
 
 
 def _verdict_doc(v: orders.OrderVerdict) -> dict:
@@ -308,10 +336,7 @@ def _cmd_check(args) -> int:
     cfg = _read_spec(args)
     a, b, relations = cfg["system_a"], cfg["system_b"], cfg["relations"]
     quad = QuadratureSpec(rel_tol=cfg["quad_rel_tol"])
-    grid = (make_grid(a, b, cfg["grid_points"], cfg["tail_cutoff"])
-            if _ON_X_GRID & set(relations) else None)
-    p_grid = orders.make_p_grid(cfg["p_points"])
-    t_grid = orders.make_t_grid(a, b, cfg["t_points"]) if Relation.LU in relations else None
+    grid, p_grid, t_grid = _grids(a, b, relations, cfg)
     verdicts = [orders.check(rel, a, b, cfg["direction"], grid=grid, p_grid=p_grid,
                              t_grid=t_grid, quad=quad) for rel in relations]
 
@@ -330,9 +355,9 @@ def _cmd_check(args) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
-def _scan_trial(mode: str, k: int, args, sigma: float):
-    g = stream(args.seed, "scan", mode, k)
-    n, lo, hi = args.n, args.mu_low, args.mu_high
+def _scan_trial(k: int, cfg: dict, sigma: float):
+    mode, n, lo, hi = cfg["mode"], cfg["n_components"], cfg["mu_low"], cfg["mu_high"]
+    g = stream(cfg["seed"], "scan", mode, k)
     if mode == "free":
         topo = Topology.PARALLEL if g.integers(0, 2) else Topology.SERIES
         mus_a, mus_b = g.uniform(lo, hi, n), g.uniform(lo, hi, n)
@@ -340,39 +365,31 @@ def _scan_trial(mode: str, k: int, args, sigma: float):
         topo = Topology(mode.split("-")[0])
         if mode == "parallel-lr":
             mus_b = g.uniform(lo, hi, n)
-            mus_a = mus_b + g.uniform(0.0, args.gap, n)
+            mus_a = mus_b + g.uniform(0.0, cfg["gap"], n)
         else:
-            mus_a, mus_b = random_majorization_pair(g, n, args.spread, lo, hi)
+            mus_a, mus_b = random_majorization_pair(g, n, cfg["spread"], lo, hi)
     return SystemModel(topo, tuple(mus_a), sigma), SystemModel(topo, tuple(mus_b), sigma)
 
 
 def _cmd_scan(args) -> int:
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
-    if args.n < (2 if args.mode != "parallel-lr" else 1):
+    cfg = _read_spec(args)
+    mode, trials, sigmas = cfg["mode"], cfg["trials"], cfg["sigmas"]
+    if cfg["n_components"] < (2 if mode != "parallel-lr" else 1):
         raise UsageError("--n is too small for this mode")
-    _at_least(args.grid_points, 33, "--grid-points")
-    _at_least(args.p_points, 33, "--p-points")
-    _at_least(args.t_points, 1, "--t-points")
-    _tail(args.tail_cutoff, "--tail-cutoff")
-    if args.entropy_orders and args.mode != "free":
-        raise UsageError(f"--entropy-orders needs --mode free, got --mode {args.mode}")
-    quad = QuadratureSpec(rel_tol=args.tol)
-    p_grid = orders.make_p_grid(args.p_points)
+    if args.entropy_orders and mode != "free":
+        raise UsageError(f"--entropy-orders needs --mode free, got --mode {mode}")
+    quad = QuadratureSpec(rel_tol=cfg["quad_rel_tol"])
+    free = mode == "free"
+    relations = ([rel for rel, _ in _SCAN_ROWS[mode]] if not free
+                 else list(Relation) if args.entropy_orders else _ON_X_GRID)
 
     failures = []
     held_counts: dict[str, int] = {}
     min_margins: dict[str, float] = {}
 
-    for k in range(args.trials):
-        sigma = args.sigmas[k % len(args.sigmas)]
-        a, b = _scan_trial(args.mode, k, args, sigma)
-        free = args.mode == "free"
-        rels = {rel for rel, _ in _SCAN_ROWS.get(args.mode, ())}
-        grid = (make_grid(a, b, args.grid_points, args.tail_cutoff)
-                if free or _ON_X_GRID & rels else None)
-        t_grid = (orders.make_t_grid(a, b, args.t_points)
-                  if Relation.LU in rels or args.entropy_orders else None)
+    for k in range(trials):
+        a, b = _scan_trial(k, cfg, sigmas[k % len(sigmas)])
+        grid, p_grid, t_grid = _grids(a, b, relations, cfg)
         extra: dict = {}
 
         if free:  # exploration plus internal consistency audit
@@ -389,9 +406,9 @@ def _cmd_scan(args) -> int:
                 extra["audit_violations"] = list(audit.violations)
         else:
             trial_verdicts = [orders.check(rel, a, b, direction, grid, p_grid, t_grid, quad)
-                              for rel, direction in _SCAN_ROWS[args.mode]]
+                              for rel, direction in _SCAN_ROWS[mode]]
             trial_ok = all(v.holds for v in trial_verdicts)
-            if args.mode == "parallel-rh":
+            if mode == "parallel-rh":
                 closed = orders.parallel_rh_log_margin(a, b)
                 agree = (closed >= 0.0) == trial_ok
                 extra["closed_form_log_margin"] = closed
@@ -414,30 +431,15 @@ def _cmd_scan(args) -> int:
     code = EXIT_OK if not failures else EXIT_FAILS
     doc = {
         "command": "scan",
-        "config": {
-            "mode": args.mode,
-            "trials": args.trials,
-            "n_components": args.n,
-            "mu_low": args.mu_low,
-            "mu_high": args.mu_high,
-            "sigmas": list(args.sigmas),
-            "spread": args.spread,
-            "gap": args.gap,
-            "grid_points": args.grid_points,
-            "p_points": args.p_points,
-            "t_points": args.t_points,
-            "tail_cutoff": args.tail_cutoff,
-            "quad_rel_tol": quad.rel_tol,
-            "seed": args.seed,
-        },
-        "passes": args.trials - len(failures),
+        "config": cfg,
+        "passes": trials - len(failures),
         "failures": failures,
         "min_margins": dict(sorted(min_margins.items())),
         "held_counts": dict(sorted(held_counts.items())),
         "exit_code": code,
     }
-    table = (f"scan mode={args.mode} trials={args.trials} "
-             f"passes={args.trials - len(failures)} failures={len(failures)}")
+    table = (f"scan mode={mode} trials={trials} "
+             f"passes={trials - len(failures)} failures={len(failures)}")
     _emit(doc, table, args.out)
     return code
 
@@ -539,43 +541,20 @@ def _build_parser() -> _Parser:
                 description="Stochastic-order checks for series/parallel "
                             "Gumbel systems")
     sub = p.add_subparsers(dest="cmd", required=True)
-    tol_help = "quadrature relative tolerance override"
-
-    def spec_command(name, run, about):
-        """A command that reads a spec file, with its rows' override flags."""
+    for name, run, about in (("check", _cmd_check, "run order checks from a spec file"),
+                             ("scan", _cmd_scan, "random property sweep"),
+                             ("entropy", _cmd_entropy, "entropy report from a spec file"),
+                             ("simulate", _cmd_simulate, "Monte Carlo cross-validation report")):
         sp = sub.add_parser(name, help=about)
         sp.set_defaults(run=run)
-        sp.add_argument("spec", help="spec file path, or '-' for stdin")
-        for key, f in _SPECS[name][1].items():
+        sections, fields = _SPECS[name]
+        if sections:
+            sp.add_argument("spec", help="spec file path, or '-' for stdin")
+        for key, f in fields.items():
             if f.flag:
-                sp.add_argument(f.flag, dest=key, help=tol_help if f.flag == "--tol" else None)
-
-    spec_command("check", _cmd_check, "run order checks from a spec file")
-
-    sp = sub.add_parser("scan", help="random property sweep")
-    sp.set_defaults(run=_cmd_scan)
-    sp.add_argument("--mode", required=True, choices=SCAN_MODES)
-    sp.add_argument("--trials", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True, help="components per system")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--sigmas", type=lambda s: [float(t) for t in s.split(",")],
-                    default=[1.0])
-    sp.add_argument("--mu-low", type=float, default=-3.0)
-    sp.add_argument("--mu-high", type=float, default=3.0)
-    sp.add_argument("--gap", type=float, default=2.0,
-                    help="upper bound of the componentwise location lift")
-    sp.add_argument("--spread", type=float, default=1.0,
-                    help="majorization transfer size scale")
-    sp.add_argument("--grid-points", type=int, default=orders.DEFAULT_X_POINTS)
-    sp.add_argument("--p-points", type=int, default=orders.DEFAULT_P_POINTS)
-    sp.add_argument("--t-points", type=int, default=orders.DEFAULT_T_POINTS)
-    sp.add_argument("--tail-cutoff", type=float, default=1e-8)
-    sp.add_argument("--tol", type=float, default=1e-10, help=tol_help)
-    sp.add_argument("--entropy-orders", action="store_true",
-                    help="include disp/lu in free-mode audits")
-
-    spec_command("entropy", _cmd_entropy, "entropy report from a spec file")
-    spec_command("simulate", _cmd_simulate, "Monte Carlo cross-validation report")
+                sp.add_argument(f.flag, dest=key, required=f.default is None, help=f.help)
+    sub.choices["scan"].add_argument("--entropy-orders", action="store_true",
+                                     help="include disp/lu in free-mode audits")
     for sp in sub.choices.values():
         sp.add_argument("--out", default=None,
                         help="write the JSON report here ('-' for stdout)")

@@ -59,6 +59,7 @@ from .errors import DomainError, UsageError
 
 __all__ = [
     "MAX_COMPONENTS",
+    "DEFAULT_TAIL_CUTOFF",
     "Topology",
     "SystemModel",
     "phi",
@@ -79,6 +80,9 @@ __all__ = [
 #: over components are pairwise-accumulated; beyond this size the rounding
 #: budget of the ordering checks is no longer guaranteed.
 MAX_COMPONENTS = 64
+
+#: The tail mass :func:`make_grid` leaves outside its window by default.
+DEFAULT_TAIL_CUTOFF = 1e-8
 
 #: Component terms per block of a kernel pass.  One float temporary of a
 #: block is 128 KB, so the dozen a pass holds stay in a 2 MiB L2 cache.
@@ -500,7 +504,7 @@ def _quantile_pairs(a: SystemModel, b: SystemModel, lo_p: float, hi_p: float):
 
 
 def make_grid(a: SystemModel, b: SystemModel, count: int = 2049,
-              tail_cutoff: float = 1e-8) -> np.ndarray:
+              tail_cutoff: float = DEFAULT_TAIL_CUTOFF) -> np.ndarray:
     """Uniform grid covering both systems up to the given tail mass.
 
     The window runs from the smaller of the two ``tail_cutoff`` quantiles to
@@ -516,8 +520,12 @@ def make_grid(a: SystemModel, b: SystemModel, count: int = 2049,
         raise DomainError(f"tail_cutoff must lie in (0, 0.5), got {tail_cutoff}")
     with np.errstate(over="ignore", invalid="ignore"):
         (lo_a, hi_a), (lo_b, hi_b) = _quantile_pairs(a, b, tail_cutoff, 1.0 - tail_cutoff)
-        points = np.linspace(min(lo_a, lo_b), max(hi_a, hi_b), count)
+        lo, hi = min(lo_a, lo_b), max(hi_a, hi_b)
+        points, width = np.linspace(lo, hi, count), hi - lo
     if not np.all(np.isfinite(points)) or not np.all(np.diff(points) > 0):
-        raise UsageError("grid points must be finite and strictly increasing")
+        message = "grid points must be finite and strictly increasing"
+        if np.isfinite(lo) and np.isfinite(hi) and np.isinf(width):
+            message += f": the window [{lo:.3g}, {hi:.3g}] is wider than the largest double"
+        raise UsageError(message)
     points.flags.writeable = False
     return points

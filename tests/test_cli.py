@@ -254,6 +254,15 @@ class TestScan:
     def test_bad_trials(self):
         assert main(["scan", "--mode", "free", "--trials", "0", "--n", "2"]) == 64
 
+    @pytest.mark.parametrize("flag,value", [("--trials", "x"), ("--trials", "0"),
+                                            ("--mu-low", "q"), ("--sigmas", ""),
+                                            ("--sigmas", "1,x"), ("--mode", "bogus")])
+    def test_bad_flag_names_it(self, capsys, flag, value):
+        argv = ["scan", "--mode", "free", "--trials", "1", "--n", "2", flag, value]
+        assert main(argv) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and flag in err, err
+
     def test_n_too_small(self, capsys):
         assert main(["scan", "--mode", "series-hr", "--trials", "1", "--n", "1"]) == 64
         assert "--n" in capsys.readouterr().err
@@ -420,12 +429,14 @@ class TestUsage:
          ["[system_a]", "scale"]),
         ("entropy", ENTROPY_SPEC + "tpoints = 3\n", ["[entropy]", "tpoints"]),
         ("simulate", SIMULATE_SPEC + "samples = 10\n", ["[simulate]", "samples"]),
+        # a t grid probability of 0 used to be reported without its field
+        ("entropy", ENTROPY_SPEC + "t_lo_prob = 0\n", ["[entropy]", "t_lo_prob", "(0, 1)"]),
     ], ids=["topology", "relation", "direction", "grid-not-int", "grid-below-33", "alpha",
             "max-subdivisions", "no-check-section", "no-mus", "mus-not-numbers", "zero-sigma",
             "no-relations", "bootstrap-negative", "bootstrap-0", "bootstrap-1",
             "n-samples-negative", "n-samples-0",
             "check-unknown-key", "system-unknown-key", "entropy-unknown-key",
-            "simulate-unknown-key"])
+            "simulate-unknown-key", "t-lo-prob-0"])
     def test_spec_error_names_its_field(self, tmp_path, capsys, command, spec, names):
         assert main([command, write(tmp_path, "s.ini", spec)]) == 64
         out, err = capsys.readouterr()
@@ -506,19 +517,37 @@ class TestUsage:
 
 def test_spec_tables_agree_with_parser_and_reports(capsys):
     """Each spec default meets its bound, each override flag is an option of
-    its command, and check and simulate echo their rows in table order."""
+    its command, and check, scan and simulate echo their rows in table order."""
     parser = cli._build_parser()
-    for command, (_, fields) in cli._SPECS.items():
+    for command, (sections, fields) in cli._SPECS.items():
+        argv = ([command, "s.ini"] if sections
+                else [command, "--mode", "free", "--trials", "1", "--n", "2"])
         for key, f in {**cli._SYSTEM, **fields}.items():
-            if f.low is not None:
+            if f.low is not None and f.default is not None:
                 assert f.default >= f.low, (command, key)
             if f.parse and isinstance(f.default, (int, float)):  # the parser's own checks
                 assert f.parse(repr(f.default), key) == f.default, (command, key)
             if f.flag:
-                assert getattr(parser.parse_args([command, "s.ini", f.flag, "1"]), key) == "1"
+                assert getattr(parser.parse_args(argv + [f.flag, "1"]), key) == "1"
     golden = Path(__file__).parent / "golden"
     for command, ini in (("check", "check_series.ini"), ("simulate", "simulate.ini")):
         main([command, str(golden / ini), "--out", "-"])
         config = json.loads(capsys.readouterr().out)["config"]
         rows = cli._SPECS[command][1]
         assert [k for k in config if k in rows] == [k for k, f in rows.items() if f.parse]
+    config = json.loads((golden / "scan_free.json").read_text())["config"]
+    assert list(config) == list(cli._SPECS["scan"][1])
+
+
+@pytest.mark.parametrize("command", ["check", "scan", "entropy", "simulate"])
+def test_help_lists_every_flag(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    flags = [f.flag for f in cli._SPECS[command][1].values() if f.flag]
+    assert all(flag in out for flag in flags + ["--out"]), out
+    if command == "scan":
+        for text in ("--entropy-orders", "components per system", "componentwise location lift",
+                     "majorization transfer size scale", "quadrature relative tolerance"):
+            assert text in out, text

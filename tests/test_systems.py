@@ -347,8 +347,12 @@ class TestGrid:
         # below one ulp (16) there and collapses onto one double.  Each is the
         # same clean error: no RuntimeWarning escapes (pyproject makes them
         # errors)
-        with pytest.raises(UsageError, match="grid points must be finite and strictly increasing"):
+        clean = "grid points must be finite and strictly increasing"
+        with pytest.raises(UsageError, match=clean) as err:
             sy.make_grid(s, s, 33)
+        # a window whose ends are doubles but whose width is not says so
+        wide = "window [-1.29e+308, 8.42e+307] is wider than the largest double"
+        assert (wide in str(err.value)) == (s.mus == (-1e308,))
 
     @pytest.mark.parametrize("mus,top", [((1e308, 0.0), 1.4206620667486286e308),
                                          ((1e308, 5e307, 0.0), 1.1085118648546258e308)],
