@@ -187,14 +187,14 @@ _SPECS = {
         "mu_high": _Field(_float, 3.0, flag="--mu-high"),
         "sigmas": _Field(partial(_list, _float), (1.0,), flag="--sigmas"),
         "spread": _Field(_float, 1.0, flag="--spread", help="majorization transfer size scale"),
-        "gap": _Field(_float, 2.0, flag="--gap",
+        "gap": _Field(_float, 2.0, 0, "--gap",
                       help="upper bound of the componentwise location lift"),
         "grid_points": _Field(_int, orders.DEFAULT_X_POINTS, 33, "--grid-points"),
         "p_points": _Field(_int, orders.DEFAULT_P_POINTS, 33, "--p-points"),
         "t_points": _Field(_int, orders.DEFAULT_T_POINTS, 1, "--t-points"),
         "tail_cutoff": _Field(_cutoff, DEFAULT_TAIL_CUTOFF, flag="--tail-cutoff"),
         "quad_rel_tol": _Field(_float, QuadratureSpec.rel_tol, flag="--tol", help=_TOL_HELP),
-        "seed": _Field(_int, 0, flag="--seed")}),
+        "seed": _Field(_int, 0, 0, "--seed")}),
     "entropy": (("system",), {
         "t_values": _Field(_floats, ()),
         "rel_tol": _Field(_float, QuadratureSpec.rel_tol, flag="--tol", help=_TOL_HELP),
@@ -207,7 +207,7 @@ _SPECS = {
         "t_hi_prob": _Field(_prob, 0.999)}),
     "simulate": (("system_a", "system_b"), {
         "n_samples": _Field(_int, 100_000, 1),
-        "seed": _Field(_int, 0),
+        "seed": _Field(_int, 0, 0),
         "grid_points": _Field(_int, 129, 33, "--grid-points"),
         "tail_cutoff": _Field(_cutoff, DEFAULT_TAIL_CUTOFF, flag="--tail-cutoff"),
         "alpha": _Field(_float, 0.25),
@@ -376,6 +376,9 @@ def _cmd_scan(args) -> int:
     mode, trials, sigmas = cfg["mode"], cfg["trials"], cfg["sigmas"]
     if cfg["n_components"] < (2 if mode != "parallel-lr" else 1):
         raise UsageError("--n is too small for this mode")
+    if not cfg["mu_low"] < cfg["mu_high"]:
+        raise UsageError(f"--mu-low must be below --mu-high, got {cfg['mu_low']} and "
+                         f"{cfg['mu_high']}")
     if args.entropy_orders and mode != "free":
         raise UsageError(f"--entropy-orders needs --mode free, got --mode {mode}")
     quad = QuadratureSpec(rel_tol=cfg["quad_rel_tol"])

@@ -68,6 +68,10 @@ _NODES = np.concatenate([-_XK, _XK[-2::-1]])
 _W21 = np.concatenate([_WK, _WK[-2::-1]])
 _W10 = np.concatenate([_WG, _WG[::-1]])
 
+#: more panels than an index can count (as a float, so that the check itself
+#: cannot overflow)
+_MAX_PANELS = float(np.iinfo(np.intp).max)
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -128,7 +132,12 @@ def _integrate(s: SystemModel, edges: np.ndarray, q: QuadratureSpec):
     values and error estimates shaped (2, gaps), and per-form flags of the
     gaps that hold a panel failing its error test."""
     gaps = np.diff(edges)
-    counts = np.maximum(1, np.ceil(gaps / (0.5 * s.sigma))).astype(int)
+    with np.errstate(divide="ignore", invalid="ignore"):  # sigma/2 may round to 0
+        counts = np.maximum(1.0, np.ceil(gaps / (0.5 * s.sigma)))
+    if not counts.sum() < _MAX_PANELS:
+        raise DomainError(f"the window [{edges[0]:.3g}, {edges[-1]:.3g}] needs more panels "
+                          f"of width sigma/2 = {0.5 * s.sigma:.3g} than an array can hold")
+    counts = counts.astype(int)
     owner = np.repeat(np.arange(gaps.size), counts)
     step = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
     cuts = np.append(edges[owner] + gaps[owner] * (step / counts[owner]), edges[-1:])
@@ -180,7 +189,7 @@ def _residual_forms(s: SystemModel, ts: np.ndarray, sf_t: np.ndarray, q: Quadrat
     """Hazard-form and density-form values, errors and convergence flags at
     every t, each shaped (2, len(ts))."""
     log_sf_t = system_log_survival(s, ts)
-    his = _log_survival_roots(s, np.log(q.tail_mass_cutoff) + log_sf_t)
+    his = _log_survival_roots((s,), (np.log(q.tail_mass_cutoff) + log_sf_t,))[0][0]
     edges, where = np.unique(np.concatenate([ts, his]), return_inverse=True)
     value, error, failed = _integrate(s, edges, q)
     n = ts.size

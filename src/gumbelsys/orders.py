@@ -35,8 +35,8 @@ import numpy as np
 
 from .entropy import QuadratureSpec, residual_entropy
 from .errors import DomainError, NumericsError, UsageError
-from .systems import (SystemModel, _location, _quantile_pairs, make_grid, system_cdf,
-                      system_hazard, system_log_pdf, system_pdf, system_quantiles,
+from .systems import (SystemModel, _location, _quantile_pairs, _quantiles_and_pdfs,
+                      make_grid, system_cdf, system_hazard, system_log_pdf,
                       system_reversed_hazard)
 
 __all__ = [
@@ -258,8 +258,7 @@ def check_disp(a, b, p_grid=None,
     ps = _points(p_grid, make_p_grid)
     if np.any(ps <= 0.0) or np.any(ps >= 1.0):
         raise DomainError("p grid must lie strictly inside (0, 1)")
-    qa, qb = system_quantiles(a, ps), system_quantiles(b, ps)
-    fa, fb = system_pdf(a, qa), system_pdf(b, qb)
+    (qa, fa), (qb, fb) = _quantiles_and_pdfs((a, b), ps)
     density = _dominance_verdict(Relation.DISP, direction, ps, fa, fb, _rate_tol(fa, fb))
 
     q_scale = max(1.0, float(np.abs(qa).max()), float(np.abs(qb).max()))

@@ -20,11 +20,13 @@ every parallel function is a closed form at ``z = (x - L)/sigma`` and
 normal range; ``1 - F = -expm1(-w)`` and ``f/F = w/sigma`` exactly.  A
 Gumbel(mu, sigma) component on its own is the one-component system.
 
-A series function is a view of one kernel pass over
-``log w_i = (mu_i - x)/sigma``, run in row blocks of about 16k component
-terms so that its temporaries stay in cache.  One pass yields the log
-survival and the hazard together: ``w``, ``exp(-w)`` and ``-expm1(-w)`` are
-computed once per term and shared by ``log1mexp`` and ``phi``.
+A series function is a view of one kernel pass over the component-major
+terms ``log w_i = (0.5 mu_i - 0.5 x)/(0.5 sigma)``, shaped ``(n, points)`` and
+run in blocks of about 8k terms so that its temporaries stay in cache.  One
+pass yields the log survival and the hazard together: ``w``, ``exp(-w)`` and
+``-expm1(-w)`` are computed once per term and shared by ``log1mexp`` and
+``phi``, and ``_row_sums`` adds the terms of each point in the order, and so
+to the bits, of numpy's ``add.reduce`` along a row.
 
 A series pass over a read-only float array of at most ``_MEMO_POINTS``
 points, which is what :func:`make_grid` returns, is memoised: the
@@ -40,16 +42,20 @@ Where a series log survival reaches a target ``T`` (a quantile at
 ``T = log1p(-u)``, or an entropy cut) has no closed form for n > 1.  The log
 survival is concave (every component is IFR), so Newton started at the
 closed-form root of the smallest location alone moves left monotonically
-onto the root, one kernel pass per step over the targets not yet solved.  A
-target stops when its log survival residual is within ``2**-52 * |T|``, or
-once rounding has taken over: its log survival no longer rises, or a step
-would no longer move it left.
+onto the root.  One Newton loop serves any number of systems, one kernel
+pass per step over the targets not yet solved of all of them, so both
+systems of a pair take as many passes as the slower one.  A target stops
+when its log survival residual is within ``2**-52 * |T|``, or once rounding
+has taken over: its log survival no longer rises, or a step would no longer
+move it left.  Its last pass is made at its root, so the density there comes
+with it.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -85,8 +91,12 @@ MAX_COMPONENTS = 64
 DEFAULT_TAIL_CUTOFF = 1e-8
 
 #: Component terms per block of a kernel pass.  One float temporary of a
-#: block is 128 KB, so the dozen a pass holds stay in a 2 MiB L2 cache.
-_BLOCK_TERMS = 16384
+#: block is 64 KB, so the half dozen a block holds stay in L2 cache.
+_BLOCK_TERMS = 8192
+
+#: A safety cap on the Newton passes of ``_series_roots``: the benchmark's
+#: pool solves take at most 10.
+_MAX_PASSES = 100
 
 #: The Newton passes of ``_series_roots`` run over the targets not yet
 #: done, padded with done ones to a multiple of this many.  numpy keeps
@@ -130,10 +140,10 @@ class SystemModel:
             raise DomainError(
                 f"component count {len(mus)} exceeds MAX_COMPONENTS={MAX_COMPONENTS}"
             )
-        if not all(np.isfinite(m) for m in mus):
+        if not all(map(math.isfinite, mus)):
             raise DomainError(f"all component locations must be finite, got {self.mus!r}")
         sigma = float(self.sigma)
-        if not (np.isfinite(sigma) and sigma > 0.0):
+        if not (math.isfinite(sigma) and sigma > 0.0):
             raise DomainError(f"sigma must be finite and > 0, got {self.sigma!r}")
         object.__setattr__(self, "mus", tuple(sorted(mus, reverse=True)))
         object.__setattr__(self, "sigma", sigma)
@@ -194,6 +204,10 @@ _LOG_TINY = float(np.log(np.finfo(float).tiny))
 #: the largest double
 _MAX = float(np.finfo(float).max)
 
+#: log of a ``w`` beyond which ``exp(-w)`` is 0: exp(-750) is far below half
+#: the least subnormal
+_LOG_W_ZERO = math.log(750.0)
+
 
 def _standardized(a, b, sigma: float):
     """``(a - b)/sigma`` as ``(a/2 - b/2)/(sigma/2)``, whose difference cannot
@@ -230,17 +244,6 @@ def phi(t) -> np.ndarray:
         return _phi_of(arr, *_exps(arr))
 
 
-def _logw_blocks(s: SystemModel, flat: np.ndarray):
-    """Row slices of the flat abscissae with their ``log w = (mu_i - x)/sigma``,
-    in equal blocks of about ``_BLOCK_TERMS`` component terms.  A row never
-    spans two blocks, so no row sum depends on the blocking."""
-    mus = np.asarray(s.mus)
-    blocks = max(1, round(flat.size * s.n / _BLOCK_TERMS))
-    step = max(1, -(-flat.size // blocks))
-    for i in range(0, flat.size, step):
-        yield slice(i, i + step), _standardized(mus, flat[i:i + step, None], s.sigma)
-
-
 # -- parallel systems -------------------------------------------------------
 
 def _location(s: SystemModel) -> float:
@@ -269,23 +272,116 @@ def _zw(s: SystemModel, x) -> tuple[np.ndarray, np.ndarray]:
 
 # -- series systems ----------------------------------------------------------
 
-def _series_rows(s: SystemModel, flat: np.ndarray):
-    log_sf = np.empty(flat.size)
-    rate = np.empty(flat.size)
+def _row_sums(t: np.ndarray) -> np.ndarray:
+    """Sums over the component axis of the component-major terms ``t``, shaped
+    ``(..., n, rows)``, with the bits of numpy's ``add.reduce`` along a row of
+    ``t.T``: ``0.0 +`` a pairwise sum (Higham, 1993) that is sequential below 8
+    terms, and from 8 to 64 adds the terms into 8 strided accumulators, joins
+    them in a 3-level tree and then adds the last ``n % 8`` terms in turn.  The
+    sign of a zero only reaches the result through the ``0.0 +``, so the
+    sequential sums may start at 0.0."""
+    n, rows = t.shape[-2:]
+    if n < 8:
+        out = t[..., 0, :] + 0.0
+        for i in range(1, n):
+            out += t[..., i, :]
+        return out
+    full = n - n % 8
+    r = t[..., :full, :].reshape(*t.shape[:-2], -1, 8, rows).sum(axis=-3)
+    r = r[..., 0::2, :] + r[..., 1::2, :]
+    r = r[..., 0::2, :] + r[..., 1::2, :]
+    out = r[..., 0, :] + r[..., 1, :]
+    for i in range(full, n):
+        out += t[..., i, :]
+    out += 0.0
+    return out
+
+
+def _kernel(logw: np.ndarray) -> np.ndarray:
+    """One block of a series pass: from the terms ``log w``, shaped ``(n, rows)``
+    with the locations descending down each column, the column sums
+    ``sum_i phi(w_i)`` and ``sum_i log(1 - exp(-w_i))``, shaped ``(2, rows)``.
+
+    ``w``, ``e = exp(-w)`` and ``m = -expm1(-w)`` are computed once and feed
+    both sums, each branch of ``_phi_of`` and ``_log1mexp_of`` is taken only
+    where it applies, and the temporaries are reused in place; the bits are
+    those of the two formulas.  Where ``w > 750``, ``e`` is 0 and both terms
+    are zeros: the leading rows where every term is that far out stay zeros
+    and are not computed.  ``w`` is never NaN, since ``log w`` is a quotient of
+    finite doubles, and it descends down each column like ``log w``.
+    """
+    terms = np.empty((2, *logw.shape))
+    k = np.count_nonzero(logw.min(axis=1) > _LOG_W_ZERO)
+    terms[:, :k] = 0.0
+    if k < logw.shape[0]:
+        lw, p, m = logw[k:], terms[0, k:], terms[1, k:]
+        w = np.exp(lw)
+        e = np.negative(w)
+        np.expm1(e, out=m)
+        np.negative(m, out=m)
+        np.exp(e, out=e)
+        np.multiply(w, e, out=p)
+        np.divide(p, m, out=p)
+        if w[-1].min() < 1e-5:
+            small = w < 1e-5
+            ws = w[small]
+            p[small] = 1.0 - ws / 2.0 + ws * ws / 12.0
+        if w[0].max() == np.inf:
+            p[w == np.inf] = 0.0
+        near = w <= 0.6931471805599453
+        np.log(m, out=m, where=near)
+        np.negative(e, out=e)
+        np.log1p(e, out=m, where=np.invert(near, out=near))
+        if lw[-1].min() < _LOG_TINY:
+            low = lw < _LOG_TINY
+            m[low] = lw[low]
+    return _row_sums(terms)
+
+
+def _run_rows(systems, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Log survival and hazard of series systems sharing ``n`` and ``sigma``,
+    each at its own flat abscissae, concatenated: one kernel pass over
+    ``log w = (0.5 mu_i - 0.5 x)/(0.5 sigma)`` (``_standardized``), in equal
+    column blocks of about ``_BLOCK_TERMS`` terms.  A column never spans two
+    blocks, so no sum depends on the blocking."""
+    n, sigma = systems[0].n, systems[0].sigma
+    halfx = 0.5 * (xs[0] if len(xs) == 1 else np.concatenate(xs))
+    size = halfx.size
+    parts = list(zip([0.5 * np.array(s.mus)[:, None] for s in systems],
+                     itertools.accumulate(x.size for x in xs)))
+    log_sf, rate = np.empty(size), np.empty(size)
+    blocks = max(1, round(size * n / _BLOCK_TERMS))
+    step = max(1, -(-size // blocks))
     with np.errstate(all="ignore"):
-        for rows, logw in _logw_blocks(s, flat):
-            w = np.exp(logw)
-            e, m = _exps(w)
-            log_sf[rows] = _fill_underflow(_log1mexp_of(w, e, m), logw).sum(axis=-1)
-            rate[rows] = _phi_of(w, e, m).sum(axis=-1)
-    return log_sf, rate / s.sigma
+        for c0 in range(0, size, step):
+            c1 = min(c0 + step, size)
+            logw = np.empty((n, c1 - c0))
+            lo = c0
+            for halfmu, end in parts:
+                hi = min(end, c1)
+                if lo < hi:
+                    np.subtract(halfmu, halfx[lo:hi], out=logw[:, lo - c0:hi - c0])
+                    lo = hi
+            logw /= 0.5 * sigma
+            rate[c0:c1], log_sf[c0:c1] = _kernel(logw)
+        rate /= sigma
+    return log_sf, rate
+
+
+def _series_rows(systems, xs) -> tuple[np.ndarray, np.ndarray]:
+    """Log survival and hazard of each series system at its flat abscissae
+    ``xs``, concatenated; adjacent systems that share ``n`` and ``sigma``
+    share one kernel pass."""
+    runs = [_run_rows(*zip(*run)) for _, run in
+            itertools.groupby(zip(systems, xs), key=lambda p: (p[0].n, p[0].sigma))]
+    return runs[0] if len(runs) == 1 else tuple(np.concatenate(v) for v in zip(*runs))
 
 
 @functools.lru_cache(maxsize=_MEMO_ENTRIES)
 def _grid_pass(s: SystemModel, points_bytes: bytes) -> tuple:
     """Both outputs of a series pass over the flat abscissae ``points_bytes``.
     The arrays are the memo's own; callers copy them."""
-    return _series_rows(s, np.frombuffer(points_bytes))
+    return _series_rows((s,), (np.frombuffer(points_bytes),))
 
 
 def _series_pass(s: SystemModel, x):
@@ -297,7 +393,7 @@ def _series_pass(s: SystemModel, x):
     """
     xv = _checked_x(x)
     if xv.flags.writeable or xv.size > _MEMO_POINTS:
-        log_sf, rate = _series_rows(s, xv.reshape(-1))
+        log_sf, rate = _series_rows((s,), (xv.reshape(-1),))
     else:
         log_sf, rate = (v.copy() for v in _grid_pass(s, xv.tobytes()))
     return log_sf.reshape(xv.shape)[()], rate.reshape(xv.shape)[()]
@@ -401,9 +497,11 @@ def system_reversed_hazard(s: SystemModel, x) -> np.ndarray:
 
 # -- quantiles ----------------------------------------------------------------
 
-def _series_roots(s: SystemModel, target: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Where the series log survival equals each ``target``, by monotone Newton
-    from ``x``, a closed-form bound right of every root.
+def _series_roots(systems, targets, starts) -> tuple[np.ndarray, ...]:
+    """Where the log survival of each series system equals each of its
+    ``targets``, by monotone Newton from ``starts``, closed-form bounds right
+    of every root; the roots of all systems come back concatenated, with the
+    log survival and hazard there.
 
     Every component is IFR, so the log survival is concave and decreasing
     (Barlow and Proschan, 1975): every tangent lies above it, and Newton
@@ -413,37 +511,48 @@ def _series_roots(s: SystemModel, target: np.ndarray, x: np.ndarray) -> np.ndarr
     longer moves x left; or when its step is not finite (the hazard
     underflows far left).  A start right of the largest double starts at
     it, and a root found beyond it is ``inf``; a start of ``-inf`` stays.
-    Each step makes one kernel pass, over the targets not yet done (see
-    ``_TRIM_ROWS``); a done ``x`` is frozen, so leaving it out of later
-    passes changes no bit.
+    Each step makes one kernel pass (``_series_rows``) over the targets of
+    every system not yet done (see ``_TRIM_ROWS``); a done ``x`` is frozen,
+    so leaving it out of later passes changes no bit, and the last pass a
+    target is in was made at its root.
     """
+    sizes = [t.size for t in targets]
+    target, x = np.concatenate(targets), np.concatenate(starts)
+    sigma = np.repeat([s.sigma for s in systems], sizes)
     tol = np.abs(target) * 2.0**-52
-    # a relative pad covers the rounding of the kernel at the start
-    with np.errstate(over="ignore"):
-        x = np.minimum(x + 1e-9 * np.minimum(s.sigma + np.abs(x), _MAX), _MAX)
-    last = np.full(target.size, -np.inf)  # the log survival of the previous pass
-    todo = np.flatnonzero(np.isfinite(x))  # the targets a pass runs over
-    for _ in range(100):  # a safety cap: pool solves take at most 10 passes
-        xt = x[todo]
-        log_sf, rate = _series_pass(s, xt)
-        gx = log_sf - target[todo]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            newton = xt + gx / rate
-        # stalled: mu_i - x has stopped resolving the steps, so the log
-        # survival no longer rises
-        stalled = log_sf <= last[todo]
-        last[todo] = log_sf
-        done = ((np.abs(gx) <= tol[todo]) | stalled
-                | ~(np.isfinite(newton) & (newton < xt)))
-        x[todo] = np.where(done, xt, newton)
-        if done.all():
-            break
-        # drop the done targets, keeping a multiple of _TRIM_ROWS
-        keep = -(-(done.size - np.count_nonzero(done)) // _TRIM_ROWS) * _TRIM_ROWS
-        if keep < done.size:
-            todo = todo[np.argsort(done, kind="stable")[:keep]]
+    last, rate = np.full(x.size, -np.inf), np.full(x.size, np.nan)
+    bounds = np.cumsum([0] + sizes)  # the targets of system k are bounds[k]:bounds[k + 1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # a relative pad covers the rounding of the kernel at the start
+        x = np.minimum(x + 1e-9 * np.minimum(sigma + np.abs(x), _MAX), _MAX)
+        # the targets a pass runs over, ascending, and their x, target, tol and
+        # the log survival of their previous pass
+        todo = np.flatnonzero(np.isfinite(x))
+        xt, tt, tolt, lastt = x[todo], target[todo], tol[todo], last[todo]
+        cuts = np.searchsorted(todo, bounds)
+        for step in range(_MAX_PASSES + 1):
+            log_sf, r = _series_rows(systems, [xt[i:j] for i, j in zip(cuts, cuts[1:])])
+            gx = log_sf - tt
+            newton = xt + gx / r
+            # stalled: mu_i - x has stopped resolving the steps, so the log
+            # survival no longer rises
+            done = ((np.abs(gx) <= tolt) | (log_sf <= lastt)
+                    | ~(np.isfinite(newton) & (newton < xt)) | (step == _MAX_PASSES))
+            xt, lastt = np.where(done, xt, newton), log_sf
+            count = np.count_nonzero(done)
+            if count == done.size:
+                break
+            # drop the done targets, keeping a multiple of _TRIM_ROWS
+            keep = -(-(done.size - count) // _TRIM_ROWS) * _TRIM_ROWS
+            if keep < done.size:
+                x[todo], last[todo], rate[todo] = xt, lastt, r
+                sel = done.argsort(kind="stable")[:keep]
+                sel.sort()
+                todo, xt, tt, tolt, lastt = todo[sel], xt[sel], tt[sel], tolt[sel], lastt[sel]
+                cuts = np.searchsorted(todo, bounds)
+        x[todo], last[todo], rate[todo] = xt, lastt, r
     # the log survival at the largest double is still above the target
-    return np.where((x == _MAX) & (last - target > tol), np.inf, x)
+    return np.where((x == _MAX) & (last - target > tol), np.inf, x), last, rate
 
 
 def _gumbel_roots(m: float, sigma: float, logw: np.ndarray) -> np.ndarray:
@@ -453,8 +562,10 @@ def _gumbel_roots(m: float, sigma: float, logw: np.ndarray) -> np.ndarray:
         return 2.0 * (0.5 * m - 0.5 * sigma * logw)
 
 
-def _log_survival_roots(s: SystemModel, target: np.ndarray, logw=None) -> np.ndarray:
-    """Where the system's log survival equals each target ``T < 0``.
+def _log_survival_roots(systems, targets, logws=None) -> list[tuple]:
+    """For each system, where its log survival equals each of its targets
+    ``T < 0``: a list of ``(x, passed)``, with ``passed`` the log survival and
+    hazard at ``x`` from the last Newton pass, or None for a closed form.
 
     ``logw`` is ``log(-log(1 - exp(T)))``, by default taken as
     ``log(-log1mexp(-T))``, without forming ``u = -expm1(T)``, which would
@@ -464,15 +575,32 @@ def _log_survival_roots(s: SystemModel, target: np.ndarray, logw=None) -> np.nda
     ``m - sigma * logw`` (``_gumbel_roots``).  Other series systems start from
     that point at the smallest location, right of the root since
     ``prod_i Fbar_i <= min_i Fbar_i`` (rounding is monotone), and run
-    ``_series_roots``.
+    ``_series_roots`` together.
     """
-    if logw is None:
+    if logws is None:
         with np.errstate(divide="ignore"):
-            logw = _fill_underflow(np.log(-_log1mexp(-target)), target)
-    if s.topology is Topology.PARALLEL:
-        return _gumbel_roots(_location(s), s.sigma, logw)
-    x = _gumbel_roots(s.mus[-1], s.sigma, logw)
-    return x if s.n == 1 else _series_roots(s, target, x)
+            logws = [_fill_underflow(np.log(-_log1mexp(-t)), t) for t in targets]
+    out = [(_gumbel_roots(_location(s) if s.topology is Topology.PARALLEL else s.mus[-1],
+                          s.sigma, logw), None) for s, logw in zip(systems, logws)]
+    newton = [k for k, s in enumerate(systems) if s.topology is Topology.SERIES and s.n > 1]
+    if newton:
+        x, log_sf, rate = _series_roots([systems[k] for k in newton],
+                                        [targets[k] for k in newton],
+                                        [out[k][0] for k in newton])
+        bounds = np.cumsum([0] + [targets[k].size for k in newton])
+        for k, i, j in zip(newton, bounds, bounds[1:]):
+            out[k] = x[i:j], (log_sf[i:j], rate[i:j])
+    return out
+
+
+def _quantile_roots(systems, probs) -> list[tuple]:
+    """``_log_survival_roots`` at ``T = log1p(-u)`` for every system, at each
+    probability ``u`` of ``probs`` (at least 1-D)."""
+    u = np.atleast_1d(np.asarray(probs, dtype=float))
+    if not np.all(np.isfinite(u)) or np.any(u <= 0.0) or np.any(u >= 1.0):
+        raise DomainError(f"prob must lie strictly inside (0, 1), got {probs!r}")
+    k = len(systems)
+    return _log_survival_roots(systems, [np.log1p(-u)] * k, [np.log(-np.log(u))] * k)
 
 
 def system_quantiles(s: SystemModel, probs) -> np.ndarray:
@@ -482,10 +610,7 @@ def system_quantiles(s: SystemModel, probs) -> np.ndarray:
     ``m - sigma * log(-log(u))``; other series quantiles come from
     ``_series_roots`` at ``log1p(-u)``.
     """
-    u = np.atleast_1d(np.asarray(probs, dtype=float))
-    if not np.all(np.isfinite(u)) or np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise DomainError(f"prob must lie strictly inside (0, 1), got {probs!r}")
-    x = _log_survival_roots(s, np.log1p(-u), np.log(-np.log(u)))
+    x = _quantile_roots((s,), probs)[0][0]
     return x[0] if np.ndim(probs) == 0 else x
 
 
@@ -494,13 +619,29 @@ def system_quantile(s: SystemModel, prob: float) -> float:
     return float(system_quantiles(s, float(prob)))
 
 
+def _quantiles_and_pdfs(systems, probs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each system's quantiles at ``probs`` and its density there, with the
+    bits of ``system_pdf``: a series system solved by Newton takes them from
+    the log survival and hazard of its last pass, and the others call it."""
+    out = []
+    for s, (x, passed) in zip(systems, _quantile_roots(systems, probs)):
+        if passed is None:
+            f = system_pdf(s, x)
+        else:
+            _checked_x(x)  # a root beyond the doubles raises as in system_pdf
+            with np.errstate(under="ignore"):
+                f = np.exp(_series_log_pdf(*passed))
+        out.append((x, f))
+    return out
+
+
 # -- evaluation grids -----------------------------------------------------------
 
 def _quantile_pairs(a: SystemModel, b: SystemModel, lo_p: float, hi_p: float):
-    """``(Q(lo_p), Q(hi_p))`` of each of ``a`` and ``b``, as floats; each
-    system solves both of its quantiles in one call."""
-    return tuple(tuple(float(v) for v in system_quantiles(s, np.array([lo_p, hi_p])))
-                 for s in (a, b))
+    """``(Q(lo_p), Q(hi_p))`` of each of ``a`` and ``b``, as floats, from one
+    Newton loop over both systems."""
+    return tuple(tuple(float(v) for v in x)
+                 for x, _ in _quantile_roots((a, b), np.array([lo_p, hi_p])))
 
 
 def make_grid(a: SystemModel, b: SystemModel, count: int = 2049,

@@ -263,6 +263,26 @@ class TestScan:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and flag in err, err
 
+    @pytest.mark.parametrize("mode", ["parallel-lr", "parallel-rh", "series-hr",
+                                      "series-disp-lu", "free"])
+    def test_mu_low_above_mu_high_names_them(self, capsys, mode):
+        # crashed in Generator.uniform with a traceback and exit 1
+        argv = ["scan", "--mode", mode, "--trials", "2", "--n", "2",
+                "--mu-low", "3", "--mu-high", "-3"]
+        assert main(argv) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "--mu-low" in err, err
+        assert "--mu-high" in err and len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("mode,flag,message", [
+        ("parallel-lr", "--gap", "--gap must be >= 0, got -1.0"),
+        ("free", "--seed", "--seed must be >= 0, got -1")])
+    def test_negative_flag_names_it(self, capsys, mode, flag, message):
+        # crashed with a traceback and exit 1, which reads as FAILS
+        argv = ["scan", "--mode", mode, "--trials", "2", "--n", "2", flag, "-1"]
+        assert main(argv) == 64
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_n_too_small(self, capsys):
         assert main(["scan", "--mode", "series-hr", "--trials", "1", "--n", "1"]) == 64
         assert "--n" in capsys.readouterr().err
@@ -423,6 +443,9 @@ class TestUsage:
            ["[simulate]", "bootstrap"]) for n in (-3, 0, 1)],
         *[("simulate", SIMULATE_SPEC.replace("n_samples = 20000", f"n_samples = {n}"),
            ["[simulate]", "n_samples"]) for n in (-1, 0)],
+        # a negative seed crashed in the random stream with a traceback
+        ("simulate", SIMULATE_SPEC.replace("seed = 11", "seed = -1"),
+         ["[simulate]", "seed", ">= 0"]),
         # a key the command never reads used to be ignored
         ("check", IDENTICAL + "gridpoints = 40\n", ["[check]", "gridpoints"]),
         ("check", IDENTICAL.replace("sigma = 1.0", "sigma = 1.0\nscale = 2.0", 1),
@@ -434,7 +457,7 @@ class TestUsage:
     ], ids=["topology", "relation", "direction", "grid-not-int", "grid-below-33", "alpha",
             "max-subdivisions", "no-check-section", "no-mus", "mus-not-numbers", "zero-sigma",
             "no-relations", "bootstrap-negative", "bootstrap-0", "bootstrap-1",
-            "n-samples-negative", "n-samples-0",
+            "n-samples-negative", "n-samples-0", "simulate-seed-negative",
             "check-unknown-key", "system-unknown-key", "entropy-unknown-key",
             "simulate-unknown-key", "t-lo-prob-0"])
     def test_spec_error_names_its_field(self, tmp_path, capsys, command, spec, names):

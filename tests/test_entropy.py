@@ -50,6 +50,11 @@ class TestShannon:
         b = en.shannon_entropy(series([5.0, 6.0])).value
         assert a == pytest.approx(b, abs=1e-9)
 
+    def test_window_of_too_many_panels_rejected(self):
+        # sigma/2 rounds to 0, so no count of panels that wide covers the window
+        with pytest.raises(DomainError, match=r"the window \[0, 0\]"):
+            en.shannon_entropy(series([0.0], sigma=5e-324))
+
     def test_self_consistency_under_tighter_tolerance(self):
         s = series([0.7, -0.7], 0.8)
         coarse = en.shannon_entropy(s, en.QuadratureSpec(rel_tol=1e-8))
@@ -108,6 +113,13 @@ class TestResidual:
         s = series([0.0])
         with pytest.raises(DomainError):
             en.residual_entropy(s, 200.0)
+
+    def test_window_of_too_many_panels_rejected(self):
+        # 2.6e307 wide at sigma 1: the panel count overflowed into a negative
+        # array size
+        s = series([1.3465910200904148e308, 1.000182640811236e308])
+        with pytest.raises(DomainError, match=r"the window \[7.36e\+307, 1e\+308\]"):
+            en.residual_entropy(s, 7.36332474468469e307)
 
 
 class TestParallelClosedForm:

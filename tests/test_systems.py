@@ -488,6 +488,90 @@ class TestFusedKernel:
         np.testing.assert_array_equal(ls, sy.system_log_survival(s, xs))
 
 
+class TestComponentMajor:
+    """The component-major kernel: its sums keep the bits of numpy's row-major
+    ``add.reduce``, so a numpy whose reduction order differs fails here."""
+
+    @pytest.mark.parametrize("n", range(1, sy.MAX_COMPONENTS + 1))
+    def test_row_sums_match_numpy_reduce(self, n):
+        rng = np.random.default_rng(n)
+        t = rng.normal(size=(n, 40)) * 10.0 ** rng.uniform(-20.0, 20.0, (n, 40))
+        t[rng.random((n, 40)) < 0.2] = 0.0
+        t[rng.random((n, 40)) < 0.2] = -0.0
+        t[:, 0], t[:, 1], t[0, 2] = -0.0, 0.0, -0.0
+        # the kernel sums its two sets of terms as one (2, n, rows) array
+        stacked = sy._row_sums(np.stack([t, -t]))
+        for u, got in zip((t, -t), stacked):
+            want = np.ascontiguousarray(u.T).sum(-1).view(np.int64)
+            np.testing.assert_array_equal(sy._row_sums(u).view(np.int64), want)
+            np.testing.assert_array_equal(got.view(np.int64), want)
+
+    @pytest.mark.parametrize("n", [2, 9, 64])
+    def test_far_components_match_reference(self, n):
+        # a block leaves out the leading components with w > 750 at all its points
+        s = SystemModel(Topology.SERIES, tuple(np.linspace(0.0, 3000.0, n)), 1.0)
+        xs = np.linspace(-50.0, 3100.0, 4099)
+        log_sf, rate = _ref_series(s, xs)
+        np.testing.assert_array_equal(sy.system_log_survival(s, xs), log_sf)
+        np.testing.assert_array_equal(sy.system_hazard(s, xs), rate)
+
+
+def _pair(kind):
+    """Two systems of each kind of pair one Newton loop solves together."""
+    s4 = _spread_system(Topology.SERIES, 4, 0.7, seed=1)
+    return {"equal-n": (s4, _spread_system(Topology.SERIES, 4, 0.7, seed=2)),
+            "unequal-n": (s4, _spread_system(Topology.SERIES, 7, 0.7, seed=2)),
+            "unequal-sigma": (s4, _spread_system(Topology.SERIES, 4, 1.3, seed=2)),
+            "series-parallel": (s4, _spread_system(Topology.PARALLEL, 5, 0.7, seed=2)),
+            "one-component": (_spread_system(Topology.SERIES, 1, 0.7), s4)}[kind]
+
+
+_PAIR_KINDS = ["equal-n", "unequal-n", "unequal-sigma", "series-parallel", "one-component"]
+
+
+class TestPairedNewton:
+    """One Newton loop over both systems of a pair changes no bit of either."""
+
+    @pytest.mark.parametrize("kind", _PAIR_KINDS)
+    def test_pair_equals_single_solves(self, kind):
+        a, b = _pair(kind)
+        probs = np.concatenate([[1e-8, 1.0 - 1e-8], make_p_grid()])
+        cuts = -np.geomspace(1e-12, 40.0, 50)  # log survival targets, as entropy's
+        for targets in ((np.log1p(-probs),) * 2, (cuts, cuts[::3])):
+            paired = sy._log_survival_roots((a, b), targets)
+            for s, t, (x, passed) in zip((a, b), targets, paired):
+                x1, passed1 = sy._log_survival_roots((s,), (t,))[0]
+                np.testing.assert_array_equal(x, x1)
+                assert (passed is None) == (passed1 is None)
+                if passed is not None:
+                    for v, v1 in zip(passed, passed1):
+                        np.testing.assert_array_equal(v, v1)
+
+    @pytest.mark.parametrize("kind", _PAIR_KINDS)
+    def test_grid_equals_single_quantiles(self, kind):
+        a, b = _pair(kind)
+        (lo_a, hi_a), (lo_b, hi_b) = (sy.system_quantiles(s, [1e-8, 1.0 - 1e-8]) for s in (a, b))
+        np.testing.assert_array_equal(sy.make_grid(a, b),
+                                      np.linspace(min(lo_a, lo_b), max(hi_a, hi_b), 2049))
+
+    @pytest.mark.parametrize("kind", _PAIR_KINDS)
+    def test_disp_densities_are_system_pdf(self, kind):
+        a, b = _pair(kind)
+        ps = make_p_grid()
+        for s, (q, f) in zip((a, b), sy._quantiles_and_pdfs((a, b), ps)):
+            np.testing.assert_array_equal(q, sy.system_quantiles(s, ps))
+            np.testing.assert_array_equal(f, sy.system_pdf(s, q))
+
+    def test_one_pass_per_step_for_a_pair(self, monkeypatch):
+        a, b = _pair("equal-n")
+        passes = []
+        real = sy._run_rows
+        monkeypatch.setattr(sy, "_run_rows", lambda *args: passes.append(len(args[0])) or
+                            real(*args))
+        sy.make_grid(a, b)
+        assert passes and set(passes) == {2}
+
+
 class TestTailSweep:
     """No NaN and no RuntimeWarning anywhere in x in [-1000 sigma, 1000 sigma]."""
 
@@ -734,8 +818,8 @@ class TestQuantileTrim:
 
     def test_pass_count_on_rate_sweep_pool(self, monkeypatch):
         passes = []
-        real = sy._series_pass
-        monkeypatch.setattr(sy, "_series_pass", lambda *a: passes.append(1) or real(*a))
+        real = sy._series_rows
+        monkeypatch.setattr(sy, "_series_rows", lambda *a: passes.append(1) or real(*a))
         counts = []
         for n in (2, 4, 16, 64):
             for s in list(self._pool(n))[::8]:
