@@ -4,19 +4,15 @@ The package models the lifetime of a system of independent Gumbel-distributed
 components sharing one scale parameter, in series (min) or parallel (max)
 arrangement, and numerically audits ordering relations between two such
 systems: likelihood ratio, hazard rate, reversed hazard rate, usual
-stochastic, dispersive and less-uncertainty order.  Majorization utilities,
-Schur-convexity probes, entropy integrals and a Monte Carlo cross-validation
-oracle round out the toolkit; the ``gumbelsys`` CLI drives it from flat spec
-files.
+stochastic, dispersive and less-uncertainty order.  Random majorization
+pairs, entropy integrals and a Monte Carlo cross-validation oracle round out
+the toolkit; the ``gumbelsys`` CLI drives it from flat spec files.
 """
 
 from .entropy import (EntropyValue, QuadratureSpec, entropy_curve,
                       residual_entropy, residual_entropy_forms, shannon_entropy)
 from .errors import DomainError, GumbelSysError, NumericsError, UsageError
-from .majorization import (Curvature, MajorizationCheck, PhiLemmaReport,
-                           check_lemma_phi, check_lemma_sum_convex,
-                           majorization_report, majorizes,
-                           random_majorization_pair, schur_test)
+from .majorization import random_majorization_pair
 from .orders import (AuditReport, Direction, Outcome, OrderVerdict, Relation,
                      Witness, check, check_disp, check_hr, check_lr, check_lu,
                      check_rh, check_st, implication_audit, make_p_grid,
@@ -34,9 +30,7 @@ __all__ = [
     "SystemModel", "Topology", "make_grid", "phi",
     "system_cdf", "system_hazard", "system_pdf", "system_quantile",
     "system_quantiles", "system_reversed_hazard", "system_survival",
-    "Curvature", "MajorizationCheck", "PhiLemmaReport", "check_lemma_phi",
-    "check_lemma_sum_convex", "majorization_report", "majorizes",
-    "random_majorization_pair", "schur_test",
+    "random_majorization_pair",
     "AuditReport", "Direction", "Outcome", "OrderVerdict", "Relation",
     "Witness", "check", "check_disp", "check_hr", "check_lr", "check_lu",
     "check_rh", "check_st", "implication_audit",

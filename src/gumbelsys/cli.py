@@ -136,6 +136,14 @@ def _list(parse, text: str, where: str) -> list:
     return values
 
 
+def _float(text: str, where: str) -> float:
+    """``text`` read as a finite number."""
+    value = _number(float, text, where)
+    if not math.isfinite(value):
+        raise UsageError(f"{where} must be finite, got {value}")
+    return value
+
+
 def _inside(high: float, text: str, where: str) -> float:
     """``text`` read as a number in the open interval (0, ``high``)."""
     value = _float(text, where)
@@ -157,9 +165,10 @@ class _Field(NamedTuple):
     help: str | None = None
 
 
-_int, _float = partial(_number, int), partial(_number, float)
-#: a tail probability of the x grid, and a probability of the t grid
+_int = partial(_number, int)
+#: a tail probability of the x grid, a probability of the t grid, a positive number
 _cutoff, _prob = partial(_inside, 0.5), partial(_inside, 1.0)
+_positive = partial(_inside, math.inf)
 _TOL_HELP = "quadrature relative tolerance override"
 
 #: the rows of a system section
@@ -186,7 +195,8 @@ _SPECS = {
         "mu_low": _Field(_float, -3.0, flag="--mu-low"),
         "mu_high": _Field(_float, 3.0, flag="--mu-high"),
         "sigmas": _Field(partial(_list, _float), (1.0,), flag="--sigmas"),
-        "spread": _Field(_float, 1.0, flag="--spread", help="majorization transfer size scale"),
+        "spread": _Field(_positive, 1.0, flag="--spread",
+                         help="majorization transfer size scale"),
         "gap": _Field(_float, 2.0, 0, "--gap",
                       help="upper bound of the componentwise location lift"),
         "grid_points": _Field(_int, orders.DEFAULT_X_POINTS, 33, "--grid-points"),
@@ -376,9 +386,11 @@ def _cmd_scan(args) -> int:
     mode, trials, sigmas = cfg["mode"], cfg["trials"], cfg["sigmas"]
     if cfg["n_components"] < (2 if mode != "parallel-lr" else 1):
         raise UsageError("--n is too small for this mode")
-    if not cfg["mu_low"] < cfg["mu_high"]:
-        raise UsageError(f"--mu-low must be below --mu-high, got {cfg['mu_low']} and "
-                         f"{cfg['mu_high']}")
+    lo, hi = cfg["mu_low"], cfg["mu_high"]
+    if not lo < hi:
+        raise UsageError(f"--mu-low must be below --mu-high, got {lo} and {hi}")
+    if not math.isfinite(hi - lo):
+        raise UsageError(f"--mu-high - --mu-low must be finite, got {lo} and {hi}")
     if args.entropy_orders and mode != "free":
         raise UsageError(f"--entropy-orders needs --mode free, got --mode {mode}")
     quad = QuadratureSpec(rel_tol=cfg["quad_rel_tol"])

@@ -131,8 +131,8 @@ def _integrate(s: SystemModel, edges: np.ndarray, q: QuadratureSpec):
     """Both forms integrated over each gap between consecutive ``edges``:
     values and error estimates shaped (2, gaps), and per-form flags of the
     gaps that hold a panel failing its error test."""
-    gaps = np.diff(edges)
-    with np.errstate(divide="ignore", invalid="ignore"):  # sigma/2 may round to 0
+    with np.errstate(over="ignore"):  # a window wider than the doubles
+        gaps = np.diff(edges)
         counts = np.maximum(1.0, np.ceil(gaps / (0.5 * s.sigma)))
     if not counts.sum() < _MAX_PANELS:
         raise DomainError(f"the window [{edges[0]:.3g}, {edges[-1]:.3g}] needs more panels "
@@ -251,5 +251,9 @@ def shannon_entropy(s, q: QuadratureSpec = QuadratureSpec()) -> EntropyValue:
     from ``Q(cutoff)`` to ``Q(1 - cutoff)``."""
     cut = q.tail_mass_cutoff
     edges = system_quantiles(s, np.array([cut, 1.0 - cut]))
+    if not edges[0] < edges[1]:
+        raise DomainError(f"the window [{edges[0]:.17g}, {edges[1]:.17g}] from Q({cut:g}) to "
+                          f"Q(1 - {cut:g}) has no width: sigma is below the spacing of "
+                          f"the doubles there")
     value, error, failed = _integrate(s, edges, q)
     return EntropyValue(-float(value[1, 0]), float(error[1, 0]), not failed[1, 0])

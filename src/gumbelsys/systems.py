@@ -24,9 +24,10 @@ A series function is a view of one kernel pass over the component-major
 terms ``log w_i = (0.5 mu_i - 0.5 x)/(0.5 sigma)``, shaped ``(n, points)`` and
 run in blocks of about 8k terms so that its temporaries stay in cache.  One
 pass yields the log survival and the hazard together: ``w``, ``exp(-w)`` and
-``-expm1(-w)`` are computed once per term and shared by ``log1mexp`` and
-``phi``, and ``_row_sums`` adds the terms of each point in the order, and so
-to the bits, of numpy's ``add.reduce`` along a row.
+``-expm1(-w)`` are computed once per term and shared by the in-place steps of
+``log1mexp`` and ``phi``, the only copies of those formulas, which the
+parallel closed forms run too; ``_row_sums`` adds the terms of each point in
+the order, and so to the bits, of numpy's ``add.reduce`` along a row.
 
 A series pass over a read-only float array of at most ``_MEMO_POINTS``
 points, which is what :func:`make_grid` returns, is memoised: the
@@ -111,6 +112,11 @@ _TRIM_ROWS = 64
 _MEMO_POINTS = 8192
 _MEMO_ENTRIES = 4
 
+#: the smallest normal double, the least sigma, and its log: below it
+#: ``exp(log w)`` carries too few bits for ``log(1 - exp(-w))``
+_TINY = float(np.finfo(float).tiny)
+_LOG_TINY = float(np.log(_TINY))
+
 
 class Topology(enum.Enum):
     SERIES = "series"
@@ -143,8 +149,9 @@ class SystemModel:
         if not all(map(math.isfinite, mus)):
             raise DomainError(f"all component locations must be finite, got {self.mus!r}")
         sigma = float(self.sigma)
-        if not (math.isfinite(sigma) and sigma > 0.0):
-            raise DomainError(f"sigma must be finite and > 0, got {self.sigma!r}")
+        if not (math.isfinite(sigma) and sigma >= _TINY):
+            raise DomainError(f"sigma must be finite and at least the smallest normal "
+                              f"double {_TINY!r}, got {self.sigma!r}")
         object.__setattr__(self, "mus", tuple(sorted(mus, reverse=True)))
         object.__setattr__(self, "sigma", sigma)
 
@@ -162,45 +169,6 @@ def _checked_x(x) -> np.ndarray:
     return arr
 
 
-# The formulas below take w >= 0 together with ``e = exp(-w)`` and
-# ``m = -expm1(-w) = 1 - exp(-w)``, so that a caller needing several of them
-# computes the two exponentials once.  Callers run them under
-# ``np.errstate(all="ignore")``: the branches not taken may overflow or divide
-# by zero, and ``np.where`` discards them.
-
-def _exps(w) -> tuple[np.ndarray, np.ndarray]:
-    """``exp(-w)`` and ``-expm1(-w)``, the two exponentials of the formulas."""
-    neg = -w
-    return np.exp(neg), -np.expm1(neg)
-
-
-def _log1mexp_of(w, e, m) -> np.ndarray:
-    """log(1 - exp(-w)): ``log(m)`` up to w = ln 2, ``log1p(-e)`` beyond it
-    (the two-branch form of Maechler, 2012)."""
-    return np.where(w <= 0.6931471805599453, np.log(m), np.log1p(-e))
-
-
-def _phi_of(w, e, m) -> np.ndarray:
-    """phi(w) = w/(e^w - 1) as ``w*e/m``; the series ``1 - w/2 + w^2/12``
-    below w = 1e-5, where both factors vanish, and 0 at w = inf."""
-    out = w * e / m
-    small = w < 1e-5
-    if small.any():
-        out = np.where(small, 1.0 - w / 2.0 + w * w / 12.0, out)
-    return np.where(np.isposinf(w), 0.0, out)
-
-
-def _log1mexp(w) -> np.ndarray:
-    """log(1 - exp(-w)) for w > 0, stable across the whole range."""
-    w = np.asarray(w, dtype=float)
-    with np.errstate(all="ignore"):
-        return _log1mexp_of(w, *_exps(w))
-
-
-#: log of the smallest normal double; below it ``exp(log w)`` is subnormal
-#: or 0 and carries too few bits for ``log(1 - exp(-w))``
-_LOG_TINY = float(np.log(np.finfo(float).tiny))
-
 #: the largest double
 _MAX = float(np.finfo(float).max)
 
@@ -217,31 +185,80 @@ def _standardized(a, b, sigma: float):
     return (0.5 * a - 0.5 * b) / (0.5 * sigma)
 
 
-def _fill_underflow(out, logw) -> np.ndarray:
-    """Patch ``out = log(1 - exp(-exp(log w)))`` where ``exp(log w)`` is below
-    the normal range.
+# The term formulas, each written once as in-place steps on ``w >= 0`` (or
+# ``log w``) shaped ``(rows, cols)`` and descending down each column, as in
+# ``_kernel``, so a branch is tested on one row; other ``w`` run as one row
+# (``_on_row``).  Branches not taken may overflow: run them under errstate.
 
-    There ``out`` is ``-inf``, or the log of a subnormal that has lost
-    precision, while ``log(1 - exp(-w)) = log w`` to double precision, so
-    ``log w`` is put in its place; every other entry is left as it is.
-    """
-    if out.size and logw.min() < _LOG_TINY:
-        out = np.where(logw < _LOG_TINY, logw, out)
+def _neg_exps(w, m=None) -> tuple[np.ndarray, np.ndarray]:
+    """``e = exp(-w)`` and ``m = -expm1(-w) = 1 - exp(-w)``, the two
+    exponentials of the term formulas, ``m`` into the given array."""
+    e = np.negative(w)
+    m = np.expm1(e, out=m)
+    np.negative(m, out=m)
+    np.exp(e, out=e)
+    return e, m
+
+
+def _phi_terms(w, e, m, out=None) -> np.ndarray:
+    """phi(w) = w/(e^w - 1) as ``w*e/m``; the series ``1 - w/2 + w^2/12``
+    below w = 1e-5, where both factors vanish, and 0 at w = inf."""
+    out = np.multiply(w, e, out=out)
+    np.divide(out, m, out=out)
+    if w.size and w[-1].min() < 1e-5:
+        small = w < 1e-5
+        ws = w[small]
+        out[small] = 1.0 - ws / 2.0 + ws * ws / 12.0
+    if w.size and w[0].max() == np.inf:
+        out[w == np.inf] = 0.0
     return out
 
 
-def phi(t) -> np.ndarray:
-    """t / (e^t - 1) on t >= 0, continuously extended to phi(0) = 1.
+def _log1mexp_terms(w, e, m) -> np.ndarray:
+    """log(1 - exp(-w)) into ``m``: ``log(m)`` up to w = ln 2, ``log1p(-e)``
+    beyond it (the two-branch form of Maechler, 2012); ``e`` is spent."""
+    near = w <= 0.6931471805599453
+    np.log(m, out=m, where=near)
+    np.negative(e, out=e)
+    np.log1p(e, out=m, where=np.invert(near, out=near))
+    return m
 
-    Evaluated as ``t * exp(-t) / (1 - exp(-t))`` which neither overflows nor
-    cancels; below t = 1e-5 the series ``1 - t/2 + t^2/12`` is used instead
-    of dividing two vanishing quantities.
-    """
+
+def _fill_underflow(out, logw) -> np.ndarray:
+    """``log w`` in place of ``out = log(1 - exp(-w))`` where ``w`` is below the
+    normal range: there ``out`` is ``-inf``, or the log of a subnormal that has
+    lost precision, while ``log(1 - exp(-w)) = log w`` to double precision."""
+    if logw.size and logw[-1].min() < _LOG_TINY:
+        low = logw < _LOG_TINY
+        out[low] = logw[low]
+    return out
+
+
+def _on_row(step, w, logw=None) -> np.ndarray:
+    """``step(w, e, m)`` of any ``w >= 0`` run as one row and shaped like ``w``,
+    with ``_fill_underflow`` from ``logw`` when it is given."""
+    w = np.asarray(w, dtype=float)
+    row = w.reshape(1, -1)
+    with np.errstate(all="ignore"):
+        out = step(row, *_neg_exps(row))
+    if logw is not None:
+        _fill_underflow(out, logw.reshape(row.shape))
+    return out.reshape(w.shape)
+
+
+def _log1mexp(w, logw=None) -> np.ndarray:
+    """log(1 - exp(-w)) for w >= 0, stable across the whole range."""
+    return _on_row(_log1mexp_terms, w, logw)
+
+
+def phi(t) -> np.ndarray:
+    """t / (e^t - 1) on t >= 0, continuously extended to phi(0) = 1, as
+    ``t * exp(-t) / (1 - exp(-t))``, which neither overflows nor cancels, and
+    the series ``1 - t/2 + t^2/12`` below t = 1e-5 (``_phi_terms``)."""
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr) | np.isposinf(arr)) or np.any(arr < 0.0):
         raise DomainError(f"phi is defined on t >= 0, got {t!r}")
-    with np.errstate(all="ignore"):
-        return _phi_of(arr, *_exps(arr))
+    return _on_row(_phi_terms, arr)
 
 
 # -- parallel systems -------------------------------------------------------
@@ -302,39 +319,20 @@ def _kernel(logw: np.ndarray) -> np.ndarray:
     with the locations descending down each column, the column sums
     ``sum_i phi(w_i)`` and ``sum_i log(1 - exp(-w_i))``, shaped ``(2, rows)``.
 
-    ``w``, ``e = exp(-w)`` and ``m = -expm1(-w)`` are computed once and feed
-    both sums, each branch of ``_phi_of`` and ``_log1mexp_of`` is taken only
-    where it applies, and the temporaries are reused in place; the bits are
-    those of the two formulas.  Where ``w > 750``, ``e`` is 0 and both terms
-    are zeros: the leading rows where every term is that far out stay zeros
-    and are not computed.  ``w`` is never NaN, since ``log w`` is a quotient of
-    finite doubles, and it descends down each column like ``log w``.
+    ``_phi_terms``, ``_log1mexp_terms`` and ``_fill_underflow`` share ``w`` and
+    its two exponentials (``_neg_exps``) and write in place.  Where ``w > 750``,
+    ``e`` is 0 and both terms are zeros: the leading rows where every term is
+    that far out stay zeros and are not computed.  ``w`` is never NaN (``log w``
+    is a quotient of finite doubles) and descends down each column.
     """
     terms = np.empty((2, *logw.shape))
     k = np.count_nonzero(logw.min(axis=1) > _LOG_W_ZERO)
     terms[:, :k] = 0.0
     if k < logw.shape[0]:
-        lw, p, m = logw[k:], terms[0, k:], terms[1, k:]
-        w = np.exp(lw)
-        e = np.negative(w)
-        np.expm1(e, out=m)
-        np.negative(m, out=m)
-        np.exp(e, out=e)
-        np.multiply(w, e, out=p)
-        np.divide(p, m, out=p)
-        if w[-1].min() < 1e-5:
-            small = w < 1e-5
-            ws = w[small]
-            p[small] = 1.0 - ws / 2.0 + ws * ws / 12.0
-        if w[0].max() == np.inf:
-            p[w == np.inf] = 0.0
-        near = w <= 0.6931471805599453
-        np.log(m, out=m, where=near)
-        np.negative(e, out=e)
-        np.log1p(e, out=m, where=np.invert(near, out=near))
-        if lw[-1].min() < _LOG_TINY:
-            low = lw < _LOG_TINY
-            m[low] = lw[low]
+        w = np.exp(logw[k:])
+        e, m = _neg_exps(w, terms[1, k:])
+        _phi_terms(w, e, m, terms[0, k:])
+        _fill_underflow(_log1mexp_terms(w, e, m), logw[k:])
     return _row_sums(terms)
 
 
@@ -385,12 +383,7 @@ def _grid_pass(s: SystemModel, points_bytes: bytes) -> tuple:
 
 
 def _series_pass(s: SystemModel, x):
-    """Log survival and hazard of a series system from one blocked pass.
-
-    For every component term ``log w``, ``w``, ``exp(-w)`` and ``-expm1(-w)``
-    are computed once and feed both ``sum_i log(1 - exp(-w_i))`` and
-    ``(1/sigma) * sum_i phi(w_i)``.
-    """
+    """Log survival and hazard of a series system from one blocked pass."""
     xv = _checked_x(x)
     if xv.flags.writeable or xv.size > _MEMO_POINTS:
         log_sf, rate = _series_rows((s,), (xv.reshape(-1),))
@@ -411,12 +404,11 @@ def system_log_cdf(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
         return -_zw(s, x)[1]
     log_sf = _series_pass(s, x)[0]
-    with np.errstate(divide="ignore", under="ignore"):
-        out = _log1mexp(-log_sf)
+    out = _log1mexp(-log_sf)
     # the cdf is below the normal range, so the log survival has rounded to
     # (or next to) 0; there 1 - prod_i (1 - exp(-w_i)) is sum_i exp(-w_i) to
     # a relative 1e-308
-    deep = log_sf > -np.finfo(float).tiny
+    deep = log_sf > -_TINY
     if np.any(deep):
         with np.errstate(over="ignore", under="ignore"):
             logw = _standardized(np.asarray(s.mus), np.asarray(x, dtype=float)[..., None],
@@ -428,7 +420,7 @@ def system_log_cdf(s: SystemModel, x) -> np.ndarray:
 def system_log_survival(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
         z, w = _zw(s, x)
-        return _fill_underflow(_log1mexp(w), -z)
+        return _log1mexp(w, -z)
     return _series_pass(s, x)[0]
 
 
@@ -471,9 +463,7 @@ def system_pdf(s: SystemModel, x) -> np.ndarray:
 
 def system_hazard(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
-        w = _zw(s, x)[1]
-        with np.errstate(all="ignore"):
-            return _phi_of(w, *_exps(w)) / s.sigma
+        return _on_row(_phi_terms, _zw(s, x)[1]) / s.sigma
     return _series_pass(s, x)[1]
 
 
@@ -579,7 +569,7 @@ def _log_survival_roots(systems, targets, logws=None) -> list[tuple]:
     """
     if logws is None:
         with np.errstate(divide="ignore"):
-            logws = [_fill_underflow(np.log(-_log1mexp(-t)), t) for t in targets]
+            logws = [_fill_underflow(np.log(-_log1mexp(-t[None])), t[None])[0] for t in targets]
     out = [(_gumbel_roots(_location(s) if s.topology is Topology.PARALLEL else s.mus[-1],
                           s.sigma, logw), None) for s, logw in zip(systems, logws)]
     newton = [k for k, s in enumerate(systems) if s.topology is Topology.SERIES and s.n > 1]

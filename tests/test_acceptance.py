@@ -19,9 +19,11 @@ from gumbelsys import Direction, Outcome
 from gumbelsys import entropy as en
 from gumbelsys import orders as od
 from gumbelsys import systems as sy
-from gumbelsys.majorization import Curvature, random_majorization_pair, schur_test
+from gumbelsys.majorization import random_majorization_pair
 from gumbelsys.rng import stream
 from gumbelsys.simulate import empirical_cdf_dominance
+
+from lemmas import Curvature, check_lemma_phi, schur_test
 
 SEED = 20250809
 EULER_GAMMA = 0.577215664901533  # 15 digits
@@ -138,7 +140,7 @@ def test_criterion_04_series_disp_and_lu_under_majorization():
 
 def test_criterion_05_phi_convex_decreasing_and_value():
     grid = np.linspace(1e-6, 50.0, 10_000)
-    rep = gs.check_lemma_phi(grid)
+    rep = check_lemma_phi(grid)
     val_ok = abs(float(sy.phi(1.0)) - 1.0 / (math.e - 1.0)) < 1e-14
     ok = rep.passed and val_ok
     _report(5, ok, f"phi second diffs >= {rep.min_second_difference:.2e}, "

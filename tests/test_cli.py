@@ -283,6 +283,21 @@ class TestScan:
         assert main(argv) == 64
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("mode,args,message", [
+        ("free", ["--mu-high", "inf"], "--mu-high must be finite, got inf"),
+        ("parallel-lr", ["--gap", "nan"], "--gap must be finite, got nan"),
+        ("free", ["--mu-low=-1.7e308", "--mu-high", "1.7e308"],
+         "--mu-high - --mu-low must be finite, got -1.7e+308 and 1.7e+308"),
+        ("free", ["--spread", "nan"], "--spread must be finite, got nan"),
+        ("series-hr", ["--spread", "0"], "--spread must lie in (0, inf), got 0.0")],
+        ids=["mu-high-inf", "gap-nan", "mu-width-inf", "spread-nan", "spread-0"])
+    def test_out_of_range_number_names_its_flag(self, capsys, mode, args, message):
+        # the first three crashed with an OverflowError traceback and exit 1,
+        # which reads as FAILS; a NaN spread was echoed in a passing report
+        argv = ["scan", "--mode", mode, "--trials", "2", "--n", "2", *args]
+        assert main(argv) == 64
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_n_too_small(self, capsys):
         assert main(["scan", "--mode", "series-hr", "--trials", "1", "--n", "1"]) == 64
         assert "--n" in capsys.readouterr().err
@@ -454,12 +469,16 @@ class TestUsage:
         ("simulate", SIMULATE_SPEC + "samples = 10\n", ["[simulate]", "samples"]),
         # a t grid probability of 0 used to be reported without its field
         ("entropy", ENTROPY_SPEC + "t_lo_prob = 0\n", ["[entropy]", "t_lo_prob", "(0, 1)"]),
+        # a NaN tolerance ran every panel into a failed error test
+        ("entropy", ENTROPY_SPEC + "abs_tol = nan\n", ["[entropy]", "abs_tol", "finite"]),
+        ("check", IDENTICAL.replace("sigma = 1.0", "sigma = inf", 1),
+         ["[system_a] sigma", "finite"]),
     ], ids=["topology", "relation", "direction", "grid-not-int", "grid-below-33", "alpha",
             "max-subdivisions", "no-check-section", "no-mus", "mus-not-numbers", "zero-sigma",
             "no-relations", "bootstrap-negative", "bootstrap-0", "bootstrap-1",
             "n-samples-negative", "n-samples-0", "simulate-seed-negative",
             "check-unknown-key", "system-unknown-key", "entropy-unknown-key",
-            "simulate-unknown-key", "t-lo-prob-0"])
+            "simulate-unknown-key", "t-lo-prob-0", "abs-tol-nan", "sigma-inf"])
     def test_spec_error_names_its_field(self, tmp_path, capsys, command, spec, names):
         assert main([command, write(tmp_path, "s.ini", spec)]) == 64
         out, err = capsys.readouterr()

@@ -51,9 +51,17 @@ class TestShannon:
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_window_of_too_many_panels_rejected(self):
-        # sigma/2 rounds to 0, so no count of panels that wide covers the window
-        with pytest.raises(DomainError, match=r"the window \[0, 0\]"):
+        # a subnormal sigma, whose half rounds to 0 so that no count of panels
+        # that wide covers a window, is rejected when the system is built
+        with pytest.raises(DomainError, match="at least the smallest normal double"):
             en.shannon_entropy(series([0.0], sigma=5e-324))
+
+    def test_window_without_width_rejected(self):
+        # Q(cutoff) and Q(1 - cutoff) round to one double, where a zero-width
+        # panel gave -0.0 flagged as converged
+        s = series([1.6104411864331818e308, 7.36332474468469e307])
+        with pytest.raises(DomainError, match=r"the window \[7.36332474468469\d*e\+307, "):
+            en.shannon_entropy(s)
 
     def test_self_consistency_under_tighter_tolerance(self):
         s = series([0.7, -0.7], 0.8)
@@ -120,6 +128,14 @@ class TestResidual:
         s = series([1.3465910200904148e308, 1.000182640811236e308])
         with pytest.raises(DomainError, match=r"the window \[7.36e\+307, 1e\+308\]"):
             en.residual_entropy(s, 7.36332474468469e307)
+
+    def test_window_wider_than_the_doubles_raises_no_warning(self):
+        # the gaps of a window beyond the doubles overflowed with a
+        # RuntimeWarning, raised in place of the DomainError under the
+        # suite's error::RuntimeWarning filter
+        s = series([-1e308], sigma=1e307)
+        with pytest.raises(DomainError, match="than an array can hold"):
+            od.check_lu(s, s)
 
 
 class TestParallelClosedForm:

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gumbelsys import Curvature, DomainError, UsageError
+from gumbelsys import DomainError, UsageError
 from gumbelsys import majorization as mj
 from gumbelsys import systems as sy
 from gumbelsys.rng import stream
+
+import lemmas as lm
+from lemmas import Curvature
 
 from conftest import series
 
@@ -17,38 +20,38 @@ vectors = st.lists(st.floats(-10, 10), min_size=2, max_size=6).map(np.array)
 
 class TestMajorizes:
     def test_basic(self):
-        assert mj.majorizes([2, 1, 0], [1, 1, 1])
+        assert lm.majorizes([2, 1, 0], [1, 1, 1])
 
     def test_reflexive(self):
-        assert mj.majorizes([1, 1, 1], [1, 1, 1])
+        assert lm.majorizes([1, 1, 1], [1, 1, 1])
 
     def test_totals_mismatch(self):
-        rep = mj.majorization_report([3, 0], [2, 2])
+        rep = lm.majorization_report([3, 0], [2, 2])
         assert not rep.holds
         assert "totals" in rep.reason
 
     def test_prefix_failure_reason(self):
-        rep = mj.majorization_report([1, 1, 1], [2, 1, 0])
+        rep = lm.majorization_report([1, 1, 1], [2, 1, 0])
         assert not rep.holds
         assert "prefix" in rep.reason
 
     def test_length_mismatch(self):
         with pytest.raises(UsageError):
-            mj.majorizes([1, 2], [1, 2, 3])
+            lm.majorizes([1, 2], [1, 2, 3])
 
     def test_order_independent(self):
-        assert mj.majorizes([0, 1, 2], [1, 1, 1])
+        assert lm.majorizes([0, 1, 2], [1, 1, 1])
 
     @given(vectors)
     @settings(max_examples=60, deadline=None)
     def test_mean_vector_is_minimal(self, v):
         mean = np.full_like(v, v.mean())
-        assert mj.majorizes(v, mean)
+        assert lm.majorizes(v, mean)
 
     @given(vectors)
     @settings(max_examples=60, deadline=None)
     def test_reflexivity_property(self, v):
-        assert mj.majorizes(v, v)
+        assert lm.majorizes(v, v)
 
 
 class TestPairGenerator:
@@ -56,7 +59,7 @@ class TestPairGenerator:
         g = stream(11, "pairs")
         for _ in range(10_000):
             u, v = mj.random_majorization_pair(g, 5)
-            assert mj.majorizes(u, v)
+            assert lm.majorizes(u, v)
 
     def test_independent_prefix_check(self):
         # re-verify a slice against a from-scratch prefix-sum loop
@@ -97,7 +100,7 @@ class TestPairGenerator:
             u2 = u.copy()
             u2[0] += 0.5  # largest coordinate receives
             u2[-1] -= 0.5
-            assert mj.majorizes(u2, u) and mj.majorizes(u2, v)
+            assert lm.majorizes(u2, u) and lm.majorizes(u2, v)
 
     def test_domain(self):
         g = stream(16, "pairs")
@@ -110,50 +113,50 @@ class TestPairGenerator:
 class TestSchur:
     def test_sum_of_squares_convex(self):
         f = lambda z: float(np.sum(z * z))
-        assert mj.schur_test(f, [1.0, 2.0, 3.0], Curvature.CONVEX)
+        assert lm.schur_test(f, [1.0, 2.0, 3.0], Curvature.CONVEX)
 
     def test_linear_sum_degenerate_both_modes(self):
         f = lambda z: float(np.sum(z))
-        assert mj.schur_test(f, [0.3, -1.0, 2.0], Curvature.CONVEX)
-        assert mj.schur_test(f, [0.3, -1.0, 2.0], Curvature.CONCAVE)
+        assert lm.schur_test(f, [0.3, -1.0, 2.0], Curvature.CONVEX)
+        assert lm.schur_test(f, [0.3, -1.0, 2.0], Curvature.CONCAVE)
 
     def test_series_hazard_left_of_locations(self):
         # with every inner exponential argument far enough left, the hazard
         # of a series system is Schur-convex in the locations
         x = -2.0
         f = lambda mus: float(sy.system_hazard(series(tuple(mus)), x))
-        assert mj.schur_test(f, [0.3, -0.2, 1.1], Curvature.CONVEX)
+        assert lm.schur_test(f, [0.3, -0.2, 1.1], Curvature.CONVEX)
 
     def test_series_hazard_not_convex_mid_range(self):
         # between the locations the gradient condition genuinely reverses,
         # so an honest probe must say no
         x = 1.5
         f = lambda mus: float(sy.system_hazard(series(tuple(mus)), x))
-        assert not mj.schur_test(f, [0.3, -0.2, 1.1], Curvature.CONVEX)
+        assert not lm.schur_test(f, [0.3, -0.2, 1.1], Curvature.CONVEX)
 
     def test_sum_of_exponentials_convex_everywhere(self):
         f = lambda z: float(np.sum(np.exp(z)))
         g = stream(21, "schur")
         for _ in range(50):
             z = g.uniform(-3, 3, 4)
-            assert mj.schur_test(f, z, Curvature.CONVEX)
+            assert lm.schur_test(f, z, Curvature.CONVEX)
 
     def test_asymmetric_rejected(self):
         f = lambda z: float(z[0] * 2 + z[1])
         with pytest.raises(UsageError):
-            mj.schur_test(f, [1.0, 2.0], Curvature.CONVEX)
+            lm.schur_test(f, [1.0, 2.0], Curvature.CONVEX)
 
     def test_nonfinite_rejected(self):
         f = lambda z: float("nan")
         with pytest.raises(Exception):
-            mj.schur_test(f, [1.0, 2.0], Curvature.CONVEX)
+            lm.schur_test(f, [1.0, 2.0], Curvature.CONVEX)
 
 
 class TestPhiLemma:
     @pytest.mark.parametrize("grid", [np.linspace(1e-6, 50.0, 10_000),
                                       np.geomspace(1e-6, 50.0, 10_000)])
     def test_dense_grid_convex_and_decreasing(self, grid):
-        rep = mj.check_lemma_phi(grid)
+        rep = lm.check_lemma_phi(grid)
         assert rep.passed
         assert rep.min_second_difference >= -1e-9
         assert rep.max_first_difference <= 1e-12
@@ -170,16 +173,16 @@ class TestPhiLemma:
 
     def test_bad_grid(self):
         with pytest.raises(DomainError):
-            mj.check_lemma_phi([0.0, 1.0])
+            lm.check_lemma_phi([0.0, 1.0])
 
 
 class TestSumConvexLemma:
     def test_exponential(self):
-        assert mj.check_lemma_sum_convex(np.exp, [2.0, 0.0], [1.0, 1.0])
+        assert lm.check_lemma_sum_convex(np.exp, [2.0, 0.0], [1.0, 1.0])
         assert math.exp(2) + 1 >= 2 * math.e  # the inequality it encodes
 
     def test_identity_is_equality(self):
-        assert mj.check_lemma_sum_convex(lambda t: t, [2.0, 0.0], [1.0, 1.0])
+        assert lm.check_lemma_sum_convex(lambda t: t, [2.0, 0.0], [1.0, 1.0])
 
     def test_gumbel_inner_exponential(self):
         # gamma(t) = exp(-(x - t)/sigma) is convex in t, so the component sum
@@ -190,8 +193,8 @@ class TestSumConvexLemma:
         gamma = lambda t: np.exp(-(x - t) / sigma)
         for _ in range(100):
             u, v = mj.random_majorization_pair(g, 4)
-            assert mj.check_lemma_sum_convex(gamma, u, v)
+            assert lm.check_lemma_sum_convex(gamma, u, v)
 
     def test_precondition_enforced(self):
         with pytest.raises(UsageError):
-            mj.check_lemma_sum_convex(np.exp, [1.0, 1.0], [2.0, 0.0])
+            lm.check_lemma_sum_convex(np.exp, [1.0, 1.0], [2.0, 0.0])

@@ -173,21 +173,21 @@ class TestFarRightTail:
                                    parallel([2.0, 0.0, -1.5], 0.7)])
     def test_finite_values_unchanged(self, s):
         # where exp(log w) is a normal double (here x < 494), the result is
-        # the plain _log1mexp(w) bit for bit: summed over the components of a
-        # series system, and of the one Gumbel(L, sigma) that a parallel
+        # the reference log1mexp(w) bit for bit: summed over the components of
+        # a series system, and of the one Gumbel(L, sigma) that a parallel
         # system is
         xs = np.linspace(-30.0, 490.0, 1041)
         logw = (np.asarray(s.mus) - xs[:, None]) / s.sigma
         if s.topology is Topology.PARALLEL:
             loc = sy._location(s)
-            old = sy._log1mexp(np.exp(-(xs - loc) / s.sigma))
+            old = _ref_log1mexp(np.exp(-(xs - loc) / s.sigma))
             # (L - x)/sigma is the log of sum_i w_i up to rounding
             near = np.linspace(-50.0, 50.0, 2001) * s.sigma
             log_sum = logsumexp((np.asarray(s.mus) - near[:, None]) / s.sigma, axis=-1)
             np.testing.assert_allclose((loc - near) / s.sigma, log_sum,
                                        rtol=4e-15, atol=4e-15)
         else:
-            old = sy._log1mexp(np.exp(logw)).sum(axis=-1)
+            old = _ref_log1mexp(np.exp(logw)).sum(axis=-1)
         assert np.isfinite(old).all()
         np.testing.assert_array_equal(sy.system_log_survival(s, xs), old)
 
@@ -248,9 +248,13 @@ class TestModel:
     def test_validation(self):
         with pytest.raises(DomainError):
             SystemModel(Topology.SERIES, (), 1.0)
-        for sigma in (0.0, -1.0, np.nan):
+        # a subnormal sigma, whose half rounds to 0, ended a parallel pair in
+        # ZeroDivisionError and made a series cdf NaN
+        tiny = np.finfo(float).tiny
+        for sigma in (0.0, -1.0, np.nan, 5e-324, np.nextafter(tiny, 0.0)):
             with pytest.raises(DomainError):
                 SystemModel(Topology.SERIES, (0.0,), sigma)
+        assert SystemModel(Topology.PARALLEL, (0.0, 1.0), tiny).sigma == tiny
         with pytest.raises(DomainError):
             SystemModel(Topology.SERIES, (np.inf,), 1.0)
         with pytest.raises(DomainError):
@@ -402,6 +406,13 @@ def _ref_series(s, xs):
     return log_sf, _ref_phi(w).sum(axis=-1) / s.sigma
 
 
+#: the branch ends of the term formulas: the subnormal range, the series
+#: below 1e-5, the ln 2 switch, exp(-w) going subnormal and then 0, and inf
+_EDGE_W = {f"w={float(w)!r}": w for w in (
+    0.0, 5e-324, 1e-310, np.nextafter(1e-5, 0.0), 1e-5, np.nextafter(1e-5, 1.0),
+    np.nextafter(math.log(2.0), 0.0), math.log(2.0), np.nextafter(math.log(2.0), 1.0),
+    745.2, 800.0, np.inf)}
+
 _FUNCS = ("system_cdf", "system_pdf", "system_survival", "system_hazard",
           "system_reversed_hazard", "system_log_cdf", "system_log_pdf",
           "system_log_survival")
@@ -428,13 +439,17 @@ class TestFusedKernel:
             expect = np.log(rate) + log_sf
         np.testing.assert_array_equal(sy.system_log_pdf(s, xs), expect)
 
-    @pytest.mark.parametrize("x", [-3.0, 0.25, 17.0, 800.0])
+    @pytest.mark.parametrize("x", [-3.0, 0.25, 17.0, 800.0, *_EDGE_W])
     def test_phi_and_log1mexp_match_reference(self, x):
-        s = _spread_system(Topology.SERIES, 7)
-        logw = (np.asarray(s.mus) - x) / s.sigma
-        w = np.exp(logw)
-        np.testing.assert_array_equal(sy.phi(w), _ref_phi(w))
-        np.testing.assert_array_equal(sy._log1mexp(w), _ref_log1mexp(w))
+        if x in _EDGE_W:  # one branch end, alone, as a scalar and among others
+            w = np.array([_EDGE_W[x], _EDGE_W[x], 1.0, 1e-7])
+        else:
+            s = _spread_system(Topology.SERIES, 7)
+            w = np.exp((np.asarray(s.mus) - x) / s.sigma)
+        for f, ref in ((sy.phi, _ref_phi), (sy._log1mexp, _ref_log1mexp)):
+            want = ref(w).view(np.int64)  # as int64, so that the sign of a zero counts
+            np.testing.assert_array_equal(f(w).view(np.int64), want)
+            np.testing.assert_array_equal(np.asarray(f(w[0])).view(np.int64), want[0])
 
     @pytest.mark.parametrize("topology", _TOPOLOGIES)
     def test_blocks_match_per_point_calls(self, topology, monkeypatch):
