@@ -166,9 +166,9 @@ class _Field(NamedTuple):
 
 
 _int = partial(_number, int)
-#: a tail probability of the x grid, a probability of the t grid, a positive number
+#: a tail probability, a probability, a positive number, a quadrature rel_tol
 _cutoff, _prob = partial(_inside, 0.5), partial(_inside, 1.0)
-_positive = partial(_inside, math.inf)
+_positive, _tol = partial(_inside, math.inf), partial(_inside, 1e-4)
 _TOL_HELP = "quadrature relative tolerance override"
 
 #: the rows of a system section
@@ -185,7 +185,7 @@ _SPECS = {
         "p_points": _Field(_int, orders.DEFAULT_P_POINTS, 33),
         "t_points": _Field(_int, orders.DEFAULT_T_POINTS, 1),
         "tail_cutoff": _Field(_cutoff, DEFAULT_TAIL_CUTOFF, flag="--tail-cutoff"),
-        "quad_rel_tol": _Field(_float, QuadratureSpec.rel_tol, flag="--tol", help=_TOL_HELP),
+        "quad_rel_tol": _Field(_tol, QuadratureSpec.rel_tol, flag="--tol", help=_TOL_HELP),
         "seed": _Field(None)}),  # check draws nothing at random
     "scan": ((), {
         "mode": _Field(partial(_choice, SCAN_MODES), flag="--mode",
@@ -194,7 +194,7 @@ _SPECS = {
         "n_components": _Field(_int, flag="--n", help="components per system"),
         "mu_low": _Field(_float, -3.0, flag="--mu-low"),
         "mu_high": _Field(_float, 3.0, flag="--mu-high"),
-        "sigmas": _Field(partial(_list, _float), (1.0,), flag="--sigmas"),
+        "sigmas": _Field(partial(_list, _positive), (1.0,), flag="--sigmas"),
         "spread": _Field(_positive, 1.0, flag="--spread",
                          help="majorization transfer size scale"),
         "gap": _Field(_float, 2.0, 0, "--gap",
@@ -203,14 +203,14 @@ _SPECS = {
         "p_points": _Field(_int, orders.DEFAULT_P_POINTS, 33, "--p-points"),
         "t_points": _Field(_int, orders.DEFAULT_T_POINTS, 1, "--t-points"),
         "tail_cutoff": _Field(_cutoff, DEFAULT_TAIL_CUTOFF, flag="--tail-cutoff"),
-        "quad_rel_tol": _Field(_float, QuadratureSpec.rel_tol, flag="--tol", help=_TOL_HELP),
+        "quad_rel_tol": _Field(_tol, QuadratureSpec.rel_tol, flag="--tol", help=_TOL_HELP),
         "seed": _Field(_int, 0, 0, "--seed")}),
     "entropy": (("system",), {
         "t_values": _Field(_floats, ()),
-        "rel_tol": _Field(_float, QuadratureSpec.rel_tol, flag="--tol", help=_TOL_HELP),
-        "abs_tol": _Field(_float, QuadratureSpec.abs_tol),
-        "tail_cutoff": _Field(_float, QuadratureSpec.tail_mass_cutoff),
-        "max_subdivisions": _Field(_int, QuadratureSpec.max_subdivisions),
+        "rel_tol": _Field(_tol, QuadratureSpec.rel_tol, flag="--tol", help=_TOL_HELP),
+        "abs_tol": _Field(_positive, QuadratureSpec.abs_tol),
+        "tail_cutoff": _Field(_cutoff, QuadratureSpec.tail_mass_cutoff),
+        "max_subdivisions": _Field(_int, QuadratureSpec.max_subdivisions, 1),
         # the t grid where t_values is empty; the report echoes its points
         "t_points": _Field(_int, orders.DEFAULT_T_POINTS, 1),
         "t_lo_prob": _Field(_prob, 0.001),
@@ -220,8 +220,8 @@ _SPECS = {
         "seed": _Field(_int, 0, 0),
         "grid_points": _Field(_int, 129, 33, "--grid-points"),
         "tail_cutoff": _Field(_cutoff, DEFAULT_TAIL_CUTOFF, flag="--tail-cutoff"),
-        "alpha": _Field(_float, 0.25),
-        "beta": _Field(_float, 0.75),
+        "alpha": _Field(_prob, 0.25),
+        "beta": _Field(_prob, 0.75),
         "bootstrap": _Field(_int, 200, 2)}),
 }
 
@@ -398,43 +398,50 @@ def _cmd_scan(args) -> int:
     relations = ([rel for rel, _ in _SCAN_ROWS[mode]] if not free
                  else list(Relation) if args.entropy_orders else _ON_X_GRID)
 
-    failures = []
+    failures, code = [], EXIT_OK
     held_counts: dict[str, int] = {}
     min_margins: dict[str, float] = {}
 
     for k in range(trials):
-        a, b = _scan_trial(k, cfg, sigmas[k % len(sigmas)])
-        grid, p_grid, t_grid = _grids(a, b, relations, cfg)
-        extra: dict = {}
-
-        if free:  # exploration plus internal consistency audit
-            audit = orders.implication_audit(a, b, grid, p_grid, t_grid,
-                                             include_entropy_orders=args.entropy_orders,
-                                             quad=quad)
-            trial_verdicts = list(audit.verdicts.values())
-            for (rel, direction), v in audit.verdicts.items():
-                if v.outcome is Outcome.HOLDS:
-                    key = f"{rel.value}:{direction.value}"
-                    held_counts[key] = held_counts.get(key, 0) + 1
-            trial_ok = audit.consistent
-            if not audit.consistent:
-                extra["audit_violations"] = list(audit.violations)
-        else:
-            trial_verdicts = [orders.check(rel, a, b, direction, grid, p_grid, t_grid, quad)
-                              for rel, direction in _SCAN_ROWS[mode]]
-            trial_ok = all(v.holds for v in trial_verdicts)
-            if mode == "parallel-rh":
-                closed = orders.parallel_rh_log_margin(a, b)
-                agree = (closed >= 0.0) == trial_ok
-                extra["closed_form_log_margin"] = closed
-                extra["closed_form_agrees"] = agree
-                trial_ok = trial_ok and agree
+        sigma = sigmas[k % len(sigmas)]
+        try:
+            a, b = _scan_trial(k, cfg, sigma)
+            grid, p_grid, t_grid = _grids(a, b, relations, cfg)
+            extra: dict = {}
+            if free:  # exploration plus internal consistency audit
+                audit = orders.implication_audit(a, b, grid, p_grid, t_grid,
+                                                 include_entropy_orders=args.entropy_orders,
+                                                 quad=quad)
+                trial_verdicts = list(audit.verdicts.values())
+                for (rel, direction), v in audit.verdicts.items():
+                    if v.outcome is Outcome.HOLDS:
+                        key = f"{rel.value}:{direction.value}"
+                        held_counts[key] = held_counts.get(key, 0) + 1
+                trial_code = EXIT_OK if audit.consistent else EXIT_FAILS
+                if not audit.consistent:
+                    extra["audit_violations"] = list(audit.violations)
+            else:
+                trial_verdicts = [orders.check(rel, a, b, direction, grid, p_grid, t_grid, quad)
+                                  for rel, direction in _SCAN_ROWS[mode]]
+                trial_code = _exit_for([v.outcome for v in trial_verdicts])
+                if mode == "parallel-rh":
+                    closed = orders.parallel_rh_log_margin(a, b)
+                    agree = (closed >= 0.0) == (trial_code == EXIT_OK)
+                    extra["closed_form_log_margin"] = closed
+                    extra["closed_form_agrees"] = agree
+                    trial_code = trial_code if agree else EXIT_FAILS
+        except GumbelSysError as exc:  # name the flags the trial was drawn from
+            drawn = f"--mu-low {lo}, --mu-high {hi}, --sigmas {sigma}" + (
+                "" if free else f", --gap {cfg['gap']}" if mode == "parallel-lr"
+                else f", --spread {cfg['spread']}")
+            raise UsageError(f"trial {k}, drawn from {drawn}: {exc}") from exc
 
         for v in trial_verdicts:
             key = f"{v.relation.value}:{v.direction.value}"
             prev = min_margins.get(key)
             min_margins[key] = v.margin if prev is None else min(prev, v.margin)
-        if not trial_ok:
+        if trial_code != EXIT_OK:  # a FAILS outranks an inconclusive trial
+            code = EXIT_FAILS if EXIT_FAILS in (code, trial_code) else trial_code
             failures.append({
                 "trial": k,
                 "system_a": a,
@@ -443,7 +450,6 @@ def _cmd_scan(args) -> int:
                 **extra,
             })
 
-    code = EXIT_OK if not failures else EXIT_FAILS
     doc = {
         "command": "scan",
         "config": cfg,

@@ -13,13 +13,14 @@ Each integral runs from ``t`` to the cut ``hi(t)`` where the remaining
 conditional mass drops to ``tail_mass_cutoff``, which bounds the truncation
 mismatch between the two forms by roughly ``cutoff * (1 - log(cutoff))``.
 The cut is a log-survival root from :mod:`systems`: closed form for a
-parallel or one-component system, monotone Newton for a series one.
+parallel or one-component system, monotone Newton for a series one, in one
+loop for both systems of an lu check, whose verdict reads the value arrays.
 
 All times of one call share one pass: the breakpoints ``ts`` and ``hi(ts)``
 are split into panels at most half the system's scale ``sigma`` wide, each
 integrated by the 21-point Kronrod rule with the embedded 10-point Gauss rule
-as error estimate (QUADPACK's qk21, Piessens et al. 1983), and
-``int_t^hi(t)`` is a difference of suffix sums over the panels.
+as error estimate (QUADPACK's qk21, Piessens et al. 1983); failing panels are
+bisected, and ``int_t^hi(t)`` is a difference of suffix sums over the gaps.
 """
 
 from __future__ import annotations
@@ -129,8 +130,9 @@ def _panels(s: SystemModel, a: np.ndarray, b: np.ndarray, q: QuadratureSpec):
 
 def _integrate(s: SystemModel, edges: np.ndarray, q: QuadratureSpec):
     """Both forms integrated over each gap between consecutive ``edges``:
-    values and error estimates shaped (2, gaps), and per-form flags of the
-    gaps that hold a panel failing its error test."""
+    values, error estimates and counts of panels failing their error test,
+    each shaped (2, gaps).  A gap adds up the panels the rounds keep in round
+    order, from 0.0 (``bincount``)."""
     with np.errstate(over="ignore"):  # a window wider than the doubles
         gaps = np.diff(edges)
         counts = np.maximum(1.0, np.ceil(gaps / (0.5 * s.sigma)))
@@ -143,22 +145,23 @@ def _integrate(s: SystemModel, edges: np.ndarray, q: QuadratureSpec):
     cuts = np.append(edges[owner] + gaps[owner] * (step / counts[owner]), edges[-1:])
     a, b = cuts[:-1], cuts[1:]
 
-    value, error = np.zeros((2, 2, gaps.size))
-    failed = np.zeros((2, gaps.size), dtype=bool)
+    rounds = []  # the owner, values, errors and fail flags of the panels each round keeps
     budget = q.max_subdivisions
-    while a.size:
+    while True:
         v, e, ok = _panels(s, a, b, q)
         split = np.flatnonzero(~ok.all(axis=0))[:budget]
         budget -= split.size
-        keep = ~np.isin(np.arange(a.size), split)
-        at = (slice(None), owner[keep])
-        np.add.at(value, at, v[:, keep])
-        np.add.at(error, at, e[:, keep])
-        np.logical_or.at(failed, at, ~ok[:, keep])
+        keep = np.delete(np.arange(a.size), split)
+        rounds.append((owner[keep], v[:, keep], e[:, keep], ~ok[:, keep]))
+        if not split.size:
+            break
         mid = 0.5 * (a[split] + b[split])
         a, b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
         owner = np.tile(owner[split], 2)
-    return value, error, failed
+    owner, v, e, bad = (np.concatenate(r, axis=-1) for r in zip(*rounds))
+    index = np.concatenate([owner, owner + gaps.size])  # form 1 after form 0
+    return tuple(np.bincount(index, weights=w.ravel(), minlength=2 * gaps.size).reshape(2, -1)
+                 for w in (v, e, bad))
 
 
 def _survival(s: SystemModel, ts: np.ndarray) -> np.ndarray:
@@ -169,8 +172,8 @@ def _survival(s: SystemModel, ts: np.ndarray) -> np.ndarray:
     return sf
 
 
-def _times(s: SystemModel, t, q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """1-D times and their survival; DomainError at the first without a value."""
+def _times(s: SystemModel, t, q: QuadratureSpec) -> tuple[np.ndarray, list[np.ndarray]]:
+    """1-D times and ``[survival]``; DomainError at the first without a value."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     sf = _survival(s, ts)
     bad = sf <= q.tail_mass_cutoff  # which holds every time that is not finite
@@ -182,44 +185,52 @@ def _times(s: SystemModel, t, q: QuadratureSpec) -> tuple[np.ndarray, np.ndarray
         raise DomainError(
             f"survival at t={tk} is {sk:.3e}, at or below the tail mass "
             f"cutoff {q.tail_mass_cutoff:.1e}; move t left or relax the cutoff")
-    return ts, sf
+    return ts, [sf]
 
 
-def _residual_forms(s: SystemModel, ts: np.ndarray, sf_t: np.ndarray, q: QuadratureSpec):
-    """Hazard-form and density-form values, errors and convergence flags at
-    every t, each shaped (2, len(ts))."""
-    log_sf_t = system_log_survival(s, ts)
-    his = _log_survival_roots((s,), (np.log(q.tail_mass_cutoff) + log_sf_t,))[0][0]
-    edges, where = np.unique(np.concatenate([ts, his]), return_inverse=True)
-    value, error, failed = _integrate(s, edges, q)
-    n = ts.size
+def _residual_forms(systems, ts: np.ndarray, sfs, q: QuadratureSpec) -> list[tuple]:
+    """Each system's hazard-form and density-form values, errors and
+    convergence flags at every t, each shaped (2, len(ts)); the cuts of all
+    systems come from one ``_log_survival_roots`` call."""
+    log_sfs = [system_log_survival(s, ts) for s in systems]
+    cuts = _log_survival_roots(systems, [np.log(q.tail_mass_cutoff) + v for v in log_sfs])
+    out = []
+    for s, sf_t, log_sf_t, (his, _) in zip(systems, sfs, log_sfs, cuts):
+        edges, where = np.unique(np.concatenate([ts, his]), return_inverse=True)
+        value, error, failed = _integrate(s, edges, q)
+        lo, hi = where.reshape(2, -1)
 
-    def window(v):  # int_t^hi(t) as a difference of suffix sums over the gaps
-        suffix = np.zeros((v.shape[0], v.shape[1] + 1), dtype=v.dtype)
-        np.cumsum(v[:, ::-1], axis=1, out=suffix[:, -2::-1])
-        return suffix[:, where[:n]] - suffix[:, where[n:2 * n]]
+        def window(v):  # int_t^hi(t) as a difference of suffix sums over the gaps
+            suffix = np.zeros((v.shape[0], v.shape[1] + 1))
+            np.cumsum(v[:, ::-1], axis=1, out=suffix[:, -2::-1])
+            return suffix[:, lo] - suffix[:, hi]
 
-    ints = window(value)
-    values = np.stack([1.0 - ints[0] / sf_t, log_sf_t - ints[1] / sf_t])
-    return values, window(error) / sf_t, window(failed.astype(int)) == 0
+        ints = window(value)
+        values = np.stack([1.0 - ints[0] / sf_t, log_sf_t - ints[1] / sf_t])
+        out.append((values, window(error) / sf_t, window(failed) == 0))
+    return out
 
 
 def residual_entropy_forms(s, t, q: QuadratureSpec = QuadratureSpec()):
     """Both integral forms of the residual entropy at ``t`` (hazard form
     first); a 1-D ``t`` gives a list with one pair per time."""
-    values, errs, ok = _residual_forms(s, *_times(s, t, q), q)
+    values, errs, ok = _residual_forms((s,), *_times(s, t, q), q)[0]
     pairs = [tuple(EntropyValue(float(v), float(e), bool(c)) for v, e, c in zip(*col))
              for col in zip(values.T, errs.T, ok.T)]
     return pairs[0] if np.ndim(t) == 0 else pairs
 
 
-def _agreed(values, errs, ok, q: QuadratureSpec) -> list[EntropyValue]:
-    """Hazard-form values, converged where both forms converged and agree
-    within ``10 * rel_tol * max(1, |value|)``; the gap joins the error."""
+def _agreed(values, errs, ok, q: QuadratureSpec) -> tuple[np.ndarray, ...]:
+    """Hazard-form values, errors and flags: converged where both forms converged
+    and agree within ``10 * rel_tol * max(1, |value|)``; the gap joins the error."""
     gap = np.abs(values[0] - values[1])
     agree = gap <= 10.0 * q.rel_tol * np.maximum(1.0, np.abs(values[0]))
-    return [EntropyValue(v, e, c) for v, e, c in zip(
-        values[0].tolist(), (errs[0] + gap).tolist(), (ok[0] & ok[1] & agree).tolist())]
+    return values[0], errs[0] + gap, ok[0] & ok[1] & agree
+
+
+def _entropy_values(forms, q: QuadratureSpec) -> list[EntropyValue]:
+    """``_agreed`` of one system's forms as :class:`EntropyValue` objects."""
+    return [EntropyValue(*v) for v in zip(*(x.tolist() for x in _agreed(*forms, q)))]
 
 
 def residual_entropy(s, t, q: QuadratureSpec = QuadratureSpec()):
@@ -230,7 +241,7 @@ def residual_entropy(s, t, q: QuadratureSpec = QuadratureSpec()):
     and their discrepancy is folded into the error estimate.  A scalar ``t``
     gives one :class:`EntropyValue`, a 1-D ``t`` a list of them.
     """
-    out = _agreed(*_residual_forms(s, *_times(s, t, q), q), q)
+    out = _entropy_values(_residual_forms((s,), *_times(s, t, q), q)[0], q)
     return out[0] if np.ndim(t) == 0 else out
 
 
@@ -241,7 +252,7 @@ def entropy_curve(s, t_grid, q: QuadratureSpec = QuadratureSpec()) -> list[Entro
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
     sf = _survival(s, ts)
     good = sf > q.tail_mass_cutoff
-    values = iter(_agreed(*_residual_forms(s, ts[good], sf[good], q), q))
+    values = iter(_entropy_values(_residual_forms((s,), ts[good], [sf[good]], q)[0], q))
     return [next(values) if g else EntropyValue(float("nan"), float("inf"), False)
             for g in good]
 

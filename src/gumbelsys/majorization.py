@@ -34,11 +34,14 @@ def random_majorization_pair(rng: np.random.Generator, n: int, spread: float = 1
         raise DomainError(f"spread must be > 0, got {spread}")
     v = rng.uniform(low, high, n)
     u = v.copy()
-    for _ in range(int(rng.integers(1, n + 1))):
-        i, j = rng.choice(n, size=2, replace=False)
-        donor, recipient = (i, j) if u[i] <= u[j] else (j, i)
-        gap = u[recipient] - u[donor]
-        delta = spread * max(gap, 1.0) * (1.0 - rng.random())  # strictly positive
-        u[recipient] += delta
-        u[donor] -= delta
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for _ in range(int(rng.integers(1, n + 1))):
+            i, j = rng.choice(n, size=2, replace=False)
+            donor, recipient = (i, j) if u[i] <= u[j] else (j, i)
+            gap = u[recipient] - u[donor]
+            delta = spread * max(gap, 1.0) * (1.0 - rng.random())  # strictly positive
+            u[recipient] += delta
+            u[donor] -= delta
+    if not np.all(np.isfinite(u)):
+        raise DomainError(f"spread {spread} moves a location beyond the doubles")
     return np.sort(u)[::-1], np.sort(v)[::-1]

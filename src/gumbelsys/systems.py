@@ -159,6 +159,10 @@ class SystemModel:
     def n(self) -> int:
         return len(self.mus)
 
+    @functools.cached_property
+    def _half_mus(self) -> np.ndarray:  # the column of every series kernel pass
+        return 0.5 * np.array(self.mus)[:, None]
+
 
 # -- log-space primitives -------------------------------------------------------
 
@@ -205,11 +209,11 @@ def _phi_terms(w, e, m, out=None) -> np.ndarray:
     below w = 1e-5, where both factors vanish, and 0 at w = inf."""
     out = np.multiply(w, e, out=out)
     np.divide(out, m, out=out)
-    if w.size and w[-1].min() < 1e-5:
+    if w.size and np.minimum.reduce(w[-1]) < 1e-5:
         small = w < 1e-5
         ws = w[small]
         out[small] = 1.0 - ws / 2.0 + ws * ws / 12.0
-    if w.size and w[0].max() == np.inf:
+    if w.size and np.maximum.reduce(w[0]) == np.inf:
         out[w == np.inf] = 0.0
     return out
 
@@ -228,7 +232,7 @@ def _fill_underflow(out, logw) -> np.ndarray:
     """``log w`` in place of ``out = log(1 - exp(-w))`` where ``w`` is below the
     normal range: there ``out`` is ``-inf``, or the log of a subnormal that has
     lost precision, while ``log(1 - exp(-w)) = log w`` to double precision."""
-    if logw.size and logw[-1].min() < _LOG_TINY:
+    if logw.size and np.minimum.reduce(logw[-1]) < _LOG_TINY:
         low = logw < _LOG_TINY
         out[low] = logw[low]
     return out
@@ -326,7 +330,7 @@ def _kernel(logw: np.ndarray) -> np.ndarray:
     is a quotient of finite doubles) and descends down each column.
     """
     terms = np.empty((2, *logw.shape))
-    k = np.count_nonzero(logw.min(axis=1) > _LOG_W_ZERO)
+    k = np.count_nonzero(np.minimum.reduce(logw, axis=1) > _LOG_W_ZERO)
     terms[:, :k] = 0.0
     if k < logw.shape[0]:
         w = np.exp(logw[k:])
@@ -345,7 +349,7 @@ def _run_rows(systems, xs) -> tuple[np.ndarray, np.ndarray]:
     n, sigma = systems[0].n, systems[0].sigma
     halfx = 0.5 * (xs[0] if len(xs) == 1 else np.concatenate(xs))
     size = halfx.size
-    parts = list(zip([0.5 * np.array(s.mus)[:, None] for s in systems],
+    parts = list(zip([s._half_mus for s in systems],
                      itertools.accumulate(x.size for x in xs)))
     log_sf, rate = np.empty(size), np.empty(size)
     blocks = max(1, round(size * n / _BLOCK_TERMS))
@@ -424,20 +428,25 @@ def system_log_survival(s: SystemModel, x) -> np.ndarray:
     return _series_pass(s, x)[0]
 
 
+def _parallel_log_pdf(s: SystemModel, z, w) -> np.ndarray:
+    """``-log(sigma) - z - w`` of a parallel system from ``_zw``."""
+    # where w overflows, -z - w is inf - inf; the density vanishes there
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return np.where(np.isposinf(w), -np.inf, -np.log(s.sigma) - z - w)[()]
+
+
 def system_log_pdf(s: SystemModel, x) -> np.ndarray:
     if s.topology is Topology.PARALLEL:
-        z, w = _zw(s, x)
-        # where w overflows, -z - w is inf - inf; the density vanishes there
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            return np.where(np.isposinf(w), -np.inf, -np.log(s.sigma) - z - w)[()]
+        return _parallel_log_pdf(s, *_zw(s, x))
     return _series_log_pdf(*_series_pass(s, x))
 
 
 def _log_pdf_and_survival(s: SystemModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """``(system_log_pdf, system_log_survival)``, from one kernel pass for a
-    series system."""
+    """``(system_log_pdf, system_log_survival)``, from one ``_zw`` for a
+    parallel system and one kernel pass for a series one."""
     if s.topology is Topology.PARALLEL:
-        return system_log_pdf(s, x), system_log_survival(s, x)
+        z, w = _zw(s, x)
+        return _parallel_log_pdf(s, z, w), _log1mexp(w, -z)
     log_sf, rate = _series_pass(s, x)
     return _series_log_pdf(log_sf, rate), log_sf
 

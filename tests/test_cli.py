@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gumbelsys import cli
 from gumbelsys.cli import main
@@ -203,6 +210,24 @@ class TestScan:
                      "--seed", "5", "--grid-points", "257"])
         assert code == 1
         assert "failures=5" in capsys.readouterr().out
+
+    def test_inconclusive_only_trial_exits_two(self, capsys):
+        # exited 1, which reads as a FAILS verdict
+        code = main(["scan", "--mode", "parallel-lr", "--trials", "1", "--n", "2",
+                     "--gap", "1e308", "--mu-low", "1e308", "--mu-high", "1.5e308", "--out", "-"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == doc["exit_code"] == 2
+        assert [v["outcome"] for f in doc["failures"] for v in f["verdicts"]] == ["inconclusive"]
+
+    def test_overflowing_spread_names_it(self, capsys):
+        # leaked "RuntimeWarning: overflow encountered in scalar multiply"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["scan", "--mode", "series-hr", "--trials", "1", "--n", "2",
+                         "--spread", "1e308"])
+        out, err = capsys.readouterr()
+        assert code == 64 and out == "" and "RuntimeWarning" not in err
+        assert err.startswith("error: trial 0, drawn from ") and "--spread 1e+308" in err, err
 
     def test_free_scan_consistent(self, capsys):
         code = main(["scan", "--mode", "free", "--trials", "10", "--n", "3",
@@ -593,3 +618,61 @@ def test_help_lists_every_flag(capsys, command):
         for text in ("--entropy-orders", "components per system", "componentwise location lift",
                      "majorization transfer size scale", "quadrature relative tolerance"):
             assert text in out, text
+
+
+#: the spec of each spec-reading command that the fuzz cases edit, sized so
+#: that a run with every value at its spec or default stays small
+FUZZ_SPECS = {
+    "check": SERIES_HR.replace("relations = hr", "relations = lr, hr, rh, st, disp, lu")
+                      .replace("grid_points = 513", "grid_points = 65\np_points = 33\nt_points = 4"),
+    "entropy": "[system]\ntopology = series\nmus = 0.5, -0.5, 1.0\nsigma = 0.7\n\n"
+               "[entropy]\nt_points = 4\n",
+    "simulate": RH_INSTANCE.replace("[check]\nrelations = rh\ndirection = first_greater\n",
+                                    "[simulate]\nn_samples = 2000\nbootstrap = 2\n"
+                                    "grid_points = 33\n"),
+}
+FUZZ_SCAN = ["--trials", "1", "--n", "2", "--grid-points", "65", "--p-points", "33",
+             "--t-points", "4"]
+
+
+def _fuzz_case(command, key, value, by_flag, mode):
+    """argv and stdin of ``command`` with the row ``key`` set to ``value``,
+    through its flag or its spec key, and the text an error must name."""
+    f = cli._SPECS[command][1][key]
+    if command == "scan":
+        argv = ["scan", "--mode", mode, *FUZZ_SCAN]
+        if f.flag in argv:
+            del argv[argv.index(f.flag):argv.index(f.flag) + 2]
+        return argv + [f"{f.flag}={value}"], "", f.flag
+    if by_flag and f.flag:
+        return [command, "-", f"{f.flag}={value}"], FUZZ_SPECS[command], f.flag
+    lines = [ln for ln in FUZZ_SPECS[command].splitlines() if not ln.startswith(f"{key} =")]
+    return [command, "-"], "\n".join(lines + [f"{key} = {value}", ""]), f"[{command}] {key}"
+
+
+@pytest.mark.parametrize("command", list(cli._SPECS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_edge_values_exit_cleanly(command, data):
+    """Every row of every command, set to an edge value, exits 0, 1, 2 or 64
+    with no traceback or RuntimeWarning; a usage error names its source."""
+    rows = cli._SPECS[command][1]
+    key = data.draw(st.sampled_from(sorted(rows)))
+    low = rows[key].low
+    edges = ([] if low is None else [str(low - 1)]) + ["0", "-1", "nan", "inf", "-inf",
+                                                       "1e308", "", "x"]
+    value = data.draw(st.sampled_from(edges))
+    argv, spec, source = _fuzz_case(command, key, value, data.draw(st.booleans()),
+                                    data.draw(st.sampled_from(cli.SCAN_MODES)))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            mock.patch.object(sys, "stdin", io.StringIO(spec)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    text = err.getvalue()
+    assert code in (0, 1, 2, 64), (argv, spec, text)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (argv, spec)
+    assert "Traceback" not in text and "RuntimeWarning" not in text, (argv, spec, text)
+    if code == 64:
+        assert source in text, (argv, spec, text)

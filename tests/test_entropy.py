@@ -199,6 +199,60 @@ class TestEngineContract:
         with pytest.raises(DomainError):
             od.check_lu(a, b, t_grid=np.array([0.0, 1.0, 300.0]))
 
+    def test_check_lu_raises_the_first_systems_time_error(self):
+        # the same DomainError text as residual_entropy on the first system,
+        # even where the second system's times fail as well
+        a, b = series([0.0, 0.0]), series([0.5, 0.5])
+        for ts in (np.array([0.0, 1.0, 40.0]), np.array([0.0, 300.0])):
+            with pytest.raises(DomainError) as first:
+                en.residual_entropy(a, ts)
+            assert "survival at t=" in str(first.value)
+            with pytest.raises(DomainError) as lu:
+                od.check_lu(a, b, t_grid=ts)
+            assert str(lu.value) == str(first.value)
+
+    @pytest.mark.parametrize("s", [parallel([1.0, 0.0]), series([0.3, 0.2, -1.0], 0.5)],
+                             ids=["parallel", "series"])
+    @pytest.mark.parametrize("budget", [2000, 5])
+    def test_panel_sums_match_sequential_add_at(self, s, budget):
+        # the sums of the panels each round keeps, added per gap in round
+        # order, have the bits of one np.add.at per round from zeros
+        q = en.QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=budget)
+        edges = np.unique(np.concatenate([np.linspace(-1.0, 2.0, 6), [9.0, 11.0]]))
+        gaps = np.diff(edges)
+        counts = np.maximum(1, np.ceil(gaps / (0.5 * s.sigma))).astype(int)
+        owner = np.repeat(np.arange(gaps.size), counts)
+        step = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        cuts = np.append(edges[owner] + gaps[owner] * (step / counts[owner]), edges[-1:])
+        a, b = cuts[:-1], cuts[1:]
+        value, error = np.zeros((2, 2, gaps.size))
+        failed = np.zeros((2, gaps.size), dtype=bool)
+        rounds, left = 0, budget
+        while a.size:
+            rounds += 1
+            v, e, ok = en._panels(s, a, b, q)
+            split = np.flatnonzero(~ok.all(axis=0))[:left]
+            left -= split.size
+            keep = ~np.isin(np.arange(a.size), split)
+            np.add.at(value, (slice(None), owner[keep]), v[:, keep])
+            np.add.at(error, (slice(None), owner[keep]), e[:, keep])
+            np.logical_or.at(failed, (slice(None), owner[keep]), ~ok[:, keep])
+            mid = 0.5 * (a[split] + b[split])
+            a, b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
+            owner = np.tile(owner[split], 2)
+        assert rounds >= 2  # the spec bisects
+        got_value, got_error, got_failed = en._integrate(s, edges, q)
+        np.testing.assert_array_equal(got_value.view(np.int64), value.view(np.int64))
+        np.testing.assert_array_equal(got_error.view(np.int64), error.view(np.int64))
+        np.testing.assert_array_equal(got_failed > 0, failed)
+        assert failed.any() or budget > 5  # a spent budget leaves failing panels
+
+    def test_empty_times(self):
+        s = series([1.0, 0.0])
+        assert en.residual_entropy(s, np.array([])) == []
+        assert en.residual_entropy_forms(s, np.array([])) == []
+        assert [e.converged for e in en.entropy_curve(s, [np.inf, np.nan])] == [False, False]
+
     def test_refinement_budget_caps_bisections(self):
         # at a tolerance near the rounding floor the hazard form needs a few
         # bisections: one is not enough, ten are

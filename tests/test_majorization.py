@@ -82,6 +82,12 @@ class TestPairGenerator:
             u, v = mj.random_majorization_pair(g, 2)
             assert not np.allclose(u, v)
 
+    def test_overflowing_spread_raises(self):
+        # a transfer beyond the doubles raises and warns nothing
+        with np.errstate(all="raise"):
+            with pytest.raises(DomainError, match="spread 1e[+]308 moves a location beyond"):
+                mj.random_majorization_pair(stream(16, "pairs"), 3, spread=1e308)
+
     def test_tied_start_transfers(self):
         # degenerate uniform makes v = (a, a); the only transfer shape is
         # (a + delta, a - delta)

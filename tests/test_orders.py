@@ -212,6 +212,54 @@ class TestLessUncertainty:
         assert v.outcome is Outcome.INCONCLUSIVE
 
 
+def _lu_reference(a, b, ts, quad, direction):
+    """check_lu as two residual_entropy calls, one per system, and the
+    verdict from their values."""
+    if direction is FG:
+        a, b = b, a
+    ts = od.make_t_grid(a, b) if ts is None else ts
+    ha, hb = gs.residual_entropy(a, ts, quad), gs.residual_entropy(b, ts, quad)
+    if not all(v.converged for v in ha + hb):
+        return od.OrderVerdict(Relation.LU, direction, Outcome.INCONCLUSIVE, None, 0.0)
+    va = np.array([v.value for v in ha])
+    vb = np.array([v.value for v in hb])
+    errs = np.array([x.error_estimate + y.error_estimate for x, y in zip(ha, hb)])
+    tol = 2.0 * (errs + quad.rel_tol * np.maximum(1.0, np.maximum(np.abs(va), np.abs(vb))))
+    return od._dominance_verdict(Relation.LU, direction, ts, vb, va, tol)
+
+
+class TestLessUncertaintyPair:
+    """check_lu solves both systems in one pass and gives the verdict of one
+    residual_entropy call per system, to the bit."""
+
+    STRICT = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16, max_subdivisions=1)
+
+    @pytest.mark.parametrize("a,b", [
+        (series([2.0, 0.0]), series([1.0, 1.0])),
+        (series([1.5, -0.5], 0.5), series([1.0, 0.5, -0.5], 0.5)),  # two kernel groups
+        (parallel([2.0, 0.0]), parallel([1.0, 1.0])),
+        (series([0.5]), series([0.0])),
+    ], ids=["series", "series-2-3", "parallel", "one-component"])
+    @pytest.mark.parametrize("direction", [FS, FG])
+    @pytest.mark.parametrize("ts,quad", [
+        (None, QuadratureSpec()),
+        (np.linspace(-1.0, 2.0, 6), QuadratureSpec()),
+        (np.linspace(-1.0, 2.0, 6), STRICT),
+    ], ids=["default", "grid", "strict"])
+    def test_matches_one_call_per_system(self, a, b, direction, ts, quad):
+        got = od.check_lu(a, b, t_grid=ts, quad=quad, direction=direction)
+        assert got == _lu_reference(a, b, ts, quad, direction)
+        if quad is self.STRICT:
+            assert got.outcome is Outcome.INCONCLUSIVE
+
+    def test_outcomes_covered(self):
+        outcomes = {od.check_lu(a, b, direction=d).outcome
+                    for a, b in ((series([2.0, 0.0]), series([1.0, 1.0])),
+                                 (parallel([2.0, 0.0]), parallel([1.0, 1.0])))
+                    for d in (FS, FG)}
+        assert outcomes == {Outcome.HOLDS, Outcome.FAILS}
+
+
 class TestMonotoneShape:
     def test_parallel_reversed_hazard_decays_in_time(self):
         s = parallel([0.5, -0.5])
@@ -225,6 +273,13 @@ class TestMonotoneShape:
 
 
 class TestDefaultGrid:
+    @pytest.mark.parametrize("make", [series, parallel], ids=["series", "parallel"])
+    def test_t_window_beyond_the_doubles_rejected(self, make):
+        # linspace over [-inf, inf] warned and returned NaN times
+        a, b = make([1.0, 0.0], 1e308), make([0.5, 0.5], 1e308)
+        with pytest.raises(UsageError, match="t window .* wider than the largest double"):
+            od.make_t_grid(a, b)
+
     @pytest.mark.parametrize("topology", ["series", "parallel"])
     def test_default_grid_is_the_quantile_window(self, topology):
         # min/max of the scalar 1e-8 and 1 - 1e-8 quantiles, 2049 points
