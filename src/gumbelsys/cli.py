@@ -424,7 +424,7 @@ def _cmd_scan(args) -> int:
                 trial_verdicts = [orders.check(rel, a, b, direction, grid, p_grid, t_grid, quad)
                                   for rel, direction in _SCAN_ROWS[mode]]
                 trial_code = _exit_for([v.outcome for v in trial_verdicts])
-                if mode == "parallel-rh":
+                if mode == "parallel-rh" and trial_code != EXIT_INCONCLUSIVE:
                     closed = orders.parallel_rh_log_margin(a, b)
                     agree = (closed >= 0.0) == (trial_code == EXIT_OK)
                     extra["closed_form_log_margin"] = closed

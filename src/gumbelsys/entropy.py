@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .systems import (SystemModel, _log_pdf_and_survival, _log_survival_roots,
-                      system_log_survival, system_quantiles, system_survival)
+from .systems import (SystemModel, _log_pdf_and_survival, _log_survival_roots, _window,
+                      system_log_survival, system_survival)
 
 __all__ = [
     "QuadratureSpec",
@@ -172,26 +172,22 @@ def _survival(s: SystemModel, ts: np.ndarray) -> np.ndarray:
     return sf
 
 
-def _times(s: SystemModel, t, q: QuadratureSpec) -> tuple[np.ndarray, list[np.ndarray]]:
-    """1-D times and ``[survival]``; DomainError at the first without a value."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    sf = _survival(s, ts)
-    bad = sf <= q.tail_mass_cutoff  # which holds every time that is not finite
-    if bad.any():
-        k = int(np.argmax(bad))
-        tk, sk = float(ts[k]), sf[k]
-        if not np.isfinite(tk):
-            raise DomainError(f"conditioning time must be finite, got {tk!r}")
-        raise DomainError(
-            f"survival at t={tk} is {sk:.3e}, at or below the tail mass "
-            f"cutoff {q.tail_mass_cutoff:.1e}; move t left or relax the cutoff")
-    return ts, [sf]
-
-
-def _residual_forms(systems, ts: np.ndarray, sfs, q: QuadratureSpec) -> list[tuple]:
-    """Each system's hazard-form and density-form values, errors and
-    convergence flags at every t, each shaped (2, len(ts)); the cuts of all
-    systems come from one ``_log_survival_roots`` call."""
+def _residual_forms(systems, t, q: QuadratureSpec) -> list[tuple]:
+    """Each system's hazard- and density-form values, errors and convergence
+    flags at every time of ``t`` (made 1-D), each shaped (2, times), with the
+    cuts of all systems from one ``_log_survival_roots`` call; before any
+    solve, DomainError at the first system's first time without a value."""
+    ts, sfs = np.atleast_1d(np.asarray(t, dtype=float)), []
+    for s in systems:
+        sfs.append(sf := _survival(s, ts))
+        bad = sf <= q.tail_mass_cutoff  # which holds every time that is not finite
+        if bad.any():
+            k = int(np.argmax(bad))
+            if not np.isfinite(ts[k]):
+                raise DomainError(f"conditioning time must be finite, got {float(ts[k])!r}")
+            raise DomainError(
+                f"survival at t={float(ts[k])} is {sf[k]:.3e}, at or below the tail mass "
+                f"cutoff {q.tail_mass_cutoff:.1e}; move t left or relax the cutoff")
     log_sfs = [system_log_survival(s, ts) for s in systems]
     cuts = _log_survival_roots(systems, [np.log(q.tail_mass_cutoff) + v for v in log_sfs])
     out = []
@@ -214,7 +210,7 @@ def _residual_forms(systems, ts: np.ndarray, sfs, q: QuadratureSpec) -> list[tup
 def residual_entropy_forms(s, t, q: QuadratureSpec = QuadratureSpec()):
     """Both integral forms of the residual entropy at ``t`` (hazard form
     first); a 1-D ``t`` gives a list with one pair per time."""
-    values, errs, ok = _residual_forms((s,), *_times(s, t, q), q)[0]
+    values, errs, ok = _residual_forms((s,), t, q)[0]
     pairs = [tuple(EntropyValue(float(v), float(e), bool(c)) for v, e, c in zip(*col))
              for col in zip(values.T, errs.T, ok.T)]
     return pairs[0] if np.ndim(t) == 0 else pairs
@@ -241,7 +237,7 @@ def residual_entropy(s, t, q: QuadratureSpec = QuadratureSpec()):
     and their discrepancy is folded into the error estimate.  A scalar ``t``
     gives one :class:`EntropyValue`, a 1-D ``t`` a list of them.
     """
-    out = _entropy_values(_residual_forms((s,), *_times(s, t, q), q)[0], q)
+    out = _entropy_values(_residual_forms((s,), t, q)[0], q)
     return out[0] if np.ndim(t) == 0 else out
 
 
@@ -250,21 +246,16 @@ def entropy_curve(s, t_grid, q: QuadratureSpec = QuadratureSpec()) -> list[Entro
     or past the cutoff) become non-converged NaN entries instead of aborting
     the remaining points."""
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    sf = _survival(s, ts)
-    good = sf > q.tail_mass_cutoff
-    values = iter(_entropy_values(_residual_forms((s,), ts[good], [sf[good]], q)[0], q))
+    good = _survival(s, ts) > q.tail_mass_cutoff
+    values = iter(_entropy_values(_residual_forms((s,), ts[good], q)[0], q))
     return [next(values) if g else EntropyValue(float("nan"), float("inf"), False)
             for g in good]
 
 
 def shannon_entropy(s, q: QuadratureSpec = QuadratureSpec()) -> EntropyValue:
     """Differential entropy -int f log f over the tail-trimmed support window
-    from ``Q(cutoff)`` to ``Q(1 - cutoff)``."""
+    from ``Q(cutoff)`` to ``Q(1 - cutoff)``; a window the doubles cannot hold
+    raises :class:`DomainError` (``systems._window``)."""
     cut = q.tail_mass_cutoff
-    edges = system_quantiles(s, np.array([cut, 1.0 - cut]))
-    if not edges[0] < edges[1]:
-        raise DomainError(f"the window [{edges[0]:.17g}, {edges[1]:.17g}] from Q({cut:g}) to "
-                          f"Q(1 - {cut:g}) has no width: sigma is below the spacing of "
-                          f"the doubles there")
-    value, error, failed = _integrate(s, edges, q)
+    value, error, failed = _integrate(s, np.array(_window((s,), cut, 1.0 - cut)), q)
     return EntropyValue(-float(value[1, 0]), float(error[1, 0]), not failed[1, 0])

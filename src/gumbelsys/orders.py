@@ -12,7 +12,8 @@ audit grid and returns a three-valued :class:`OrderVerdict`:
   monotonicity-style checks) where the defining inequality is broken beyond
   tolerance.
 * ``INCONCLUSIVE`` signals that the check could not be trusted: too many
-  unrepresentable densities for lr, disagreeing dual criteria for disp, or
+  unrepresentable densities for lr, a compared value that is not finite (with
+  no violation where both are), disagreeing dual criteria for disp, or
   non-converged quadrature for lu.
 
 Direction conventions follow the usual definitions.  With ``a`` the first
@@ -33,12 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import QuadratureSpec, _agreed, _residual_forms, _times
+from .entropy import QuadratureSpec, _agreed, _residual_forms
 from .entropy import residual_entropy  # noqa: F401 - a site the benchmark's tracer requires
-from .errors import DomainError, NumericsError, UsageError
-from .systems import (SystemModel, _location, _quantile_pairs, _quantiles_and_pdfs,
-                      make_grid, system_cdf, system_hazard, system_log_pdf,
-                      system_reversed_hazard)
+from .errors import UsageError
+from .systems import (SystemModel, _location, _quantiles_and_pdfs, _window, make_grid,
+                      system_cdf, system_hazard, system_log_pdf, system_reversed_hazard)
 
 __all__ = [
     "Relation",
@@ -142,8 +142,8 @@ def _validate_pair(a, b, direction: Direction = Direction.FIRST_SMALLER):
 
 
 def _points(grid, default) -> np.ndarray:
-    """``default()`` when ``grid`` is None, else ``grid`` as a nonempty float array."""
-    pts = default() if grid is None else np.asarray(grid, dtype=float)
+    """``default()`` when ``grid`` is None, else ``grid`` as a nonempty 1-D float array."""
+    pts = default() if grid is None else np.atleast_1d(np.asarray(grid, dtype=float))
     if pts.size == 0:
         raise UsageError("a grid needs at least one point")
     return pts
@@ -151,19 +151,22 @@ def _points(grid, default) -> np.ndarray:
 
 def _dominance_verdict(relation: Relation, direction: Direction, xs: np.ndarray,
                        lhs: np.ndarray, rhs: np.ndarray, tol) -> OrderVerdict:
-    """HOLDS iff lhs >= rhs - tol everywhere; margin is min(lhs - rhs), 0.0 on no points."""
+    """FAILS at the first point where lhs < rhs - tol with both sides finite,
+    else INCONCLUSIVE where a side is not finite, else HOLDS; the margin is
+    the least finite lhs - rhs, 0.0 on none."""
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
-        raise NumericsError(f"{relation.value} check produced non-finite values")
-    diff = lhs - rhs
-    margin = float(diff.min()) if diff.size else 0.0
-    bad = diff < -np.asarray(tol)
-    if not bad.any():
-        return OrderVerdict(relation, direction, Outcome.HOLDS, None, margin)
-    k = int(np.argmax(bad))
-    wit = Witness(x=float(xs[k]), lhs=float(lhs[k]), rhs=float(rhs[k]))
-    return OrderVerdict(relation, direction, Outcome.FAILS, wit, margin)
+    finite = np.isfinite(lhs) & np.isfinite(rhs)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        diff = lhs - rhs
+    bad = finite & (diff < -np.asarray(tol))
+    margin = float(diff[finite].min()) if finite.any() else 0.0
+    if bad.any():
+        k = int(np.argmax(bad))
+        wit = Witness(x=float(xs[k]), lhs=float(lhs[k]), rhs=float(rhs[k]))
+        return OrderVerdict(relation, direction, Outcome.FAILS, wit, margin)
+    outcome = Outcome.HOLDS if finite.all() else Outcome.INCONCLUSIVE
+    return OrderVerdict(relation, direction, outcome, None, margin)
 
 
 def check_lr(a, b, grid=None,
@@ -237,15 +240,13 @@ def make_t_grid(a, b, count: int = DEFAULT_T_POINTS) -> np.ndarray:
     Runs from the earlier of the two 0.001 quantiles up to the earlier of
     the two 0.999 quantiles: past the shorter-lived system's upper
     quantile its residual entropy is no longer defined at quadrature
-    precision, so the window must stop at the minimum.
+    precision, so the window must stop at the minimum.  A window with an
+    end beyond the doubles, wider than the largest double or with no width
+    raises :class:`DomainError` (``systems._window``).
     """
     if count < 1:
         raise UsageError(f"count must be >= 1, got {count}")
-    (lo_a, hi_a), (lo_b, hi_b) = _quantile_pairs(a, b, 0.001, 0.999)
-    lo, hi = min(lo_a, lo_b), min(hi_a, hi_b)
-    if not np.isfinite(hi - lo):
-        raise UsageError(f"the t window [{lo:.3g}, {hi:.3g}] is wider than the largest double")
-    return np.linspace(lo, hi, count)
+    return np.linspace(*_window((a, b), 0.001, 0.999, hi_of=min), count)
 
 
 def check_disp(a, b, p_grid=None,
@@ -260,8 +261,6 @@ def check_disp(a, b, p_grid=None,
     """
     a, b = _validate_pair(a, b, direction)
     ps = _points(p_grid, make_p_grid)
-    if np.any(ps <= 0.0) or np.any(ps >= 1.0):
-        raise DomainError("p grid must lie strictly inside (0, 1)")
     (qa, fa), (qb, fb) = _quantiles_and_pdfs((a, b), ps)
     density = _dominance_verdict(Relation.DISP, direction, ps, fa, fb, _rate_tol(fa, fb))
 
@@ -282,9 +281,8 @@ def check_lu(a, b, t_grid=None, quad: QuadratureSpec = QuadratureSpec(),
     quadrature tolerance.  Non-converged quadrature makes the verdict
     INCONCLUSIVE rather than pretending precision."""
     a, b = _validate_pair(a, b, direction)
-    ts, sfs = _times(a, _points(t_grid, lambda: make_t_grid(a, b)), quad)
-    forms = _residual_forms((a, b), ts, sfs + _times(b, ts, quad)[1], quad)
-    (va, ea, ca), (vb, eb, cb) = (_agreed(*f, quad) for f in forms)
+    ts = _points(t_grid, lambda: make_t_grid(a, b))
+    (va, ea, ca), (vb, eb, cb) = (_agreed(*f, quad) for f in _residual_forms((a, b), ts, quad))
     if not (ca.all() and cb.all()):
         return OrderVerdict(Relation.LU, direction, Outcome.INCONCLUSIVE, None, 0.0)
     tol = 2.0 * (ea + eb + quad.rel_tol * np.maximum(1.0, np.maximum(np.abs(va), np.abs(vb))))

@@ -596,8 +596,9 @@ def _quantile_roots(systems, probs) -> list[tuple]:
     """``_log_survival_roots`` at ``T = log1p(-u)`` for every system, at each
     probability ``u`` of ``probs`` (at least 1-D)."""
     u = np.atleast_1d(np.asarray(probs, dtype=float))
-    if not np.all(np.isfinite(u)) or np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise DomainError(f"prob must lie strictly inside (0, 1), got {probs!r}")
+    bad = ~((u > 0.0) & (u < 1.0))  # NaN too
+    if bad.any():
+        raise DomainError(f"prob must lie strictly inside (0, 1), got {float(u[bad][0])!r}")
     k = len(systems)
     return _log_survival_roots(systems, [np.log1p(-u)] * k, [np.log(-np.log(u))] * k)
 
@@ -636,11 +637,20 @@ def _quantiles_and_pdfs(systems, probs) -> list[tuple[np.ndarray, np.ndarray]]:
 
 # -- evaluation grids -----------------------------------------------------------
 
-def _quantile_pairs(a: SystemModel, b: SystemModel, lo_p: float, hi_p: float):
-    """``(Q(lo_p), Q(hi_p))`` of each of ``a`` and ``b``, as floats, from one
-    Newton loop over both systems."""
-    return tuple(tuple(float(v) for v in x)
-                 for x, _ in _quantile_roots((a, b), np.array([lo_p, hi_p])))
+def _window(systems, lo_p: float, hi_p: float, hi_of=max) -> tuple[float, float]:
+    """The least ``lo_p`` quantile of ``systems`` and ``hi_of`` their ``hi_p``
+    quantiles, as floats, from one Newton loop; DomainError, naming the
+    window, where an end or the width lies beyond the doubles or it has no
+    width."""
+    los, his = zip(*(x.tolist() for x, _ in _quantile_roots(systems, np.array([lo_p, hi_p]))))
+    lo, hi = min(los), hi_of(his)
+    if lo < hi and math.isfinite(hi - lo):  # float arithmetic: inf, with no warning
+        return lo, hi
+    reason = ("has an end beyond the doubles" if math.isinf(lo) or math.isinf(hi)
+              else "is wider than the largest double" if math.isinf(hi - lo)
+              else "has no width: sigma is below the spacing of the doubles there")
+    raise DomainError(f"the window [{lo!r}, {hi!r}] from Q({float(lo_p)!r}) to "
+                      f"Q({float(hi_p)!r}) {reason}")
 
 
 def make_grid(a: SystemModel, b: SystemModel, count: int = 2049,
@@ -648,24 +658,19 @@ def make_grid(a: SystemModel, b: SystemModel, count: int = 2049,
     """Uniform grid covering both systems up to the given tail mass.
 
     The window runs from the smaller of the two ``tail_cutoff`` quantiles to
-    the larger of the two ``1 - tail_cutoff`` quantiles; beyond those points
-    the ordering functions are dominated by rounding.  The points come back
-    as a read-only float array, so that passes over them are memoised.  A
-    window that overflows or collapses at the ends of the double range
-    raises a :class:`GumbelSysError` and no RuntimeWarning.
+    the larger of the two ``1 - tail_cutoff`` quantiles (``_window``); beyond
+    those points the ordering functions are dominated by rounding.  The
+    points come back as a read-only float array, so that passes over them
+    are memoised.  A window the doubles cannot hold, or too narrow for
+    ``count`` distinct points, raises :class:`DomainError`.
     """
     if count < 33:
         raise UsageError(f"count must be >= 33, got {count}")
     if not (0.0 < tail_cutoff < 0.5):
         raise DomainError(f"tail_cutoff must lie in (0, 0.5), got {tail_cutoff}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        (lo_a, hi_a), (lo_b, hi_b) = _quantile_pairs(a, b, tail_cutoff, 1.0 - tail_cutoff)
-        lo, hi = min(lo_a, lo_b), max(hi_a, hi_b)
-        points, width = np.linspace(lo, hi, count), hi - lo
-    if not np.all(np.isfinite(points)) or not np.all(np.diff(points) > 0):
-        message = "grid points must be finite and strictly increasing"
-        if np.isfinite(lo) and np.isfinite(hi) and np.isinf(width):
-            message += f": the window [{lo:.3g}, {hi:.3g}] is wider than the largest double"
-        raise UsageError(message)
+    lo, hi = _window((a, b), tail_cutoff, 1.0 - tail_cutoff)
+    points = np.linspace(lo, hi, count)
+    if not np.all(np.diff(points) > 0):
+        raise DomainError(f"the window [{lo!r}, {hi!r}] holds too few doubles for {count} points")
     points.flags.writeable = False
     return points

@@ -229,6 +229,28 @@ class TestScan:
         assert code == 64 and out == "" and "RuntimeWarning" not in err
         assert err.startswith("error: trial 0, drawn from ") and "--spread 1e+308" in err, err
 
+    @pytest.mark.parametrize("mode,flags,code", [
+        ("parallel-rh", ["--mu-high=1e308"], 2),
+        ("parallel-rh", ["--spread", "1e308"], 2),
+        ("free", ["--mu-high=1e308"], 0),
+    ], ids=["rh-mu-high", "rh-spread", "free-mu-high"])
+    def test_non_finite_curves_are_inconclusive(self, capsys, mode, flags, code):
+        # the reversed hazards overflow to inf on part of the grid, which
+        # exited 64 with "rh check produced non-finite values"; an
+        # inconclusive rh trial is no disagreement with the closed form
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = main(["scan", "--mode", mode, "--trials", "1", "--n", "2", *flags,
+                        "--out", "-"])
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert got == doc["exit_code"] == code and err == ""
+        assert all(math.isfinite(m) for m in doc["min_margins"].values())
+        if mode == "parallel-rh":
+            (trial,) = doc["failures"]
+            assert [v["outcome"] for v in trial["verdicts"]] == ["inconclusive"]
+            assert "closed_form_agrees" not in trial
+
     def test_free_scan_consistent(self, capsys):
         code = main(["scan", "--mode", "free", "--trials", "10", "--n", "3",
                      "--seed", "5", "--grid-points", "257"])
@@ -572,7 +594,8 @@ class TestUsage:
                 .replace("sigma = 1.0", "sigma = 1e307"))
         assert main(["check", write(tmp_path, "s.ini", spec)]) == 64
         out, err = capsys.readouterr()
-        assert (out, err) == ("", "error: grid points must be finite and strictly increasing\n")
+        assert (out, err) == ("", "error: the window [7.086526013072208e+307, inf] from Q(1e-08) "
+                                  "to Q(0.99999999) has an end beyond the doubles\n")
 
     def test_simulate_rejects_spec_grid_below_33(self, tmp_path, capsys):
         # a spec value below 33 used to be raised to 33; it is rejected like an override

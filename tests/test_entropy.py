@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,26 @@ class TestShannon:
         # panel gave -0.0 flagged as converged
         s = series([1.6104411864331818e308, 7.36332474468469e307])
         with pytest.raises(DomainError, match=r"the window \[7.36332474468469\d*e\+307, "):
+            en.shannon_entropy(s)
+
+    @pytest.mark.parametrize("s,window", [
+        (series([1e308, 1e308], 1e307),
+         "[6.656284556394759e+307, inf] from Q(1e-12) to Q(0.999999999999) has an end "
+         "beyond the doubles"),
+        (parallel([1e308], 1e307),
+         "[6.681060904964044e+307, inf] from Q(1e-12) to Q(0.999999999999) has an end "
+         "beyond the doubles"),
+        (series([-1e308], 1e307),
+         "[-1.3318939095035956e+308, 1.7631043237892857e+308] from Q(1e-12) to "
+         "Q(0.999999999999) is wider than the largest double"),
+        (series([1.6104411864331818e308, 7.36332474468469e307]),
+         "[7.36332474468469e+307, 7.36332474468469e+307] from Q(1e-12) to "
+         "Q(0.999999999999) has no width: sigma is below the spacing of the doubles there"),
+    ], ids=["series-beyond", "parallel-beyond", "wide", "collapsed"])
+    def test_window_the_doubles_cannot_hold_rejected(self, s, window):
+        # both probabilities at full precision: :g prints 1 - 1e-12 as 1; the
+        # first two ends used to fail later, for want of panels
+        with pytest.raises(DomainError, match=re.escape(f"the window {window}") + "$"):
             en.shannon_entropy(s)
 
     def test_self_consistency_under_tighter_tolerance(self):

@@ -1,4 +1,5 @@
-"""Byte-exact CLI reports: every command's JSON report on fixed inputs.
+"""Byte-exact CLI reports: every command's JSON report on fixed inputs, and
+the library verdicts on a seeded pool of pairs beyond the CLI's small n.
 
 A change that moves a verdict or a reported number on purpose rewrites the
 goldens with ``PYTHONPATH=src python tests/test_golden.py`` and says which
@@ -10,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from gumbelsys.cli import main
+from gumbelsys import SystemModel, Topology, make_grid, orders
+from gumbelsys.cli import _verdict_doc, dumps, main
+from gumbelsys.majorization import random_majorization_pair
+from gumbelsys.rng import stream
 
 GOLDEN = Path(__file__).parent / "golden"
 SCAN_MODES = ("parallel-lr", "parallel-rh", "series-hr", "series-disp-lu", "free")
@@ -32,6 +36,36 @@ def _argv(name: str) -> list[str]:
     return [cmd, *rest, "--out", "-"]
 
 
+#: the verdict pool: both topologies, these component counts and scales, and
+#: this many pairs per cell; lu runs where n is at most LU_MAX_N
+POOL_N, POOL_SIGMAS, POOL_PAIRS, LU_MAX_N = (2, 4, 16, 64), (0.5, 1.0, 2.0), 2, 4
+
+
+def _verdicts() -> str:
+    """lr, hr, rh, st and disp in both directions on the default grids (and lu
+    for small n) of every pool pair, as the CLI writes verdicts."""
+    rows = []
+    for topology in Topology:
+        for n in POOL_N:
+            for sigma in POOL_SIGMAS:
+                for k in range(POOL_PAIRS):
+                    g = stream(1, "verdicts", topology.value, n, sigma, k)
+                    a, b = (SystemModel(topology, tuple(m), sigma)
+                            for m in random_majorization_pair(g, n))
+                    grid = make_grid(a, b, orders.DEFAULT_X_POINTS)
+                    rels = [r for r in orders.Relation
+                            if r is not orders.Relation.LU or n <= LU_MAX_N]
+                    verdicts = [orders.check(rel, a, b, d, grid=grid)
+                                for d in orders.Direction for rel in rels]
+                    rows.append({"system_a": a, "system_b": b,
+                                 "verdicts": [_verdict_doc(v) for v in verdicts]})
+    return dumps(rows) + "\n"
+
+
+def test_library_verdicts():
+    assert _verdicts() == (GOLDEN / "verdicts.json").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes(name, capsys):
     code = main(_argv(name))
@@ -50,3 +84,5 @@ if __name__ == "__main__":
             main(_argv(name))
         (GOLDEN / f"{name}.json").write_text(buf.getvalue(), encoding="utf-8")
         print(f"wrote {name}.json", file=sys.stderr)
+    (GOLDEN / "verdicts.json").write_text(_verdicts(), encoding="utf-8")
+    print("wrote verdicts.json", file=sys.stderr)

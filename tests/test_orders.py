@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import gumbel_r
 
 import gumbelsys as gs
-from gumbelsys import Direction, Outcome, Relation, UsageError
+from gumbelsys import DomainError, Direction, Outcome, Relation, UsageError
 from gumbelsys import orders as od
 from gumbelsys import systems as sy
 from gumbelsys.entropy import QuadratureSpec
@@ -103,6 +104,34 @@ class TestReversedHazard:
         assert rev.outcome is Outcome.FAILS
 
 
+class TestNonFiniteCurves:
+    """A value that is not finite on part of the grid decides nothing there:
+    a violation where both sides are finite still FAILS, and otherwise the
+    verdict is INCONCLUSIVE with the margin of the finite points."""
+
+    def test_overflowing_reversed_hazard_is_inconclusive(self):
+        # w/sigma overflows to inf on the left of the window near 1e308;
+        # this raised NumericsError
+        a = parallel([6.893537552641732e307, 1.6848329299133357e307])
+        b = parallel([5.472013908753187e307, 3.106356573801881e307])
+        v = od.check_rh(a, b, direction=FG)
+        assert v.outcome is Outcome.INCONCLUSIVE and v.witness is None and v.margin == 1.0
+        # the other way a finite point violates, and decides
+        v = od.check_rh(a, b, direction=FS)
+        assert v.outcome is Outcome.FAILS and math.isfinite(v.witness.lhs - v.witness.rhs)
+
+    def test_finite_violation_fails_past_an_infinite_point(self):
+        xs = np.array([0.0, 1.0, 2.0, 3.0])
+        lhs, rhs = np.array([np.inf, 3.0, 1.0, np.inf]), np.array([1.0, 1.0, 2.0, np.inf])
+        v = od._dominance_verdict(Relation.HR, FS, xs, lhs, rhs, 1e-10)
+        assert v.outcome is Outcome.FAILS and v.margin == -1.0
+        assert v.witness == od.Witness(2.0, 1.0, 2.0)
+        v = od._dominance_verdict(Relation.HR, FS, xs, lhs, rhs, 2.0)
+        assert v.outcome is Outcome.INCONCLUSIVE and v.margin == -1.0
+        nowhere = od._dominance_verdict(Relation.HR, FS, xs[:1], lhs[:1], rhs[:1], 1e-10)
+        assert nowhere.outcome is Outcome.INCONCLUSIVE and nowhere.margin == 0.0
+
+
 class TestHazardRate:
     def test_series_hazards_cross_for_spread_locations(self):
         # heterogeneous series systems have crossing hazard curves even when
@@ -169,6 +198,12 @@ class TestDispersive:
         a = series([0.5, -0.5])
         v = od.check_disp(a, a)
         assert v.holds and v.margin == 0.0
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, np.nan, np.inf, -0.5])
+    def test_p_grid_outside_the_unit_interval_names_its_first_bad_point(self, bad):
+        a = series([0.5, -0.5])
+        with pytest.raises(DomainError, match=rf"strictly inside \(0, 1\), got {bad!r}$"):
+            od.check_disp(a, a, p_grid=[0.5, bad, 2.0])
 
     def test_series_majorization_pair_fails(self):
         # the quantile spread of the more homogeneous system does not
@@ -273,12 +308,38 @@ class TestMonotoneShape:
 
 
 class TestDefaultGrid:
-    @pytest.mark.parametrize("make", [series, parallel], ids=["series", "parallel"])
-    def test_t_window_beyond_the_doubles_rejected(self, make):
+    @staticmethod
+    def t_window(ends: str, reason: str) -> str:
+        return re.escape(f"the window {ends} from Q(0.001) to Q(0.999) {reason}") + "$"
+
+    @pytest.mark.parametrize("make,ends", [(series, "[-inf, inf]"),
+                                           (parallel, "[-1.2394975533561202e+308, inf]")],
+                             ids=["series", "parallel"])
+    def test_t_window_beyond_the_doubles_rejected(self, make, ends):
         # linspace over [-inf, inf] warned and returned NaN times
         a, b = make([1.0, 0.0], 1e308), make([0.5, 0.5], 1e308)
-        with pytest.raises(UsageError, match="t window .* wider than the largest double"):
+        with pytest.raises(DomainError, match=self.t_window(ends, "has an end beyond the doubles")):
             od.make_t_grid(a, b)
+
+    @pytest.mark.parametrize("make", [series, parallel], ids=["series", "parallel"])
+    def test_t_window_wider_than_the_doubles_rejected(self, make):
+        s = make([-1e308], 3e307)  # one component: the same law either way
+        wide = self.t_window("[-1.5797934201748197e+308, 1.0721765211571146e+308]",
+                             "is wider than the largest double")
+        with pytest.raises(DomainError, match=wide):
+            od.make_t_grid(s, s)
+
+    def test_collapsed_t_window_rejected(self):
+        # both 0.001 and 0.999 quantiles round to one double near 7.36e307: the
+        # grid was four equal times, and lu failed later in the quadrature
+        a = series([1.6104411864331818e308, 7.36332474468469e307])
+        b = series([1.6104411864331818e308, 7.36332474468469e307 - 1e293])
+        no_width = self.t_window("[7.36332474468468e+307, 7.36332474468468e+307]",
+                                 "has no width: sigma is below the spacing of the doubles there")
+        with pytest.raises(DomainError, match=no_width):
+            od.make_t_grid(a, b, 4)
+        with pytest.raises(DomainError, match=no_width):
+            od.check_lu(a, b)
 
     @pytest.mark.parametrize("topology", ["series", "parallel"])
     def test_default_grid_is_the_quantile_window(self, topology):

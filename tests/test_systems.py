@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import warnings
@@ -338,25 +339,39 @@ class TestGrid:
         with pytest.raises(UsageError):
             sy.make_grid(series([0.0]), series([0.0]), 32)
 
-    @pytest.mark.parametrize("s", [
-        series([1e308, 1e308], 1e307),
-        parallel([1e308], 1e307),
-        series([-1e308], 1e307),
-        series([1e17, 1e17], 1e-3),
+    @pytest.mark.parametrize("s,window", [
+        (series([1e308, 1e308], 1e307),
+         "[7.049587951916412e+307, inf] from Q(1e-08) to Q(0.99999999) has an end beyond "
+         "the doubles"),
+        (parallel([1e308], 1e307),
+         "[7.086526013072208e+307, inf] from Q(1e-08) to Q(0.99999999) has an end beyond "
+         "the doubles"),
+        (series([-1e308], 1e307),
+         "[-1.2913473986927792e+308, 8.420680733927608e+307] from Q(1e-08) to "
+         "Q(0.99999999) is wider than the largest double"),
+        (series([1e17, 1e17], 1e-3),
+         "[1e+17, 1e+17] from Q(1e-08) to Q(0.99999999) has no width: sigma is below the "
+         "spacing of the doubles there"),
     ], ids=["series-beyond", "parallel-top", "series-bottom", "collapsed"])
-    def test_window_beyond_doubles_is_an_error(self, s):
+    def test_window_beyond_doubles_is_an_error(self, s, window):
         # at sigma = 1e307 the top quantile lies beyond the doubles (1.921e308
         # for the series pair), or the window is wider than the largest
         # double; at 1e17 the window, about 21 sigma = 0.021 wide, is far
-        # below one ulp (16) there and collapses onto one double.  Each is the
-        # same clean error: no RuntimeWarning escapes (pyproject makes them
-        # errors)
-        clean = "grid points must be finite and strictly increasing"
-        with pytest.raises(UsageError, match=clean) as err:
+        # below one ulp (16) there and collapses onto one double.  Each is one
+        # DomainError naming the window and its probabilities: no
+        # RuntimeWarning escapes (pyproject makes them errors)
+        with pytest.raises(DomainError, match=re.escape(f"the window {window}") + "$"):
             sy.make_grid(s, s, 33)
-        # a window whose ends are doubles but whose width is not says so
-        wide = "window [-1.29e+308, 8.42e+307] is wider than the largest double"
-        assert (wide in str(err.value)) == (s.mus == (-1e308,))
+
+    @pytest.mark.parametrize("sigma", [1.0, 5.0, 20.0])
+    def test_window_narrower_than_its_points_is_an_error(self, sigma):
+        # the window has width, 1 to 13 ulps of 16 at 1e17, but too few
+        # doubles for 33 strictly increasing points; at sigma = 40 they fit
+        s = parallel([1e17], sigma)
+        with pytest.raises(DomainError, match=r"\] holds too few doubles for 33 points"):
+            sy.make_grid(s, s, 33)
+        wide = parallel([1e17], 40.0)
+        assert (np.diff(sy.make_grid(wide, wide, 33)) > 0).all()
 
     @pytest.mark.parametrize("mus,top", [((1e308, 0.0), 1.4206620667486286e308),
                                          ((1e308, 5e307, 0.0), 1.1085118648546258e308)],
