@@ -28,7 +28,7 @@ from .majorization import random_majorization_pair
 from .orders import Direction, Outcome, Relation
 from .rng import stream
 from .simulate import empirical_cdf_dominance, empirical_quantile_spread
-from .systems import (DEFAULT_TAIL_CUTOFF, SystemModel, Topology, make_grid,
+from .systems import (DEFAULT_TAIL_CUTOFF, SystemModel, Topology, _grid, make_grid,
                       system_quantiles)
 
 __all__ = ["main"]
@@ -475,8 +475,10 @@ def _cmd_entropy(args) -> int:
     quad = QuadratureSpec(rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"],
                           tail_mass_cutoff=cfg["tail_cutoff"],
                           max_subdivisions=cfg["max_subdivisions"])
-    count, probs = cfg.pop("t_points"), [cfg.pop("t_lo_prob"), cfg.pop("t_hi_prob")]
-    ts = cfg["t_values"] or list(np.linspace(*system_quantiles(s, probs), count))
+    count, lo_p, hi_p = cfg.pop("t_points"), cfg.pop("t_lo_prob"), cfg.pop("t_hi_prob")
+    if not lo_p < hi_p:
+        raise UsageError(f"[entropy] t_lo_prob must be below t_hi_prob, got {lo_p} and {hi_p}")
+    ts = cfg["t_values"] or list(_grid((s,), lo_p, hi_p, count))
     cfg["t_values"] = list(map(float, ts))
 
     total = shannon_entropy(s, quad)

@@ -37,7 +37,7 @@ import numpy as np
 from .entropy import QuadratureSpec, _agreed, _residual_forms
 from .entropy import residual_entropy  # noqa: F401 - a site the benchmark's tracer requires
 from .errors import UsageError
-from .systems import (SystemModel, _location, _quantiles_and_pdfs, _window, make_grid,
+from .systems import (SystemModel, _location, _grid, _quantiles_and_pdfs, make_grid,
                       system_cdf, system_hazard, system_log_pdf, system_reversed_hazard)
 
 __all__ = [
@@ -240,13 +240,13 @@ def make_t_grid(a, b, count: int = DEFAULT_T_POINTS) -> np.ndarray:
     Runs from the earlier of the two 0.001 quantiles up to the earlier of
     the two 0.999 quantiles: past the shorter-lived system's upper
     quantile its residual entropy is no longer defined at quadrature
-    precision, so the window must stop at the minimum.  A window with an
-    end beyond the doubles, wider than the largest double or with no width
-    raises :class:`DomainError` (``systems._window``).
+    precision, so the window must stop at the minimum.  A window the
+    doubles cannot hold, or holding fewer than ``max(count, 2)`` distinct
+    doubles, raises :class:`DomainError` (``systems._grid``).
     """
     if count < 1:
         raise UsageError(f"count must be >= 1, got {count}")
-    return np.linspace(*_window((a, b), 0.001, 0.999, hi_of=min), count)
+    return _grid((a, b), 0.001, 0.999, count, hi_of=min)
 
 
 def check_disp(a, b, p_grid=None,

@@ -14,6 +14,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["stream", "open_uniform"]
 
 _U53 = 1 << 53
@@ -40,7 +42,7 @@ def open_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
     quantile function.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DomainError(f"n must be >= 1, got {n}")
     u = rng.integers(0, _U53, size=n).astype(np.float64)
     u += 0.5
     u /= _U53

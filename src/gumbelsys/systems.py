@@ -637,18 +637,20 @@ def _quantiles_and_pdfs(systems, probs) -> list[tuple[np.ndarray, np.ndarray]]:
 
 # -- evaluation grids -----------------------------------------------------------
 
-def _window(systems, lo_p: float, hi_p: float, hi_of=max) -> tuple[float, float]:
-    """The least ``lo_p`` quantile of ``systems`` and ``hi_of`` their ``hi_p``
-    quantiles, as floats, from one Newton loop; DomainError, naming the
-    window, where an end or the width lies beyond the doubles or it has no
-    width."""
+def _grid(systems, lo_p: float, hi_p: float, count: int, hi_of=max) -> np.ndarray:
+    """``count`` evenly spaced points from the least ``lo_p`` quantile of
+    ``systems`` to ``hi_of`` their ``hi_p`` quantiles, from one Newton loop;
+    DomainError, naming the window, where an end or the width lies beyond the
+    doubles or it holds fewer than ``max(count, 2)`` distinct doubles."""
     los, his = zip(*(x.tolist() for x, _ in _quantile_roots(systems, np.array([lo_p, hi_p]))))
     lo, hi = min(los), hi_of(his)
-    if lo < hi and math.isfinite(hi - lo):  # float arithmetic: inf, with no warning
-        return lo, hi
+    if math.isfinite(hi - lo):  # float arithmetic: inf or NaN, with no warning
+        points = np.linspace(lo, hi, count)
+        if lo < hi and np.all(np.diff(points) > 0):
+            return points
     reason = ("has an end beyond the doubles" if math.isinf(lo) or math.isinf(hi)
               else "is wider than the largest double" if math.isinf(hi - lo)
-              else "has no width: sigma is below the spacing of the doubles there")
+              else f"holds too few doubles for {max(count, 2)} points")
     raise DomainError(f"the window [{lo!r}, {hi!r}] from Q({float(lo_p)!r}) to "
                       f"Q({float(hi_p)!r}) {reason}")
 
@@ -658,19 +660,16 @@ def make_grid(a: SystemModel, b: SystemModel, count: int = 2049,
     """Uniform grid covering both systems up to the given tail mass.
 
     The window runs from the smaller of the two ``tail_cutoff`` quantiles to
-    the larger of the two ``1 - tail_cutoff`` quantiles (``_window``); beyond
+    the larger of the two ``1 - tail_cutoff`` quantiles (``_grid``); beyond
     those points the ordering functions are dominated by rounding.  The
     points come back as a read-only float array, so that passes over them
-    are memoised.  A window the doubles cannot hold, or too narrow for
-    ``count`` distinct points, raises :class:`DomainError`.
+    are memoised.  A window the doubles cannot hold, or holding fewer than
+    ``count`` distinct doubles, raises :class:`DomainError`.
     """
     if count < 33:
         raise UsageError(f"count must be >= 33, got {count}")
     if not (0.0 < tail_cutoff < 0.5):
         raise DomainError(f"tail_cutoff must lie in (0, 0.5), got {tail_cutoff}")
-    lo, hi = _window((a, b), tail_cutoff, 1.0 - tail_cutoff)
-    points = np.linspace(lo, hi, count)
-    if not np.all(np.diff(points) > 0):
-        raise DomainError(f"the window [{lo!r}, {hi!r}] holds too few doubles for {count} points")
+    points = _grid((a, b), tail_cutoff, 1.0 - tail_cutoff, count)
     points.flags.writeable = False
     return points

@@ -256,6 +256,20 @@ class TestScan:
                      "--seed", "5", "--grid-points", "257"])
         assert code == 0
 
+    def test_free_scan_audit_violation_exits_one(self, capsys):
+        # trial 78's lr holds on the default window, which ends at -0.137,
+        # and fails on a wider one, while hr fails at -0.154, where the
+        # hazard reads the tail past the window: the audit reports the
+        # broken implication and the scan exits 1
+        code = main(["scan", "--mode", "free", "--n", "16", "--sigmas", "0.5",
+                     "--trials", "79", "--seed", "0", "--out", "-"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == doc["exit_code"] == 1 and doc["passes"] == 78
+        (trial,) = doc["failures"]
+        assert trial["trial"] == 78
+        assert trial["audit_violations"] == [
+            "lr holds but hr fails (first_greater); witness x=-0.15373291218192664"]
+
     def test_scan_report_deterministic(self, tmp_path):
         args = ["scan", "--mode", "parallel-rh", "--trials", "6", "--n", "2",
                 "--seed", "9", "--grid-points", "257"]
@@ -400,6 +414,33 @@ class TestEntropy:
 
     def test_missing_system_section(self, tmp_path):
         assert main(["entropy", write(tmp_path, "e.ini", "[entropy]\n")]) == 64
+
+    def test_rows_past_the_cutoff_are_null_and_inf(self, tmp_path, capsys):
+        spec = "[system]\ntopology = series\nmus = 0\nsigma = 1\n\n[entropy]\nt_values = 0, 40\n"
+        assert main(["entropy", write(tmp_path, "e.ini", spec), "--out", "-"]) == 2
+        out = capsys.readouterr().out
+        assert ('"t": 40.0,\n      "value": null,\n      "error_estimate": "inf",\n'
+                '      "converged": false') in out
+        assert json.loads(out)["residual"][0]["converged"]
+
+    def test_window_too_narrow_for_its_times_is_one_error_line(self, tmp_path, capsys):
+        # Q(0.001) and Q(0.999) round to 1e17: the report had four rows at
+        # t = 1e17 and exited 2
+        spec = ENTROPY_SPEC.replace("mus = 0.0", "mus = 1e17").replace(
+            "t_values = -1.0, 0.0, 1.0", "t_points = 4")
+        assert main(["entropy", write(tmp_path, "e.ini", spec)]) == 64
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: the window [1e+17, 1e+17] from Q(0.001) to Q(0.999) "
+                                  "holds too few doubles for 4 points\n")
+
+    def test_reversed_t_probabilities_name_both_keys(self, tmp_path, capsys):
+        # accepted before, with a descending t grid
+        spec = ENTROPY_SPEC.replace("t_values = -1.0, 0.0, 1.0",
+                                    "t_lo_prob = 0.9\nt_hi_prob = 0.1")
+        assert main(["entropy", write(tmp_path, "e.ini", spec)]) == 64
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: [entropy] t_lo_prob must be below t_hi_prob, "
+                                  "got 0.9 and 0.1\n")
 
 
 SIMULATE_SPEC = """\

@@ -76,13 +76,38 @@ class TestShannon:
          "Q(0.999999999999) is wider than the largest double"),
         (series([1.6104411864331818e308, 7.36332474468469e307]),
          "[7.36332474468469e+307, 7.36332474468469e+307] from Q(1e-12) to "
-         "Q(0.999999999999) has no width: sigma is below the spacing of the doubles there"),
+         "Q(0.999999999999) holds too few doubles for 2 points"),
     ], ids=["series-beyond", "parallel-beyond", "wide", "collapsed"])
     def test_window_the_doubles_cannot_hold_rejected(self, s, window):
         # both probabilities at full precision: :g prints 1 - 1e-12 as 1; the
         # first two ends used to fail later, for want of panels
         with pytest.raises(DomainError, match=re.escape(f"the window {window}") + "$"):
             en.shannon_entropy(s)
+
+    @pytest.mark.parametrize("s", [series([0.5, -0.5, 1.0], 0.7), parallel([2.0, 0.0], 0.5),
+                                   series([0.0] * 16, 2.0)], ids=["series", "parallel", "n16"])
+    def test_hazard_form_matches_the_density_form(self, s):
+        # over the window from Q(c) to Q(1 - c), int f log Fbar = int_c^(1-c) log u du
+        q = en.QuadratureSpec()
+        c = q.tail_mass_cutoff
+        value, _, failed = en._integrate(s, sy._grid((s,), c, 1.0 - c, 2), q)
+        log_fbar = (1.0 - c) * math.log1p(-c) - c * math.log(c) - 1.0 + 2.0 * c
+        assert not failed.any()
+        assert value[1, 0] == pytest.approx(value[0, 0] + log_fbar, abs=1e-11)
+        assert en.shannon_entropy(s).converged
+
+    @pytest.mark.parametrize("s,value", [
+        (parallel([1e12]), 1.5772157910044007),
+        (parallel([1e16]), 1.7716008820963292),
+        (parallel([1e17]), 5.886071058749561),
+        (series([1e10, 1e10 - 0.5]), 1.2246259366120802),
+    ], ids=["parallel-1e12", "parallel-1e16", "parallel-1e17", "series-1e10"])
+    def test_forms_that_disagree_are_not_converged(self, s, value):
+        # rounding in x - mu far from 0 moves the density form alone: the
+        # exact values are 1 + gamma = 1.5772... and 1.2246..., and each of
+        # these used to come back converged
+        e = en.shannon_entropy(s)
+        assert (e.value, e.converged) == (value, False)
 
     def test_self_consistency_under_tighter_tolerance(self):
         s = series([0.7, -0.7], 0.8)
@@ -210,6 +235,10 @@ class TestEngineContract:
         # no time left to integrate from
         curve = en.entropy_curve(series([0.0]), np.array([np.nan, 1e6]))
         assert not any(e.converged for e in curve)
+
+    def test_time_that_is_not_finite_rejected(self):
+        with pytest.raises(DomainError, match="^conditioning time must be finite, got inf$"):
+            en.residual_entropy(series([0.0]), [0.0, np.inf])
 
     def test_array_with_one_time_past_cutoff_rejected(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
-"""Byte-exact CLI reports: every command's JSON report on fixed inputs, and
-the library verdicts on a seeded pool of pairs beyond the CLI's small n.
+"""Byte-exact CLI reports: every command's JSON report on fixed inputs, the
+library verdicts on a seeded pool of pairs beyond the CLI's small n, and the
+Shannon and residual entropies of a seeded pool of systems.
 
 A change that moves a verdict or a reported number on purpose rewrites the
 goldens with ``PYTHONPATH=src python tests/test_golden.py`` and says which
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from gumbelsys import SystemModel, Topology, make_grid, orders
+from gumbelsys.entropy import entropy_curve, shannon_entropy
 from gumbelsys.cli import _verdict_doc, dumps, main
 from gumbelsys.majorization import random_majorization_pair
 from gumbelsys.rng import stream
@@ -66,6 +68,31 @@ def test_library_verdicts():
     assert _verdicts() == (GOLDEN / "verdicts.json").read_text(encoding="utf-8")
 
 
+#: the entropy pool: both topologies, these component counts and scales, and
+#: this many systems per cell
+ENTROPY_N, ENTROPY_SIGMAS, ENTROPY_SYSTEMS = (1, 2, 4, 16), (0.5, 1.0, 2.0), 2
+
+
+def _entropies() -> str:
+    """Shannon entropy and the 8-point residual curve on ``make_t_grid(s, s, 8)``
+    of every entropy pool system, as the CLI writes them."""
+    rows = []
+    for topology in Topology:
+        for n in ENTROPY_N:
+            for sigma in ENTROPY_SIGMAS:
+                for k in range(ENTROPY_SYSTEMS):
+                    g = stream(1, "entropies", topology.value, n, sigma, k)
+                    s = SystemModel(topology, tuple(g.uniform(-3.0, 3.0, n)), sigma)
+                    ts = orders.make_t_grid(s, s, 8)
+                    rows.append({"system": s, "shannon": shannon_entropy(s), "t": list(ts),
+                                 "residual": entropy_curve(s, ts)})
+    return dumps(rows) + "\n"
+
+
+def test_library_entropies():
+    assert _entropies() == (GOLDEN / "entropies.json").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes(name, capsys):
     code = main(_argv(name))
@@ -86,3 +113,5 @@ if __name__ == "__main__":
         print(f"wrote {name}.json", file=sys.stderr)
     (GOLDEN / "verdicts.json").write_text(_verdicts(), encoding="utf-8")
     print("wrote verdicts.json", file=sys.stderr)
+    (GOLDEN / "entropies.json").write_text(_entropies(), encoding="utf-8")
+    print("wrote entropies.json", file=sys.stderr)

@@ -222,6 +222,21 @@ class TestDispersive:
     def test_exponential_laws_hold(self):
         assert od.check_disp(series([0, 0]), series([1, 1]), direction=FS).holds
 
+    def test_criteria_that_disagree_are_inconclusive(self):
+        # the density criterion fails by 1.7e-10, beyond its tolerance, while
+        # the quantile spread shrinks by 2e-11, within its slack; the verdict
+        # keeps the density criterion's margin
+        a = series([2.3683238991715507, -1.3685654294032785])
+        b = series([2.9200675819026545, -0.657515859943111])
+        ps = np.array([0.18671725702973693, 0.4972682929395346])
+        v = od.check_disp(a, b, p_grid=ps, direction=FS)
+        assert (v.outcome, v.witness) == (Outcome.INCONCLUSIVE, None)
+        assert v.margin == pytest.approx(-1.6886e-10, rel=1e-3)
+
+    def test_p_grid_too_small(self):
+        with pytest.raises(UsageError, match="^count must be >= 33, got 5$"):
+            od.make_p_grid(5)
+
     def test_p_grid_domain(self):
         with pytest.raises(gs.DomainError):
             od.check_disp(series([0]), series([0]), p_grid=np.array([0.0, 0.5]))
@@ -329,16 +344,33 @@ class TestDefaultGrid:
         with pytest.raises(DomainError, match=wide):
             od.make_t_grid(s, s)
 
+    def test_t_window_narrower_than_its_points_rejected(self):
+        # both ends 1e16 apart by 4 ulps of 2: linspace gave 64 times with 5
+        # distinct values
+        s = parallel([1e16])
+        few = self.t_window("[9999999999999998.0, 1.0000000000000006e+16]",
+                            "holds too few doubles for 64 points")
+        with pytest.raises(DomainError, match=few):
+            od.make_t_grid(s, s, 64)
+        with pytest.raises(DomainError, match=few):
+            od.check_lu(s, s)
+        assert (np.diff(od.make_t_grid(s, s, 5)) > 0).all()
+
+    def test_t_grid_count_below_one(self):
+        with pytest.raises(UsageError, match="^count must be >= 1, got 0$"):
+            od.make_t_grid(series([0.0]), series([0.0]), 0)
+
     def test_collapsed_t_window_rejected(self):
         # both 0.001 and 0.999 quantiles round to one double near 7.36e307: the
         # grid was four equal times, and lu failed later in the quadrature
         a = series([1.6104411864331818e308, 7.36332474468469e307])
         b = series([1.6104411864331818e308, 7.36332474468469e307 - 1e293])
-        no_width = self.t_window("[7.36332474468468e+307, 7.36332474468468e+307]",
-                                 "has no width: sigma is below the spacing of the doubles there")
-        with pytest.raises(DomainError, match=no_width):
+        ends = "[7.36332474468468e+307, 7.36332474468468e+307]"
+        with pytest.raises(DomainError, match=self.t_window(ends, "holds too few doubles for 4 "
+                                                                  "points")):
             od.make_t_grid(a, b, 4)
-        with pytest.raises(DomainError, match=no_width):
+        with pytest.raises(DomainError, match=self.t_window(ends, "holds too few doubles for 64 "
+                                                                  "points")):
             od.check_lu(a, b)
 
     @pytest.mark.parametrize("topology", ["series", "parallel"])

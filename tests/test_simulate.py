@@ -10,7 +10,7 @@ from gumbelsys import DomainError
 from gumbelsys import simulate as sim
 from gumbelsys import systems as sy
 from gumbelsys.majorization import random_majorization_pair
-from gumbelsys.rng import stream
+from gumbelsys.rng import open_uniform, stream
 
 from conftest import parallel, series
 
@@ -52,6 +52,12 @@ class TestSampling:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             sim.sample_system(series([0.0]), 1, 0)
+
+    def test_no_uniforms_rejected(self):
+        # a DomainError is a ValueError, so callers catching that keep working
+        with pytest.raises(DomainError, match="^n must be >= 1, got 0$"):
+            open_uniform(stream(0, "u"), 0)
+        assert issubclass(DomainError, ValueError)
 
     @pytest.mark.parametrize("make", [series, parallel])
     @pytest.mark.parametrize("n", [1, 3, 64])

@@ -339,6 +339,10 @@ class TestGrid:
         with pytest.raises(UsageError):
             sy.make_grid(series([0.0]), series([0.0]), 32)
 
+    def test_tail_cutoff_outside_its_range(self):
+        with pytest.raises(DomainError, match=r"^tail_cutoff must lie in \(0, 0.5\), got 0.7$"):
+            sy.make_grid(series([0.0]), series([0.0]), 33, tail_cutoff=0.7)
+
     @pytest.mark.parametrize("s,window", [
         (series([1e308, 1e308], 1e307),
          "[7.049587951916412e+307, inf] from Q(1e-08) to Q(0.99999999) has an end beyond "
@@ -350,8 +354,8 @@ class TestGrid:
          "[-1.2913473986927792e+308, 8.420680733927608e+307] from Q(1e-08) to "
          "Q(0.99999999) is wider than the largest double"),
         (series([1e17, 1e17], 1e-3),
-         "[1e+17, 1e+17] from Q(1e-08) to Q(0.99999999) has no width: sigma is below the "
-         "spacing of the doubles there"),
+         "[1e+17, 1e+17] from Q(1e-08) to Q(0.99999999) holds too few doubles for 33 "
+         "points"),
     ], ids=["series-beyond", "parallel-top", "series-bottom", "collapsed"])
     def test_window_beyond_doubles_is_an_error(self, s, window):
         # at sigma = 1e307 the top quantile lies beyond the doubles (1.921e308
@@ -368,7 +372,9 @@ class TestGrid:
         # the window has width, 1 to 13 ulps of 16 at 1e17, but too few
         # doubles for 33 strictly increasing points; at sigma = 40 they fit
         s = parallel([1e17], sigma)
-        with pytest.raises(DomainError, match=r"\] holds too few doubles for 33 points"):
+        window = (r"the window \[[.\de+]+, [.\de+]+\] from Q\(1e-08\) to "
+                  r"Q\(0\.99999999\) holds too few doubles for 33 points$")
+        with pytest.raises(DomainError, match=window):
             sy.make_grid(s, s, 33)
         wide = parallel([1e17], 40.0)
         assert (np.diff(sy.make_grid(wide, wide, 33)) > 0).all()
