@@ -18,7 +18,7 @@ from .orders import (AuditReport, Direction, Outcome, OrderVerdict, Relation,
                      check_rh, check_st, implication_audit, make_p_grid,
                      make_t_grid, parallel_rh_log_margin)
 from .simulate import (DominanceScan, McEstimate, empirical_cdf_dominance,
-                       empirical_quantile_spread, sample_system)
+                       empirical_quantile_spread, sample_pair, sample_system)
 from .systems import (SystemModel, Topology, make_grid, phi, system_cdf, system_hazard,
                       system_pdf, system_quantile, system_quantiles,
                       system_reversed_hazard, system_survival)
@@ -38,5 +38,5 @@ __all__ = [
     "EntropyValue", "QuadratureSpec", "entropy_curve", "residual_entropy",
     "residual_entropy_forms", "shannon_entropy",
     "DominanceScan", "McEstimate", "empirical_cdf_dominance",
-    "empirical_quantile_spread", "sample_system",
+    "empirical_quantile_spread", "sample_pair", "sample_system",
 ]

@@ -27,7 +27,7 @@ from .errors import GumbelSysError, UsageError
 from .majorization import random_majorization_pair
 from .orders import Direction, Outcome, Relation
 from .rng import stream
-from .simulate import empirical_cdf_dominance, empirical_quantile_spread
+from .simulate import empirical_cdf_dominance, empirical_quantile_spread, sample_pair
 from .systems import (DEFAULT_TAIL_CUTOFF, SystemModel, Topology, _grid, make_grid,
                       system_quantiles)
 
@@ -270,10 +270,9 @@ def _read_spec(args) -> dict:
         else:
             try:
                 with open(args.spec, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
+                    text, origin = fh.read(), args.spec
+            except (OSError, UnicodeDecodeError) as exc:
                 raise UsageError(f"cannot read spec file {args.spec!r}: {exc}") from exc
-            origin = args.spec
         try:
             cp.read_string(text, source=origin)
         except configparser.Error as exc:
@@ -329,13 +328,13 @@ def _exit_for(outcomes) -> int:
 
 
 def _emit(doc: dict, table: str, out: str | None) -> None:
-    if out == "-":
-        sys.stdout.write(dumps(doc) + "\n")
-        return
-    sys.stdout.write(table + "\n")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(dumps(doc) + "\n")
+    if out and out != "-":
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(dumps(doc) + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write report file {out!r}: {exc}") from exc
+    sys.stdout.write((dumps(doc) if out == "-" else table) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +515,9 @@ def _cmd_simulate(args) -> int:
     a, b, n, seed, alpha, beta = (cfg[k] for k in ("system_a", "system_b", "n_samples", "seed",
                                                    "alpha", "beta"))
     grid = make_grid(a, b, cfg["grid_points"], cfg["tail_cutoff"])
-    scan = empirical_cdf_dominance(a, b, seed, n, grid)
-    spread = empirical_quantile_spread(a, b, seed, n, alpha, beta, cfg["bootstrap"])
+    xa, xb = sample_pair(a, b, seed, n)
+    scan = empirical_cdf_dominance(a, b, xa, xb, grid)
+    spread = empirical_quantile_spread(xa, xb, seed, alpha, beta, cfg["bootstrap"])
     qa, qb = (system_quantiles(s, np.array([alpha, beta])) for s in (a, b))
     analytic = float((qb[1] - qb[0]) - (qa[1] - qa[0]))
     contradicts = abs(spread.value - analytic) > scan.threshold_ses * spread.std_error

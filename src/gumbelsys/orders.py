@@ -37,8 +37,9 @@ import numpy as np
 from .entropy import QuadratureSpec, _agreed, _residual_forms
 from .entropy import residual_entropy  # noqa: F401 - a site the benchmark's tracer requires
 from .errors import UsageError
-from .systems import (SystemModel, _location, _grid, _quantiles_and_pdfs, make_grid,
-                      system_cdf, system_hazard, system_log_pdf, system_reversed_hazard)
+from .systems import (DEFAULT_X_POINTS, SystemModel, _location, _grid, _quantiles_and_pdfs,
+                      make_grid, system_cdf, system_hazard, system_log_pdf,
+                      system_reversed_hazard)
 
 __all__ = [
     "Relation",
@@ -63,7 +64,6 @@ __all__ = [
     "implication_audit",
 ]
 
-DEFAULT_X_POINTS = 2049
 DEFAULT_P_POINTS = 513
 DEFAULT_T_POINTS = 64
 

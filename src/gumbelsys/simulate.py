@@ -1,10 +1,12 @@
 """Monte Carlo oracle: empirical counterparts of the analytic quantities.
 
-Every routine is deterministic given (seed, n): draws come from labeled
-substreams (one per component, one per system, one for the bootstrap), so
-adding a stream never perturbs an existing one.  The 4-standard-error
-contradiction threshold keeps the false-alarm probability per grid point
-around 6e-5, quiet enough that a dense grid stays silent under the null.
+Every draw is deterministic given (seed, n): it comes from a labeled
+substream (one per component, one per system, one for the bootstrap), so
+adding a stream never perturbs an existing one.  :func:`sample_pair` draws and
+sorts both systems' samples once; the estimators read them and keep nothing.
+The 4-standard-error contradiction threshold keeps the false-alarm probability
+per grid point around 6e-5, quiet enough that a dense grid stays silent under
+the null.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "McEstimate",
     "DominanceScan",
     "sample_system",
+    "sample_pair",
     "empirical_cdf_dominance",
     "empirical_quantile_spread",
 ]
@@ -36,7 +39,6 @@ class McEstimate:
     value: float
     std_error: float
     n_samples: int
-    seed: int
 
     def __post_init__(self) -> None:
         if self.std_error < 0.0:
@@ -75,34 +77,34 @@ def sample_system(s: SystemModel, seed: int, n: int, *,
     return out
 
 
-_SHARED: dict = {}  # (system, seed, n, label) -> sorted sample awaiting its second read
+def sample_pair(a: SystemModel, b: SystemModel, seed: int, n: int) -> tuple:
+    """The sorted samples ``(xa, xb)`` the estimators read: ``n`` lifetimes
+    of each system, drawn on the labels ``system_a`` and ``system_b``."""
+    xa = sample_system(a, seed, n, label="system_a")
+    xb = sample_system(b, seed, n, label="system_b")
+    xa.sort()
+    xb.sort()
+    return xa, xb
 
 
-def _sorted_sample(s: SystemModel, seed: int, n: int, label: str) -> np.ndarray:
-    """``sample_system`` sorted and read-only.  Both estimators of one
-    command read the same two samples, so the first read keeps a sample for
-    the second, which takes it out: each is drawn and sorted once per
-    command, a repeated command draws afresh, and at most the last two are
-    held."""
-    key = (s, seed, n, label)
-    x = _SHARED.pop(key, None)
-    if x is None:
-        x = sample_system(s, seed, n, label=label)
-        x.sort()
-        x.flags.writeable = False
-        if len(_SHARED) >= 2:
-            _SHARED.clear()
-        _SHARED[key] = x
-    return x
+def _sample_size(xa: np.ndarray, xb: np.ndarray) -> int:
+    """The common size of two samples, each 1-D, nonempty and ascending (a
+    NaN is not), else :class:`DomainError`."""
+    if xa.ndim != 1 or xa.shape != xb.shape or xa.size == 0:
+        raise DomainError(f"need two 1-D samples of one nonzero size, "
+                          f"got shapes {xa.shape} and {xb.shape}")
+    for name, x in (("xa", xa), ("xb", xb)):
+        if not (x[0] <= x[-1] and np.all(x[:-1] <= x[1:])):
+            raise DomainError(f"sample {name} must be ascending, with no NaN")
+    return xa.size
 
 
-def empirical_cdf_dominance(a: SystemModel, b: SystemModel, seed: int, n: int,
-                            grid) -> DominanceScan:
-    """Estimate F_a(x) - F_b(x) on the grid and flag every point whose
-    empirical sign contradicts the analytic difference beyond 4 SEs."""
+def empirical_cdf_dominance(a: SystemModel, b: SystemModel, xa: np.ndarray,
+                            xb: np.ndarray, grid) -> DominanceScan:
+    """Estimate F_a(x) - F_b(x) on the grid from sorted samples of a and b and
+    flag every point whose empirical sign contradicts the analytic one beyond 4 SEs."""
+    n = _sample_size(xa, xb)
     xs = np.asarray(grid, dtype=float)
-    xa = _sorted_sample(a, seed, n, "system_a")
-    xb = _sorted_sample(b, seed, n, "system_b")
     pa = np.searchsorted(xa, xs, side="right") / n
     pb = np.searchsorted(xb, xs, side="right") / n
     d_emp = pa - pb
@@ -111,15 +113,11 @@ def empirical_cdf_dominance(a: SystemModel, b: SystemModel, seed: int, n: int,
 
     flagged = ((d_ana >= 0.0) & (d_emp < -CONTRADICTION_SES * se)
                | (d_ana <= 0.0) & (d_emp > CONTRADICTION_SES * se))
-    estimates = tuple(
-        McEstimate(float(d_emp[k]), float(se[k]), n, seed) for k in range(xs.size)
-    )
     return DominanceScan(
-        estimates=estimates,
+        estimates=tuple(McEstimate(float(v), float(e), n) for v, e in zip(d_emp, se)),
         analytic=tuple(float(v) for v in d_ana),
-        contradictions=tuple(int(k) for k in np.where(flagged)[0]),
-        threshold_ses=CONTRADICTION_SES,
-    )
+        contradictions=tuple(int(k) for k in np.flatnonzero(flagged)),
+        threshold_ses=CONTRADICTION_SES)
 
 
 def _spread_ranks(n: int, alpha: float, beta: float):
@@ -166,17 +164,16 @@ def _bootstrap_order_stats(x: np.ndarray, ranks, g: np.random.Generator,
     return x[idx[row]]
 
 
-def empirical_quantile_spread(a: SystemModel, b: SystemModel, seed: int, n: int,
+def empirical_quantile_spread(xa: np.ndarray, xb: np.ndarray, seed: int,
                               alpha: float, beta: float,
                               n_boot: int = 200) -> McEstimate:
     """Order-statistic estimate of [Q_b(beta)-Q_b(alpha)] - [Q_a(beta)-Q_a(alpha)]
-    with a bootstrap standard error."""
+    from sorted samples of a and b, with a bootstrap standard error on ``seed``'s stream."""
     if not (0.0 < alpha < beta < 1.0):
         raise DomainError(f"need 0 < alpha < beta < 1, got {alpha}, {beta}")
     if n_boot < 2:
         raise DomainError(f"a standard error needs n_boot >= 2, got {n_boot}")
-    xa = _sorted_sample(a, seed, n, "system_a")
-    xb = _sorted_sample(b, seed, n, "system_b")
+    n = _sample_size(xa, xb)
     ranks, weights = _spread_ranks(n, alpha, beta)
     value = _spread(xb[ranks], weights) - _spread(xa[ranks], weights)
 
@@ -184,5 +181,4 @@ def empirical_quantile_spread(a: SystemModel, b: SystemModel, seed: int, n: int,
     oa = _bootstrap_order_stats(xa, ranks, g, n_boot)
     ob = _bootstrap_order_stats(xb, ranks, g, n_boot)
     reps = _spread(ob, weights) - _spread(oa, weights)
-    return McEstimate(value=float(value), std_error=float(reps.std(ddof=1)),
-                      n_samples=n, seed=seed)
+    return McEstimate(float(value), float(reps.std(ddof=1)), n)

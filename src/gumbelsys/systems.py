@@ -67,6 +67,7 @@ from .errors import DomainError, UsageError
 __all__ = [
     "MAX_COMPONENTS",
     "DEFAULT_TAIL_CUTOFF",
+    "DEFAULT_X_POINTS",
     "Topology",
     "SystemModel",
     "phi",
@@ -83,13 +84,14 @@ __all__ = [
     "make_grid",
 ]
 
-#: Maximum number of components accepted by :class:`SystemModel`.  The sums
-#: over components are pairwise-accumulated; beyond this size the rounding
-#: budget of the ordering checks is no longer guaranteed.
+#: Most components a :class:`SystemModel` takes.  Sums over components are
+#: sequential below 8 terms, else 8 accumulators joined in a tree; beyond 64
+#: the rounding budget of the ordering checks is no longer guaranteed.
 MAX_COMPONENTS = 64
 
-#: The tail mass :func:`make_grid` leaves outside its window by default.
+#: :func:`make_grid`'s defaults: the tail mass left outside its window, and its points.
 DEFAULT_TAIL_CUTOFF = 1e-8
+DEFAULT_X_POINTS = 2049
 
 #: Component terms per block of a kernel pass.  One float temporary of a
 #: block is 64 KB, so the half dozen a block holds stay in L2 cache.
@@ -300,7 +302,9 @@ def _row_sums(t: np.ndarray) -> np.ndarray:
     terms, and from 8 to 64 adds the terms into 8 strided accumulators, joins
     them in a 3-level tree and then adds the last ``n % 8`` terms in turn.  The
     sign of a zero only reaches the result through the ``0.0 +``, so the
-    sequential sums may start at 0.0."""
+    sequential sums may start at 0.0.  A column's sum must not depend on the
+    pass's column count, which the Newton loop trims and a scalar call makes 1;
+    numpy's own reduce over the component axis turns pairwise for one column."""
     n, rows = t.shape[-2:]
     if n < 8:
         out = t[..., 0, :] + 0.0
@@ -655,7 +659,7 @@ def _grid(systems, lo_p: float, hi_p: float, count: int, hi_of=max) -> np.ndarra
                       f"Q({float(hi_p)!r}) {reason}")
 
 
-def make_grid(a: SystemModel, b: SystemModel, count: int = 2049,
+def make_grid(a: SystemModel, b: SystemModel, count: int = DEFAULT_X_POINTS,
               tail_cutoff: float = DEFAULT_TAIL_CUTOFF) -> np.ndarray:
     """Uniform grid covering both systems up to the given tail mass.
 

@@ -21,7 +21,7 @@ from gumbelsys import orders as od
 from gumbelsys import systems as sy
 from gumbelsys.majorization import random_majorization_pair
 from gumbelsys.rng import stream
-from gumbelsys.simulate import empirical_cdf_dominance
+from gumbelsys.simulate import empirical_cdf_dominance, sample_pair
 
 from lemmas import Curvature, check_lemma_phi, schur_test
 
@@ -237,7 +237,7 @@ def test_criterion_10_monte_carlo_agreement_and_quantile_roundtrip():
             a = gs.SystemModel(gs.Topology.PARALLEL, tuple(mus_a), sigma)
             b = gs.SystemModel(gs.Topology.PARALLEL, tuple(mus_b), sigma)
         grid = sy.make_grid(a, b, 129)
-        scan = empirical_cdf_dominance(a, b, SEED + k, 10**6, grid)
+        scan = empirical_cdf_dominance(a, b, *sample_pair(a, b, SEED + k, 10**6), grid)
         contradictions += len(scan.contradictions)
         for s in (a, b):
             qs = sy.system_quantiles(s, us)

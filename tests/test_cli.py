@@ -638,6 +638,23 @@ class TestUsage:
         assert (out, err) == ("", "error: the window [7.086526013072208e+307, inf] from Q(1e-08) "
                                   "to Q(0.99999999) has an end beyond the doubles\n")
 
+    def test_unwritable_report_file_is_one_error_line(self, tmp_path, capsys):
+        # the table was printed, then the write died with FileNotFoundError and exit 1
+        target = str(tmp_path / "missing" / "x.json")
+        assert main(["check", write(tmp_path, "s.ini", IDENTICAL), "--out", target]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith(f"error: cannot write report file {target!r}: "), err
+
+    def test_undecodable_spec_file_is_one_error_line(self, tmp_path, capsys):
+        # a byte that is not UTF-8 died with UnicodeDecodeError and exit 1
+        path = tmp_path / "bad.ini"
+        path.write_bytes(ENTROPY_SPEC.replace("sigma = 1.0", "sigma = 1\xff", 1).encode("latin-1"))
+        assert main(["entropy", str(path)]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith(f"error: cannot read spec file {str(path)!r}: 'utf-8' codec"), err
+
     def test_simulate_rejects_spec_grid_below_33(self, tmp_path, capsys):
         # a spec value below 33 used to be raised to 33; it is rejected like an override
         spec = SIMULATE_SPEC.replace("grid_points = 65", "grid_points = 7")

@@ -77,7 +77,7 @@ class TestCdfDominance:
     def test_null_case_quiet(self):
         s = series([0.7, -0.3])
         grid = sy.make_grid(s, s, 129)
-        scan = sim.empirical_cdf_dominance(s, s, 3, 100_000, grid)
+        scan = sim.empirical_cdf_dominance(s, s, *sim.sample_pair(s, s, 3, 100_000), grid)
         assert not scan.contradictions
         inside = sum(abs(e.value) <= 4 * e.std_error for e in scan.estimates
                      if e.std_error > 0)
@@ -89,7 +89,7 @@ class TestCdfDominance:
         grid = sy.make_grid(s, s, 129)
         over3 = total = 0
         for seed in (1, 2, 3, 4, 5):
-            scan = sim.empirical_cdf_dominance(s, s, seed, 50_000, grid)
+            scan = sim.empirical_cdf_dominance(s, s, *sim.sample_pair(s, s, seed, 50_000), grid)
             for e in scan.estimates:
                 if e.std_error > 0:
                     total += 1
@@ -102,21 +102,21 @@ class TestCdfDominance:
             u, v = random_majorization_pair(g, 3)
             a, b = series(u), series(v)
             grid = sy.make_grid(a, b, 65)
-            scan = sim.empirical_cdf_dominance(a, b, 100 + k, 10**6, grid)
+            scan = sim.empirical_cdf_dominance(a, b, *sim.sample_pair(a, b, 100 + k, 10**6), grid)
             assert not scan.contradictions
 
     def test_deterministic(self):
         a, b = series([1, 0]), series([0.5, 0.5])
         grid = sy.make_grid(a, b, 33)
-        s1 = sim.empirical_cdf_dominance(a, b, 9, 20_000, grid)
-        s2 = sim.empirical_cdf_dominance(a, b, 9, 20_000, grid)
+        s1 = sim.empirical_cdf_dominance(a, b, *sim.sample_pair(a, b, 9, 20_000), grid)
+        s2 = sim.empirical_cdf_dominance(a, b, *sim.sample_pair(a, b, 9, 20_000), grid)
         assert [e.value for e in s1.estimates] == [e.value for e in s2.estimates]
 
 
 class TestQuantileSpread:
     def test_null_within_band(self):
         s = series([0.4, -0.4])
-        est = sim.empirical_quantile_spread(s, s, 21, 100_000, 0.25, 0.75)
+        est = sim.empirical_quantile_spread(*sim.sample_pair(s, s, 21, 100_000), 21, 0.25, 0.75)
         # independent streams for the two roles, so the difference is noise
         assert abs(est.value) < 4 * est.std_error
 
@@ -124,7 +124,7 @@ class TestQuantileSpread:
         g = stream(52, "mc")
         u, v = random_majorization_pair(g, 4)
         a, b = series(u), series(v)
-        est = sim.empirical_quantile_spread(a, b, 99, 200_000, 0.25, 0.75)
+        est = sim.empirical_quantile_spread(*sim.sample_pair(a, b, 99, 200_000), 99, 0.25, 0.75)
         qa = sy.system_quantiles(a, np.array([0.25, 0.75]))
         qb = sy.system_quantiles(b, np.array([0.25, 0.75]))
         analytic = (qb[1] - qb[0]) - (qa[1] - qa[0])
@@ -133,14 +133,14 @@ class TestQuantileSpread:
     def test_se_scales_with_sample_size(self):
         # 600 resamples keep the bootstrap noise on the ratio around 3%
         a, b = series([1.5, -0.5]), series([0.5, 0.5])
-        e1 = sim.empirical_quantile_spread(a, b, 23, 20_000, 0.25, 0.75, n_boot=600)
-        e2 = sim.empirical_quantile_spread(a, b, 23, 80_000, 0.25, 0.75, n_boot=600)
+        e1, e2 = (sim.empirical_quantile_spread(*sim.sample_pair(a, b, 23, n), 23, 0.25, 0.75,
+                                                n_boot=600) for n in (20_000, 80_000))
         assert 1.8 <= e1.std_error / e2.std_error <= 2.2
 
     def test_value_bits_match_np_quantile(self):
         a, b = series([1.5, -0.5]), parallel([0.5, 0.5])
         for n in (1, 2, 3, 4, 7, 1000):
-            est = sim.empirical_quantile_spread(a, b, 8, n, 0.2, 0.9, n_boot=2)
+            est = sim.empirical_quantile_spread(*sim.sample_pair(a, b, 8, n), 8, 0.2, 0.9, n_boot=2)
             xa = sim.sample_system(a, 8, n, label="system_a")
             xb = sim.sample_system(b, 8, n, label="system_b")
             want = (np.diff(np.quantile(xb, [0.2, 0.9]))[0]
@@ -156,27 +156,60 @@ class TestQuantileSpread:
             want = np.diff(np.quantile(x, [alpha, beta]))[0]
             assert sim._spread(x[ranks], weights) == want, (n, alpha, beta)
 
-    def test_each_sample_drawn_once(self, monkeypatch):
-        calls = []
-        draw = sim.sample_system
-        monkeypatch.setattr(sim, "sample_system",
-                            lambda *args, **kw: calls.append(args) or draw(*args, **kw))
-        sim._SHARED.clear()
-        a, b = series([1.0, 0.0]), series([0.5, 0.5])
-        sim.empirical_cdf_dominance(a, b, 6, 1000, sy.make_grid(a, b, 33))
-        sim.empirical_quantile_spread(a, b, 6, 1000, 0.25, 0.75, n_boot=5)
-        assert len(calls) == 2
-        # the next command draws its own samples
-        sim.empirical_cdf_dominance(a, b, 6, 1000, sy.make_grid(a, b, 33))
-        assert len(calls) == 4
-
     def test_domain(self):
         a = series([0.0])
         with pytest.raises(DomainError):
-            sim.empirical_quantile_spread(a, a, 1, 100, 0.75, 0.25)
+            sim.empirical_quantile_spread(*sim.sample_pair(a, a, 1, 100), 1, 0.75, 0.25)
         with pytest.raises(DomainError, match="n_boot"):
-            sim.empirical_quantile_spread(a, a, 1, 100, 0.25, 0.75, n_boot=1)
+            sim.empirical_quantile_spread(*sim.sample_pair(a, a, 1, 100), 1, 0.25, 0.75, n_boot=1)
 
+
+
+class TestSamplePair:
+    """The estimators read the samples ``sample_pair`` returns and nothing else."""
+
+    A, B = series([1.0, 0.0]), parallel([0.5, 0.5])
+
+    def _both(self, xa, xb):
+        grid = sy.make_grid(self.A, self.B, 33)
+        return (sim.empirical_cdf_dominance(self.A, self.B, xa, xb, grid),
+                sim.empirical_quantile_spread(xa, xb, 6, 0.25, 0.75, n_boot=5))
+
+    def test_each_system_sorted_on_its_label(self):
+        xa, xb = sim.sample_pair(self.A, self.B, 6, 1000)
+        for x, s, label in ((xa, self.A, "system_a"), (xb, self.B, "system_b")):
+            want = np.sort(sim.sample_system(s, 6, 1000, label=label))
+            assert x.tobytes() == want.tobytes()
+
+    def test_estimates_depend_on_the_samples_alone(self):
+        xa, xb = sim.sample_pair(self.A, self.B, 6, 1000)
+        kept = xa.copy(), xb.copy()
+        scan, spread = self._both(xa, xb)
+        assert xa.tobytes() == kept[0].tobytes() and xb.tobytes() == kept[1].tobytes()
+        assert self._both(*kept) == (scan, spread)
+        assert scan.estimates[0].n_samples == spread.n_samples == 1000
+
+    @pytest.mark.parametrize("case,match", [
+        ("unsorted", "sample xa must be ascending, with no NaN"),
+        ("nan", "sample xb must be ascending, with no NaN"),
+        ("lone nan", "sample xa must be ascending, with no NaN"),
+        ("unequal", r"one nonzero size, got shapes \(1000,\) and \(999,\)"),
+        ("empty", r"one nonzero size, got shapes \(0,\) and \(0,\)"),
+        ("2-D", r"need two 1-D samples"),
+    ])
+    def test_bad_samples_rejected(self, case, match):
+        xa, xb = sim.sample_pair(self.A, self.B, 6, 1000)
+        xa, xb = {"unsorted": (xa[::-1], xb),
+                  "nan": (xa, np.append(xb[1:], np.nan)),
+                  "lone nan": (np.array([np.nan]), xb[:1]),
+                  "unequal": (xa, xb[1:]),
+                  "empty": (xa[:0], xb[:0]),
+                  "2-D": (xa.reshape(2, -1), xb.reshape(2, -1))}[case]
+        grid = sy.make_grid(self.A, self.B, 33)
+        with pytest.raises(DomainError, match=match):
+            sim.empirical_cdf_dominance(self.A, self.B, xa, xb, grid)
+        with pytest.raises(DomainError, match=match):
+            sim.empirical_quantile_spread(xa, xb, 6, 0.25, 0.75, n_boot=5)
 
 def _old_bootstrap(x, alpha, beta, g, n_boot):
     """The replicate loop the order-statistic bootstrap replaced."""
@@ -221,6 +254,6 @@ class TestBootstrapLaw:
 class TestEstimateType:
     def test_validation(self):
         with pytest.raises(DomainError):
-            sim.McEstimate(0.0, -1.0, 10, 0)
+            sim.McEstimate(0.0, -1.0, 10)
         with pytest.raises(DomainError):
-            sim.McEstimate(0.0, 1.0, 0, 0)
+            sim.McEstimate(0.0, 1.0, 0)

@@ -472,12 +472,15 @@ class TestFusedKernel:
             np.testing.assert_array_equal(f(w).view(np.int64), want)
             np.testing.assert_array_equal(np.asarray(f(w[0])).view(np.int64), want[0])
 
+    # n = 9 and 64 reach _row_sums' 8-accumulator branch, where numpy's own
+    # reduce would sum a one-point pass pairwise and move its bits
+    @pytest.mark.parametrize("n", [5, 9, 64])
     @pytest.mark.parametrize("topology", _TOPOLOGIES)
-    def test_blocks_match_per_point_calls(self, topology, monkeypatch):
-        s = _spread_system(topology, 5)
+    def test_blocks_match_per_point_calls(self, topology, n, monkeypatch):
+        s = _spread_system(topology, n)
         xs = np.linspace(-6.0, 12.0, 203)
         whole = {f: getattr(sy, f)(s, xs) for f in _FUNCS}
-        monkeypatch.setattr(sy, "_BLOCK_TERMS", 64)  # about 13 rows a block
+        monkeypatch.setattr(sy, "_BLOCK_TERMS", 64)  # about 64 / n points a block
         for f in _FUNCS:
             fn = getattr(sy, f)
             np.testing.assert_array_equal(fn(s, xs), whole[f])
