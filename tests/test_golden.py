@@ -28,6 +28,8 @@ CASES = {
     "simulate": ["simulate", "simulate.ini"],
     **{f"scan_{mode}": ["scan", "--mode", mode, "--trials", "4", "--n", "3", "--seed", "1"]
        for mode in SCAN_MODES},
+    "scan_free_entropy-orders": ["scan", "--mode", "free", "--entropy-orders", "--trials", "4",
+                                 "--n", "3", "--seed", "1"],
 }
 
 
