@@ -341,23 +341,15 @@ def _emit(doc: dict, table: str, out: str | None) -> None:
 # check
 # ---------------------------------------------------------------------------
 
-def _cmd_check(args) -> int:
-    cfg = _read_spec(args)
+def _cmd_check(cfg: dict, args) -> tuple[int, dict, str]:
     a, b, relations = cfg["system_a"], cfg["system_b"], cfg["relations"]
     quad = QuadratureSpec(rel_tol=cfg["quad_rel_tol"])
+    cfg["quad_abs_tol"] = quad.abs_tol
     grid, p_grid, t_grid = _grids(a, b, relations, cfg)
     verdicts = [orders.check(rel, a, b, cfg["direction"], grid=grid, p_grid=p_grid,
                              t_grid=t_grid, quad=quad) for rel in relations]
-
-    code = _exit_for([v.outcome for v in verdicts])
-    doc = {
-        "command": "check",
-        "config": {**cfg, "quad_abs_tol": quad.abs_tol},
-        "verdicts": [_verdict_doc(v) for v in verdicts],
-        "exit_code": code,
-    }
-    _emit(doc, _verdict_table(verdicts), args.out)
-    return code
+    body = {"verdicts": [_verdict_doc(v) for v in verdicts]}
+    return _exit_for([v.outcome for v in verdicts]), body, _verdict_table(verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +372,7 @@ def _scan_trial(k: int, cfg: dict, sigma: float):
     return SystemModel(topo, tuple(mus_a), sigma), SystemModel(topo, tuple(mus_b), sigma)
 
 
-def _cmd_scan(args) -> int:
-    cfg = _read_spec(args)
+def _cmd_scan(cfg: dict, args) -> tuple[int, dict, str]:
     mode, trials, sigmas = cfg["mode"], cfg["trials"], cfg["sigmas"]
     if cfg["n_components"] < (2 if mode != "parallel-lr" else 1):
         raise UsageError("--n is too small for this mode")
@@ -412,10 +403,6 @@ def _cmd_scan(args) -> int:
                                                  include_entropy_orders=args.entropy_orders,
                                                  quad=quad)
                 trial_verdicts = list(audit.verdicts.values())
-                for (rel, direction), v in audit.verdicts.items():
-                    if v.outcome is Outcome.HOLDS:
-                        key = f"{rel.value}:{direction.value}"
-                        held_counts[key] = held_counts.get(key, 0) + 1
                 trial_code = EXIT_OK if audit.consistent else EXIT_FAILS
                 if not audit.consistent:
                     extra["audit_violations"] = list(audit.violations)
@@ -437,8 +424,9 @@ def _cmd_scan(args) -> int:
 
         for v in trial_verdicts:
             key = f"{v.relation.value}:{v.direction.value}"
-            prev = min_margins.get(key)
-            min_margins[key] = v.margin if prev is None else min(prev, v.margin)
+            min_margins[key] = min(min_margins.get(key, v.margin), v.margin)
+            if free and v.outcome is Outcome.HOLDS:
+                held_counts[key] = held_counts.get(key, 0) + 1
         if trial_code != EXIT_OK:  # a FAILS outranks an inconclusive trial
             code = EXIT_FAILS if EXIT_FAILS in (code, trial_code) else trial_code
             failures.append({
@@ -449,27 +437,21 @@ def _cmd_scan(args) -> int:
                 **extra,
             })
 
-    doc = {
-        "command": "scan",
-        "config": cfg,
-        "passes": trials - len(failures),
+    passes = trials - len(failures)
+    body = {
+        "passes": passes,
         "failures": failures,
         "min_margins": dict(sorted(min_margins.items())),
         "held_counts": dict(sorted(held_counts.items())),
-        "exit_code": code,
     }
-    table = (f"scan mode={mode} trials={trials} "
-             f"passes={trials - len(failures)} failures={len(failures)}")
-    _emit(doc, table, args.out)
-    return code
+    return code, body, f"scan mode={mode} trials={trials} passes={passes} failures={len(failures)}"
 
 
 # ---------------------------------------------------------------------------
 # entropy
 # ---------------------------------------------------------------------------
 
-def _cmd_entropy(args) -> int:
-    cfg = _read_spec(args)
+def _cmd_entropy(cfg: dict, args) -> tuple[int, dict, str]:
     s = cfg["system"]
     quad = QuadratureSpec(rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"],
                           tail_mass_cutoff=cfg["tail_cutoff"],
@@ -484,10 +466,7 @@ def _cmd_entropy(args) -> int:
     curve = entropy_curve(s, ts, quad)
 
     all_ok = total.converged and all(e.converged for e in curve)
-    code = EXIT_OK if all_ok else EXIT_INCONCLUSIVE
-    doc = {
-        "command": "entropy",
-        "config": cfg,
+    body = {
         "shannon": {"value": total.value, "error_estimate": total.error_estimate,
                     "converged": total.converged},
         "residual": [
@@ -495,25 +474,24 @@ def _cmd_entropy(args) -> int:
              "converged": e.converged}
             for t, e in zip(ts, curve)
         ],
-        "exit_code": code,
     }
     lines = [f"shannon entropy: {total.value:.12g} "
              f"(err {total.error_estimate:.3g}, converged={total.converged})"]
     for t, e in zip(ts, curve):
         lines.append(f"t={float(t):> 12.6g}  value={e.value:.12g}  "
                      f"err={e.error_estimate:.3g}  converged={e.converged}")
-    _emit(doc, "\n".join(lines), args.out)
-    return code
+    return EXIT_OK if all_ok else EXIT_INCONCLUSIVE, body, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(args) -> int:
-    cfg = _read_spec(args)
+def _cmd_simulate(cfg: dict, args) -> tuple[int, dict, str]:
     a, b, n, seed, alpha, beta = (cfg[k] for k in ("system_a", "system_b", "n_samples", "seed",
                                                    "alpha", "beta"))
+    if not alpha < beta:
+        raise UsageError(f"[simulate] alpha must be below beta, got {alpha} and {beta}")
     grid = make_grid(a, b, cfg["grid_points"], cfg["tail_cutoff"])
     xa, xb = sample_pair(a, b, seed, n)
     scan = empirical_cdf_dominance(a, b, xa, xb, grid)
@@ -521,11 +499,8 @@ def _cmd_simulate(args) -> int:
     qa, qb = (system_quantiles(s, np.array([alpha, beta])) for s in (a, b))
     analytic = float((qb[1] - qb[0]) - (qa[1] - qa[0]))
     contradicts = abs(spread.value - analytic) > scan.threshold_ses * spread.std_error
-
-    code = EXIT_OK if not scan.contradictions else EXIT_FAILS
-    doc = {
-        "command": "simulate",
-        "config": {**cfg, "threshold_ses": scan.threshold_ses},
+    cfg["threshold_ses"] = scan.threshold_ses
+    body = {
         "cdf_dominance": {
             "contradictions": list(scan.contradictions),
             "points": [
@@ -539,15 +514,13 @@ def _cmd_simulate(args) -> int:
             "n_samples": spread.n_samples, "analytic": analytic,
             "contradicts": contradicts,
         },
-        "exit_code": code,
     }
     table = (f"cdf dominance: {len(scan.contradictions)} contradictions beyond "
              f"{scan.threshold_ses:g} SEs on {grid.size} points\n"
              f"quantile spread diff ({alpha:g},{beta:g}): {spread.value:.6g} "
              f"+- {spread.std_error:.3g} (analytic {analytic:.6g}"
              f"{', contradicted' if contradicts else ''})")
-    _emit(doc, table, args.out)
-    return code
+    return EXIT_OK if not scan.contradictions else EXIT_FAILS, body, table
 
 
 # ---------------------------------------------------------------------------
@@ -585,9 +558,14 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command: it returns its exit code, report body and table, and its
+    report is ``command``, ``config``, the body's keys, then ``exit_code``."""
     try:
         args = _build_parser().parse_args(argv)
-        return args.run(args)
+        cfg = _read_spec(args)
+        code, body, table = args.run(cfg, args)
+        _emit({"command": args.cmd, "config": cfg, **body, "exit_code": code}, table, args.out)
+        return code
     except GumbelSysError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -172,14 +172,13 @@ def _survival(s: SystemModel, ts: np.ndarray) -> np.ndarray:
     return sf
 
 
-def _residual_forms(systems, t, q: QuadratureSpec) -> list[tuple]:
+def _residual_forms(systems, ts: np.ndarray, sfs, q: QuadratureSpec) -> list[tuple]:
     """Each system's hazard- and density-form values, errors and convergence
-    flags at every time of ``t`` (made 1-D), each shaped (2, times), with the
-    cuts of all systems from one ``_log_survival_roots`` call; before any
-    solve, DomainError at the first system's first time without a value."""
-    ts, sfs = np.atleast_1d(np.asarray(t, dtype=float)), []
-    for s in systems:
-        sfs.append(sf := _survival(s, ts))
+    flags at every time of the 1-D ``ts``, each shaped (2, times), from each
+    system's ``_survival`` at ``ts`` in ``sfs`` and the cuts of all systems
+    from one ``_log_survival_roots`` call; before any solve, DomainError at
+    the first system's first time without a value."""
+    for sf in sfs:
         bad = sf <= q.tail_mass_cutoff  # which holds every time that is not finite
         if bad.any():
             k = int(np.argmax(bad))
@@ -210,7 +209,8 @@ def _residual_forms(systems, t, q: QuadratureSpec) -> list[tuple]:
 def residual_entropy_forms(s, t, q: QuadratureSpec = QuadratureSpec()):
     """Both integral forms of the residual entropy at ``t`` (hazard form
     first); a 1-D ``t`` gives a list with one pair per time."""
-    values, errs, ok = _residual_forms((s,), t, q)[0]
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    values, errs, ok = _residual_forms((s,), ts, [_survival(s, ts)], q)[0]
     pairs = [tuple(EntropyValue(float(v), float(e), bool(c)) for v, e, c in zip(*col))
              for col in zip(values.T, errs.T, ok.T)]
     return pairs[0] if np.ndim(t) == 0 else pairs
@@ -237,7 +237,8 @@ def residual_entropy(s, t, q: QuadratureSpec = QuadratureSpec()):
     and their discrepancy is folded into the error estimate.  A scalar ``t``
     gives one :class:`EntropyValue`, a 1-D ``t`` a list of them.
     """
-    out = _entropy_values(_residual_forms((s,), t, q)[0], q)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    out = _entropy_values(_residual_forms((s,), ts, [_survival(s, ts)], q)[0], q)
     return out[0] if np.ndim(t) == 0 else out
 
 
@@ -246,8 +247,9 @@ def entropy_curve(s, t_grid, q: QuadratureSpec = QuadratureSpec()) -> list[Entro
     or past the cutoff) become non-converged NaN entries instead of aborting
     the remaining points."""
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    good = _survival(s, ts) > q.tail_mass_cutoff
-    values = iter(_entropy_values(_residual_forms((s,), ts[good], q)[0], q))
+    sf = _survival(s, ts)
+    good = sf > q.tail_mass_cutoff
+    values = iter(_entropy_values(_residual_forms((s,), ts[good], [sf[good]], q)[0], q))
     return [next(values) if g else EntropyValue(float("nan"), float("inf"), False)
             for g in good]
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import QuadratureSpec, _agreed, _residual_forms
+from .entropy import QuadratureSpec, _agreed, _residual_forms, _survival
 from .entropy import residual_entropy  # noqa: F401 - a site the benchmark's tracer requires
 from .errors import UsageError
 from .systems import (DEFAULT_X_POINTS, SystemModel, _location, _grid, _quantiles_and_pdfs,
@@ -282,7 +282,8 @@ def check_lu(a, b, t_grid=None, quad: QuadratureSpec = QuadratureSpec(),
     INCONCLUSIVE rather than pretending precision."""
     a, b = _validate_pair(a, b, direction)
     ts = _points(t_grid, lambda: make_t_grid(a, b))
-    (va, ea, ca), (vb, eb, cb) = (_agreed(*f, quad) for f in _residual_forms((a, b), ts, quad))
+    forms = _residual_forms((a, b), ts, [_survival(s, ts) for s in (a, b)], quad)
+    (va, ea, ca), (vb, eb, cb) = (_agreed(*f, quad) for f in forms)
     if not (ca.all() and cb.all()):
         return OrderVerdict(Relation.LU, direction, Outcome.INCONCLUSIVE, None, 0.0)
     tol = 2.0 * (ea + eb + quad.rel_tol * np.maximum(1.0, np.maximum(np.abs(va), np.abs(vb))))

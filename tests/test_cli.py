@@ -489,6 +489,17 @@ class TestSimulate:
         assert spread["contradicts"] is True
         assert code == (1 if doc["cdf_dominance"]["contradictions"] else 0)
 
+    @pytest.mark.parametrize("alpha, beta", [(0.9, 0.1), (0.5, 0.5)])
+    def test_alpha_not_below_beta_rejected_before_any_draw(self, tmp_path, capsys,
+                                                           monkeypatch, alpha, beta):
+        draws = mock.Mock(wraps=cli.sample_pair)
+        monkeypatch.setattr(cli, "sample_pair", draws)
+        spec = SIMULATE_SPEC + f"alpha = {alpha}\nbeta = {beta}\n"
+        assert main(["simulate", write(tmp_path, "s.ini", spec)]) == 64
+        assert capsys.readouterr() == (
+            "", f"error: [simulate] alpha must be below beta, got {alpha} and {beta}\n")
+        assert not draws.called
+
     def test_17_digit_serialization(self, tmp_path):
         spec = write(tmp_path, "s.ini", SIMULATE_SPEC)
         out = tmp_path / "m.json"

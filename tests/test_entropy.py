@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -386,6 +387,14 @@ class TestCurve:
         ts = np.linspace(sy.system_quantile(s, 0.001), sy.system_quantile(s, 0.999), 16)
         curve = en.entropy_curve(s, ts)
         assert all(e.converged and math.isfinite(e.value) for e in curve)
+
+    def test_survival_evaluated_once_per_call(self):
+        # the mask's survivals are the ones the quadrature divides by
+        s = series([0.3, 0.9])
+        with mock.patch.object(en, "system_survival", wraps=sy.system_survival) as survival:
+            curve = en.entropy_curve(s, np.array([0.0, 500.0, 1.0]))
+        assert survival.call_count == 1
+        assert [e.converged for e in curve] == [True, False, True]
 
 
 class TestSpecValidation:

@@ -103,6 +103,22 @@ def test_report_bytes(name, capsys):
     assert f'"exit_code": {code}\n' in out
 
 
+#: the start of each command's stdout table
+TABLE_HEAD = {"check": "relation ", "scan": "scan mode=", "entropy": "shannon entropy: ",
+              "simulate": "cdf dominance: "}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_file_bytes(name, tmp_path, capsys):
+    # --out <file> writes the golden bytes there and leaves stdout the table
+    report = tmp_path / "report.json"
+    code = main([*_argv(name)[:-1], str(report)])
+    assert report.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+    assert f'"exit_code": {code}\n'.encode() in report.read_bytes()
+    out = capsys.readouterr().out
+    assert out.startswith(TABLE_HEAD[CASES[name][0]]) and "{" not in out
+
+
 if __name__ == "__main__":
     import contextlib
     import io
