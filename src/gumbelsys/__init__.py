@@ -10,8 +10,8 @@ the toolkit; the ``gumbelsys`` CLI drives it from flat spec files.
 """
 
 from .entropy import (EntropyValue, QuadratureSpec, entropy_curve,
-                      residual_entropy, residual_entropy_forms, shannon_entropy)
-from .errors import DomainError, GumbelSysError, NumericsError, UsageError
+                      residual_entropy, shannon_entropy)
+from .errors import DomainError, GumbelSysError, UsageError
 from .majorization import random_majorization_pair
 from .orders import (AuditReport, Direction, Outcome, OrderVerdict, Relation,
                      Witness, check, check_disp, check_hr, check_lr, check_lu,
@@ -20,15 +20,15 @@ from .orders import (AuditReport, Direction, Outcome, OrderVerdict, Relation,
 from .simulate import (DominanceScan, McEstimate, empirical_cdf_dominance,
                        empirical_quantile_spread, sample_pair, sample_system)
 from .systems import (SystemModel, Topology, make_grid, phi, system_cdf, system_hazard,
-                      system_pdf, system_quantile, system_quantiles,
+                      system_pdf, system_quantiles,
                       system_reversed_hazard, system_survival)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DomainError", "GumbelSysError", "NumericsError", "UsageError",
+    "DomainError", "GumbelSysError", "UsageError",
     "SystemModel", "Topology", "make_grid", "phi",
-    "system_cdf", "system_hazard", "system_pdf", "system_quantile",
+    "system_cdf", "system_hazard", "system_pdf",
     "system_quantiles", "system_reversed_hazard", "system_survival",
     "random_majorization_pair",
     "AuditReport", "Direction", "Outcome", "OrderVerdict", "Relation",
@@ -36,7 +36,7 @@ __all__ = [
     "check_rh", "check_st", "implication_audit",
     "make_p_grid", "make_t_grid", "parallel_rh_log_margin",
     "EntropyValue", "QuadratureSpec", "entropy_curve", "residual_entropy",
-    "residual_entropy_forms", "shannon_entropy",
+    "shannon_entropy",
     "DominanceScan", "McEstimate", "empirical_cdf_dominance",
     "empirical_quantile_spread", "sample_pair", "sample_system",
 ]

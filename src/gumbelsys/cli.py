@@ -28,8 +28,8 @@ from .majorization import random_majorization_pair
 from .orders import Direction, Outcome, Relation
 from .rng import stream
 from .simulate import empirical_cdf_dominance, empirical_quantile_spread, sample_pair
-from .systems import (DEFAULT_TAIL_CUTOFF, SystemModel, Topology, _grid, make_grid,
-                      system_quantiles)
+from .systems import (DEFAULT_TAIL_CUTOFF, MAX_COMPONENTS, SystemModel, Topology, _grid,
+                      make_grid, system_quantiles)
 
 __all__ = ["main"]
 
@@ -374,8 +374,9 @@ def _scan_trial(k: int, cfg: dict, sigma: float):
 
 def _cmd_scan(cfg: dict, args) -> tuple[int, dict, str]:
     mode, trials, sigmas = cfg["mode"], cfg["trials"], cfg["sigmas"]
-    if cfg["n_components"] < (2 if mode != "parallel-lr" else 1):
-        raise UsageError("--n is too small for this mode")
+    n, low = cfg["n_components"], 2 if mode != "parallel-lr" else 1
+    if not low <= n <= MAX_COMPONENTS:
+        raise UsageError(f"--n must lie in [{low}, {MAX_COMPONENTS}] for --mode {mode}, got {n}")
     lo, hi = cfg["mu_low"], cfg["mu_high"]
     if not lo < hi:
         raise UsageError(f"--mu-low must be below --mu-high, got {lo} and {hi}")

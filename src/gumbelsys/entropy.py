@@ -39,7 +39,6 @@ __all__ = [
     "EntropyValue",
     "shannon_entropy",
     "residual_entropy",
-    "residual_entropy_forms",
     "entropy_curve",
 ]
 
@@ -92,8 +91,10 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < 1e-4):
             raise DomainError(f"rel_tol must lie in (0, 1e-4), got {self.rel_tol}")
-        if self.abs_tol <= 0.0 or self.tail_mass_cutoff <= 0.0:
-            raise DomainError("abs_tol and tail_mass_cutoff must be positive")
+        if not self.abs_tol > 0.0:  # NaN too
+            raise DomainError("abs_tol must be positive")
+        if not (0.0 < self.tail_mass_cutoff < 0.5):
+            raise DomainError(f"tail_mass_cutoff must lie in (0, 0.5), got {self.tail_mass_cutoff}")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
 
@@ -204,16 +205,6 @@ def _residual_forms(systems, ts: np.ndarray, sfs, q: QuadratureSpec) -> list[tup
         values = np.stack([1.0 - ints[0] / sf_t, log_sf_t - ints[1] / sf_t])
         out.append((values, window(error) / sf_t, window(failed) == 0))
     return out
-
-
-def residual_entropy_forms(s, t, q: QuadratureSpec = QuadratureSpec()):
-    """Both integral forms of the residual entropy at ``t`` (hazard form
-    first); a 1-D ``t`` gives a list with one pair per time."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    values, errs, ok = _residual_forms((s,), ts, [_survival(s, ts)], q)[0]
-    pairs = [tuple(EntropyValue(float(v), float(e), bool(c)) for v, e, c in zip(*col))
-             for col in zip(values.T, errs.T, ok.T)]
-    return pairs[0] if np.ndim(t) == 0 else pairs
 
 
 def _agreed(values, errs, ok, q: QuadratureSpec) -> tuple[np.ndarray, ...]:

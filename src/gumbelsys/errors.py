@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["GumbelSysError", "DomainError", "UsageError", "NumericsError"]
+__all__ = ["GumbelSysError", "DomainError", "UsageError"]
 
 
 class GumbelSysError(Exception):
@@ -25,7 +25,3 @@ class UsageError(GumbelSysError, ValueError):
     scale parameters in a two-system comparison, vector length mismatch,
     a non-symmetric function passed where symmetry is required.
     """
-
-
-class NumericsError(GumbelSysError, ArithmeticError):
-    """A computation produced non-finite intermediate values unexpectedly."""

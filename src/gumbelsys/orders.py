@@ -86,10 +86,6 @@ class Direction(enum.Enum):
     FIRST_GREATER = "first_greater"
     FIRST_SMALLER = "first_smaller"
 
-    def flipped(self) -> "Direction":
-        return (Direction.FIRST_SMALLER if self is Direction.FIRST_GREATER
-                else Direction.FIRST_GREATER)
-
 
 class Outcome(enum.Enum):
     HOLDS = "holds"

@@ -79,7 +79,6 @@ __all__ = [
     "system_log_cdf",
     "system_log_pdf",
     "system_log_survival",
-    "system_quantile",
     "system_quantiles",
     "make_grid",
 ]
@@ -616,11 +615,6 @@ def system_quantiles(s: SystemModel, probs) -> np.ndarray:
     """
     x = _quantile_roots((s,), probs)[0][0]
     return x[0] if np.ndim(probs) == 0 else x
-
-
-def system_quantile(s: SystemModel, prob: float) -> float:
-    """Quantile of the system law at one probability."""
-    return float(system_quantiles(s, float(prob)))
 
 
 def _quantiles_and_pdfs(systems, probs) -> list[tuple[np.ndarray, np.ndarray]]:

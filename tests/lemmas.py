@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from gumbelsys.errors import DomainError, NumericsError, UsageError
+from gumbelsys.errors import DomainError, UsageError
 from gumbelsys.systems import phi
 
 _PREFIX_SLACK = 1e-12
@@ -90,7 +90,7 @@ def schur_test(f: Callable[[np.ndarray], float], z, mode: Curvature) -> bool:
         raise UsageError("schur_test needs at least two coordinates")
     fz = float(f(za))
     if not np.isfinite(fz):
-        raise NumericsError(f"f(z) is not finite: {fz}")
+        raise ArithmeticError(f"f(z) is not finite: {fz}")
 
     swapped = za.copy()
     i_hi, i_lo = int(np.argmax(za)), int(np.argmin(za))
@@ -108,7 +108,7 @@ def schur_test(f: Callable[[np.ndarray], float], z, mode: Curvature) -> bool:
         zm = za.copy(); zm[i] -= h
         fp, fm = float(f(zp)), float(f(zm))
         if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericsError("f produced non-finite values near z")
+            raise ArithmeticError("f produced non-finite values near z")
         grad[i] = (fp - fm) / (2.0 * h)
 
     slack = _SCHUR_SLACK * max(1.0, abs(fz))

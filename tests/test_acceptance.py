@@ -23,6 +23,7 @@ from gumbelsys.majorization import random_majorization_pair
 from gumbelsys.rng import stream
 from gumbelsys.simulate import empirical_cdf_dominance, sample_pair
 
+from conftest import residual_forms
 from lemmas import Curvature, check_lemma_phi, schur_test
 
 SEED = 20250809
@@ -193,10 +194,10 @@ def test_criterion_08_dual_form_residual_entropy():
         sigma = SIGMAS[k % 3]
         topo = gs.Topology.SERIES if k % 2 else gs.Topology.PARALLEL
         s = gs.SystemModel(topo, tuple(g.uniform(-3.0, 3.0, n)), sigma)
-        ts = np.linspace(sy.system_quantile(s, 0.001),
-                         sy.system_quantile(s, 0.999), 64)
+        ts = np.linspace(sy.system_quantiles(s, 0.001),
+                         sy.system_quantiles(s, 0.999), 64)
         for t in ts:
-            a, b = en.residual_entropy_forms(s, float(t))
+            a, b = residual_forms(s, float(t))
             assert a.converged and b.converged
             worst = max(worst, abs(a.value - b.value))
     ok = worst < 1e-9

@@ -363,6 +363,14 @@ class TestScan:
         assert main(["scan", "--mode", "series-hr", "--trials", "1", "--n", "1"]) == 64
         assert "--n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode,low", [("free", 2), ("parallel-lr", 1)])
+    def test_n_above_max_components_names_it(self, capsys, mode, low):
+        # was rejected only inside trial 0, after drawing every location,
+        # with a message that blamed --mu-low, --mu-high and --sigmas
+        assert main(["scan", "--mode", mode, "--trials", "1", "--n", "65"]) == 64
+        assert capsys.readouterr() == (
+            "", f"error: --n must lie in [{low}, 64] for --mode {mode}, got 65\n")
+
     def test_grids_built_only_where_read(self, monkeypatch, capsys):
         # series-disp-lu used to build an x grid on every trial and never read it
         import gumbelsys.cli

@@ -17,7 +17,7 @@ from gumbelsys import entropy as en
 from gumbelsys import orders as od
 from gumbelsys import systems as sy
 
-from conftest import parallel, series
+from conftest import parallel, residual_forms, series
 
 EULER_GAMMA = 0.5772156649015328
 
@@ -121,26 +121,26 @@ class TestResidual:
     def test_full_support_limit_equals_shannon(self):
         s = series([1.0, 1.0])
         q = en.QuadratureSpec()
-        t = sy.system_quantile(s, q.tail_mass_cutoff)
+        t = sy.system_quantiles(s, q.tail_mass_cutoff)
         resid = en.residual_entropy(s, t, q)
         total = en.shannon_entropy(s, q)
         assert resid.value == pytest.approx(total.value, abs=1e-8)
 
     def test_dual_forms_agree_at_median(self):
         s = series([1.0, 1.0])
-        t = sy.system_quantile(s, 0.5)
-        a, b = en.residual_entropy_forms(s, t)
+        t = sy.system_quantiles(s, 0.5)
+        a, b = residual_forms(s, t)
         assert a.converged and b.converged
         assert abs(a.value - b.value) < 1e-9
 
     def test_probability_substitution_oracle(self):
         # independent route: integrate log r(Q(p)) over p instead of x
         s = series([0.6, -0.4], 1.2)
-        t = sy.system_quantile(s, 0.3)
+        t = sy.system_quantiles(s, 0.3)
         sf_t = float(sy.system_survival(s, t))
 
         def integrand(p):
-            x = sy.system_quantile(s, p)
+            x = sy.system_quantiles(s, p)
             return math.log(float(sy.system_hazard(s, x)))
 
         val, _ = quad(integrand, 0.3, 1 - 1e-11, epsabs=1e-11, epsrel=1e-9, limit=400)
@@ -225,8 +225,8 @@ class TestEngineContract:
                 assert isinstance(one, en.EntropyValue)
                 assert one.converged and b.converged
                 assert b.value == pytest.approx(one.value, abs=1e-12)
-            for t, pair in zip(ts, en.residual_entropy_forms(s, ts)):
-                for form, one in zip(pair, en.residual_entropy_forms(s, float(t))):
+            for t, pair in zip(ts, residual_forms(s, ts)):
+                for form, one in zip(pair, residual_forms(s, float(t))):
                     assert form.value == pytest.approx(one.value, abs=1e-12)
 
     def test_curve_marks_non_finite_time(self):
@@ -301,7 +301,7 @@ class TestEngineContract:
     def test_empty_times(self):
         s = series([1.0, 0.0])
         assert en.residual_entropy(s, np.array([])) == []
-        assert en.residual_entropy_forms(s, np.array([])) == []
+        assert residual_forms(s, np.array([])) == []
         assert [e.converged for e in en.entropy_curve(s, [np.inf, np.nan])] == [False, False]
 
     def test_refinement_budget_caps_bisections(self):
@@ -311,9 +311,9 @@ class TestEngineContract:
         budgets = {}
         for budget in (1, 10, 2000):
             q = en.QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=budget)
-            budgets[budget] = en.residual_entropy_forms(s, 0.5, q)
+            budgets[budget] = residual_forms(s, 0.5, q)
         assert not budgets[1][0].converged
-        default = en.residual_entropy_forms(s, 0.5)
+        default = residual_forms(s, 0.5)
         for budget in (10, 2000):
             assert all(e.converged for e in budgets[budget])
             for e, ref in zip(budgets[budget], default):
@@ -384,7 +384,7 @@ class TestCurve:
 
     def test_finite_inside_window(self):
         s = parallel([0.0, 1.0])
-        ts = np.linspace(sy.system_quantile(s, 0.001), sy.system_quantile(s, 0.999), 16)
+        ts = np.linspace(sy.system_quantiles(s, 0.001), sy.system_quantiles(s, 0.999), 16)
         curve = en.entropy_curve(s, ts)
         assert all(e.converged and math.isfinite(e.value) for e in curve)
 
@@ -407,7 +407,18 @@ class TestSpecValidation:
     def test_positive_fields(self):
         with pytest.raises(DomainError):
             en.QuadratureSpec(abs_tol=0.0)
+        with pytest.raises(DomainError, match="abs_tol must be positive"):
+            en.QuadratureSpec(abs_tol=float("nan"))  # was accepted, and no value converged
         with pytest.raises(DomainError):
             en.QuadratureSpec(tail_mass_cutoff=-1e-12)
         with pytest.raises(DomainError):
             en.QuadratureSpec(max_subdivisions=0)
+
+    @pytest.mark.parametrize("cutoff", [0.5, 0.7, 1.0])
+    def test_tail_mass_cutoff_below_one_half(self, cutoff):
+        # was accepted: at 0.5 and 0.7 the Shannon window held too few
+        # doubles and residual entropies did not converge, and at 1.0 the
+        # error named a quantile probability
+        with pytest.raises(DomainError, match=re.escape(
+                f"tail_mass_cutoff must lie in (0, 0.5), got {cutoff}")):
+            en.QuadratureSpec(tail_mass_cutoff=cutoff)

@@ -110,7 +110,7 @@ def _disp_density(s: SystemModel, p: float):
         cdf = -mpmath.expm1(log_sf)
         return mpmath.log(cdf) - mpmath.log(p), hazard * mpmath.exp(log_sf) / cdf
 
-    x = mpmath.findroot(lambda x: log_cdf_gap(x)[0], mpmath.mpf(sy.system_quantile(s, p)),
+    x = mpmath.findroot(lambda x: log_cdf_gap(x)[0], mpmath.mpf(sy.system_quantiles(s, p)),
                         df=lambda x: log_cdf_gap(x)[1], solver="newton")
     log_sf, hazard = _log_sf_and_hazard(s, x)
     return mpmath.exp(mpmath.log(hazard) + log_sf)

@@ -19,6 +19,7 @@ from conftest import parallel, series
 
 FG = Direction.FIRST_GREATER
 FS = Direction.FIRST_SMALLER
+FLIPPED = {FG: FS, FS: FG}  # a before b in one direction is b before a in the other
 
 
 class TestLikelihoodRatio:
@@ -380,8 +381,8 @@ class TestDefaultGrid:
         pairs = [(make([1.2, -0.4, 0.3], 0.8), make([0.4, 0.4, 0.3], 0.8)),
                  (make([2.0, 0.0]), make([1.0, 1.0]))]
         for a, b in pairs:
-            lo = min(sy.system_quantile(a, 1e-8), sy.system_quantile(b, 1e-8))
-            hi = max(sy.system_quantile(a, 1.0 - 1e-8), sy.system_quantile(b, 1.0 - 1e-8))
+            lo = min(sy.system_quantiles(a, 1e-8), sy.system_quantiles(b, 1e-8))
+            hi = max(sy.system_quantiles(a, 1.0 - 1e-8), sy.system_quantiles(b, 1.0 - 1e-8))
             window = np.linspace(lo, hi, od.DEFAULT_X_POINTS)
             for check in (od.check_lr, od.check_hr, od.check_rh, od.check_st):
                 assert check(a, b) == check(a, b, window)
@@ -480,7 +481,7 @@ class TestInvariance:
         shuffled = make([m * sigma for m in rnd.sample(mus_a, len(mus_a))], sigma)
         for rel in Relation:
             v = od.check(rel, a, b, direction)
-            swapped = od.check(rel, b, a, direction.flipped())
+            swapped = od.check(rel, b, a, FLIPPED[direction])
             assert (swapped.outcome, swapped.margin, swapped.witness) == \
                 (v.outcome, v.margin, v.witness), (rel, v, swapped)
             assert od.check(rel, shuffled, b, direction) == v, rel
@@ -567,4 +568,7 @@ class TestVerdictType:
             od.OrderVerdict(Relation.ST, FS, Outcome.HOLDS, None, np.nan)
 
     def test_direction_flip(self):
-        assert FG.flipped() is FS and FS.flipped() is FG
+        assert FLIPPED[FG] is FS and FLIPPED[FS] is FG and set(FLIPPED) == set(Direction)
+        # every check runs FIRST_GREATER on (a, b) as FIRST_SMALLER on (b, a)
+        a, b = series([1.0, 0.0]), series([0.5, 0.5])
+        assert od._validate_pair(a, b, FG) == (b, a) and od._validate_pair(a, b, FS) == (a, b)

@@ -43,8 +43,8 @@ class TestParallel:
 
     def test_pdf_integrates_to_one(self):
         s = parallel([0, 1, 2])
-        lo = sy.system_quantile(s, 1e-12)
-        hi = sy.system_quantile(s, 1 - 1e-12)
+        lo = sy.system_quantiles(s, 1e-12)
+        hi = sy.system_quantiles(s, 1 - 1e-12)
         val, _ = quad(lambda x: float(sy.system_pdf(s, x)), lo, hi,
                       epsabs=1e-13, epsrel=1e-11, limit=500)
         assert val == pytest.approx(1.0, abs=1e-9)
@@ -64,7 +64,7 @@ class TestParallel:
     def test_location_beyond_doubles_is_an_error(self):
         # L = 1.7e308 * (1 + log 2) overflows
         s = parallel([1.7e308, 1.7e308], 1.7e308)
-        for f in ("system_cdf", "system_log_survival", "system_quantile"):
+        for f in ("system_cdf", "system_log_survival", "system_quantiles"):
             with pytest.raises(DomainError, match="location overflows"):
                 getattr(sy, f)(s, 0.5)
 
@@ -267,10 +267,10 @@ class TestModel:
 class TestQuantiles:
     def test_single_reduces_to_component(self):
         s = parallel([0.0])
-        assert sy.system_quantile(s, E1) == pytest.approx(0.0, abs=1e-14)
+        assert sy.system_quantiles(s, E1) == pytest.approx(0.0, abs=1e-14)
 
     def test_parallel_two_equal(self):
-        assert sy.system_quantile(parallel([0, 0]), math.exp(-2)) == pytest.approx(0.0, abs=1e-12)
+        assert sy.system_quantiles(parallel([0, 0]), math.exp(-2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_series_median_matches_bisection_oracle(self):
         s = series([0.0, 3.0])
@@ -284,7 +284,7 @@ class TestQuantiles:
                 hi = mid
         oracle = 0.5 * (lo + hi)
         assert oracle == pytest.approx(0.36651162394615744, abs=1e-12)
-        assert sy.system_quantile(s, 0.5) == pytest.approx(oracle, abs=1e-10)
+        assert sy.system_quantiles(s, 0.5) == pytest.approx(oracle, abs=1e-10)
 
     @pytest.mark.parametrize("s", [series([0.0, 3.0, -1.0], 0.5),
                                    series([1.0, 1.0, 1.0], 2.0),
@@ -307,9 +307,9 @@ class TestQuantiles:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            sy.system_quantile(series([0.0]), 0.0)
+            sy.system_quantiles(series([0.0]), 0.0)
         with pytest.raises(DomainError):
-            sy.system_quantile(series([0.0]), 1.0)
+            sy.system_quantiles(series([0.0]), 1.0)
 
 
 class TestGrid:
@@ -332,8 +332,8 @@ class TestGrid:
     def test_identical_systems_symmetric_window(self):
         a = series([0.7, -0.7])
         g = sy.make_grid(a, a, 41)
-        assert g[0] == pytest.approx(sy.system_quantile(a, 1e-8), abs=1e-9)
-        assert g[-1] == pytest.approx(sy.system_quantile(a, 1 - 1e-8), abs=1e-9)
+        assert g[0] == pytest.approx(sy.system_quantiles(a, 1e-8), abs=1e-9)
+        assert g[-1] == pytest.approx(sy.system_quantiles(a, 1 - 1e-8), abs=1e-9)
 
     def test_too_few_points(self):
         with pytest.raises(UsageError):
@@ -388,7 +388,7 @@ class TestGrid:
         # a bisection on the survival product in mpmath at 200 bits
         s = series(mus, 1e307)
         g = sy.make_grid(s, s, 33)
-        assert g[0] == sy.system_quantile(s, 1e-8) == -2.913473986927792e307
+        assert g[0] == sy.system_quantiles(s, 1e-8) == -2.913473986927792e307
         assert g[-1] == pytest.approx(top, rel=1e-15)
 
     def test_grid_immutable(self):
@@ -509,13 +509,13 @@ class TestFusedKernel:
         us = np.concatenate([[1e-8, 1.0 - 1e-8], np.geomspace(1e-10, 0.5, 40),
                              1.0 - np.geomspace(1e-10, 0.5, 40)])
         batched = sy.system_quantiles(s, us)
-        np.testing.assert_array_equal(batched, [sy.system_quantile(s, u) for u in us])
+        np.testing.assert_array_equal(batched, [sy.system_quantiles(s, u) for u in us])
 
     @pytest.mark.parametrize("topology", _TOPOLOGIES)
     def test_make_grid_matches_scalar_quantiles(self, topology):
         a, b = _spread_system(topology, 4, seed=1), _spread_system(topology, 4, seed=2)
-        lo = min(sy.system_quantile(a, 1e-8), sy.system_quantile(b, 1e-8))
-        hi = max(sy.system_quantile(a, 1 - 1e-8), sy.system_quantile(b, 1 - 1e-8))
+        lo = min(sy.system_quantiles(a, 1e-8), sy.system_quantiles(b, 1e-8))
+        hi = max(sy.system_quantiles(a, 1 - 1e-8), sy.system_quantiles(b, 1 - 1e-8))
         np.testing.assert_array_equal(sy.make_grid(a, b), np.linspace(lo, hi, 2049))
 
     @pytest.mark.parametrize("topology", _TOPOLOGIES, ids=["series", "parallel"])
@@ -662,7 +662,7 @@ class TestTailSweep:
         # bits, at the double nearest u
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = sy.system_quantile(s, u)
+            got = sy.system_quantiles(s, u)
         assert got == pytest.approx(expect, rel=1e-14)
 
     @pytest.mark.parametrize("topology", _TOPOLOGIES)
