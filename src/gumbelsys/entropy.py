@@ -95,8 +95,9 @@ class QuadratureSpec:
             raise DomainError("abs_tol must be positive")
         if not (0.0 < self.tail_mass_cutoff < 0.5):
             raise DomainError(f"tail_mass_cutoff must lie in (0, 0.5), got {self.tail_mass_cutoff}")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
+        m = self.max_subdivisions
+        if not (isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 1):
+            raise DomainError(f"max_subdivisions must be an integer >= 1, got {m!r}")
 
 
 @dataclass(frozen=True)

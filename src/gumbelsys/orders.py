@@ -36,10 +36,10 @@ import numpy as np
 
 from .entropy import QuadratureSpec, _agreed, _residual_forms, _survival
 from .entropy import residual_entropy  # noqa: F401 - a site the benchmark's tracer requires
-from .errors import UsageError
-from .systems import (DEFAULT_X_POINTS, SystemModel, _location, _grid, _quantiles_and_pdfs,
-                      make_grid, system_cdf, system_hazard, system_log_pdf,
-                      system_reversed_hazard)
+from .errors import DomainError, UsageError
+from .systems import (DEFAULT_X_POINTS, SystemModel, Topology, _location, _grid,
+                      _quantiles_and_pdfs, make_grid, system_cdf, system_hazard,
+                      system_log_pdf, system_reversed_hazard)
 
 __all__ = [
     "Relation",
@@ -253,11 +253,16 @@ def check_disp(a, b, p_grid=None,
     For ``a`` less dispersed than ``b``, the density of ``b`` at its own
     p-quantile must not exceed the density of ``a`` at its p-quantile, and
     the quantile difference ``Q_b(p) - Q_a(p)`` must be nondecreasing in p.
-    When the two criteria disagree the verdict is INCONCLUSIVE.
+    When the two criteria disagree the verdict is INCONCLUSIVE.  Series
+    quantiles start from the memoised pass over ``make_grid(a, b)`` if any.
     """
     a, b = _validate_pair(a, b, direction)
     ps = _points(p_grid, make_p_grid)
-    (qa, fa), (qb, fb) = _quantiles_and_pdfs((a, b), ps)
+    try:
+        grid = make_grid(a, b) if a.topology is Topology.SERIES else None
+    except DomainError:
+        grid = None
+    (qa, fa), (qb, fb) = _quantiles_and_pdfs((a, b), ps, grid)
     density = _dominance_verdict(Relation.DISP, direction, ps, fa, fb, _rate_tol(fa, fb))
 
     q_scale = max(1.0, float(np.abs(qa).max()), float(np.abs(qb).max()))

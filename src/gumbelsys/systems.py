@@ -37,13 +37,19 @@ once per grid.  ``_grid_pass`` is a ``functools.lru_cache`` keyed on the
 system and the bytes of the abscissae; it keeps the last ``_MEMO_ENTRIES``
 passes, and callers get copies.  Writeable abscissae are never stored:
 Newton iterates, quadrature nodes and Monte Carlo samples pay only the flag
-test.
+test.  ``make_grid`` keeps its last ``_MEMO_ENTRIES`` grids of at most
+``_MEMO_POINTS`` points (``_grid_points``) over immutable bytes and hands out
+views, so ``check_disp``'s default grid is its caller's, passes and all.
 
 Where a series log survival reaches a target ``T`` (a quantile at
 ``T = log1p(-u)``, or an entropy cut) has no closed form for n > 1.  The log
-survival is concave (every component is IFR), so Newton started at the
-closed-form root of the smallest location alone moves left monotonically
-onto the root.  One Newton loop serves any number of systems, one kernel
+survival is concave (every component is IFR), so every tangent lies above
+it: Newton started right of the root moves left monotonically onto it, and a
+tangent reaches ``T`` at or right of the root.  A start is the least of the
+closed-form root of the smallest location alone and, given a grid pass
+(``check_disp`` takes the memoised ``make_grid`` one), where the tangents at
+the two grid points bracketing ``T`` reach it, which about halves the
+passes.  One Newton loop serves any number of systems, one kernel
 pass per step over the targets not yet solved of all of them, so both
 systems of a pair take as many passes as the slower one.  A target stops
 when its log survival residual is within ``2**-52 * |T|``, or once rounding
@@ -108,8 +114,8 @@ _TRIM_ROWS = 64
 
 #: Grid memo bounds: a pass over at most this many points is kept, and the
 #: last ``_MEMO_ENTRIES`` passes are; an entry holds 24 bytes a point (the
-#: abscissae and two results), so the memo pins at most 768 KiB.  A caller
-#: touches at most two systems per grid.
+#: abscissae and two results), so the memo pins at most 768 KiB, and
+#: ``make_grid``'s as many grids 256 KiB.  A caller touches two systems a grid.
 _MEMO_POINTS = 8192
 _MEMO_ENTRIES = 4
 
@@ -564,7 +570,20 @@ def _gumbel_roots(m: float, sigma: float, logw: np.ndarray) -> np.ndarray:
         return 2.0 * (0.5 * m - 0.5 * sigma * logw)
 
 
-def _log_survival_roots(systems, targets, logws=None) -> list[tuple]:
+def _tangent_starts(s: SystemModel, grid: np.ndarray, target, start) -> np.ndarray:
+    """The least of ``start`` and where the tangents of the log survival of a
+    series system at the two points of ``grid`` bracketing each target reach
+    it; a target outside the grid's window keeps its ``start``."""
+    log_sf, rate = _series_pass(s, grid)
+    k = np.searchsorted(-log_sf, -target, side="right")  # log_sf[k - 1] >= T > log_sf[k]
+    inside = (k > 0) & (k < log_sf.size)
+    k = np.clip(k, 1, log_sf.size - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tangents = grid[[k - 1, k]] + (log_sf[[k - 1, k]] - target) / rate[[k - 1, k]]
+    return np.where(inside, np.fmin(start, np.fmin.reduce(tangents)), start)
+
+
+def _log_survival_roots(systems, targets, logws=None, grid=None) -> list[tuple]:
     """For each system, where its log survival equals each of its targets
     ``T < 0``: a list of ``(x, passed)``, with ``passed`` the log survival and
     hazard at ``x`` from the last Newton pass, or None for a closed form.
@@ -576,8 +595,8 @@ def _log_survival_roots(systems, targets, logws=None) -> list[tuple]:
     parallel or one-component system is, reaches ``T`` at
     ``m - sigma * logw`` (``_gumbel_roots``).  Other series systems start from
     that point at the smallest location, right of the root since
-    ``prod_i Fbar_i <= min_i Fbar_i`` (rounding is monotone), and run
-    ``_series_roots`` together.
+    ``prod_i Fbar_i <= min_i Fbar_i`` (rounding is monotone), or from tangents
+    on ``grid`` (``_tangent_starts``), and run ``_series_roots`` together.
     """
     if logws is None:
         with np.errstate(divide="ignore"):
@@ -586,24 +605,25 @@ def _log_survival_roots(systems, targets, logws=None) -> list[tuple]:
                           s.sigma, logw), None) for s, logw in zip(systems, logws)]
     newton = [k for k, s in enumerate(systems) if s.topology is Topology.SERIES and s.n > 1]
     if newton:
+        starts = [out[k][0] if grid is None else
+                  _tangent_starts(systems[k], grid, targets[k], out[k][0]) for k in newton]
         x, log_sf, rate = _series_roots([systems[k] for k in newton],
-                                        [targets[k] for k in newton],
-                                        [out[k][0] for k in newton])
+                                        [targets[k] for k in newton], starts)
         bounds = np.cumsum([0] + [targets[k].size for k in newton])
         for k, i, j in zip(newton, bounds, bounds[1:]):
             out[k] = x[i:j], (log_sf[i:j], rate[i:j])
     return out
 
 
-def _quantile_roots(systems, probs) -> list[tuple]:
+def _quantile_roots(systems, probs, grid=None) -> list[tuple]:
     """``_log_survival_roots`` at ``T = log1p(-u)`` for every system, at each
-    probability ``u`` of ``probs`` (at least 1-D)."""
+    probability ``u`` of ``probs`` (at least 1-D), from starts on ``grid``."""
     u = np.atleast_1d(np.asarray(probs, dtype=float))
     bad = ~((u > 0.0) & (u < 1.0))  # NaN too
     if bad.any():
         raise DomainError(f"prob must lie strictly inside (0, 1), got {float(u[bad][0])!r}")
     k = len(systems)
-    return _log_survival_roots(systems, [np.log1p(-u)] * k, [np.log(-np.log(u))] * k)
+    return _log_survival_roots(systems, [np.log1p(-u)] * k, [np.log(-np.log(u))] * k, grid)
 
 
 def system_quantiles(s: SystemModel, probs) -> np.ndarray:
@@ -617,12 +637,13 @@ def system_quantiles(s: SystemModel, probs) -> np.ndarray:
     return x[0] if np.ndim(probs) == 0 else x
 
 
-def _quantiles_and_pdfs(systems, probs) -> list[tuple[np.ndarray, np.ndarray]]:
+def _quantiles_and_pdfs(systems, probs, grid=None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each system's quantiles at ``probs`` and its density there, with the
-    bits of ``system_pdf``: a series system solved by Newton takes them from
-    the log survival and hazard of its last pass, and the others call it."""
+    bits of ``system_pdf``: a series system solved by Newton (from ``grid``)
+    takes them from the log survival and hazard of its last pass, and the
+    others call it."""
     out = []
-    for s, (x, passed) in zip(systems, _quantile_roots(systems, probs)):
+    for s, (x, passed) in zip(systems, _quantile_roots(systems, probs, grid)):
         if passed is None:
             f = system_pdf(s, x)
         else:
@@ -660,14 +681,20 @@ def make_grid(a: SystemModel, b: SystemModel, count: int = DEFAULT_X_POINTS,
     The window runs from the smaller of the two ``tail_cutoff`` quantiles to
     the larger of the two ``1 - tail_cutoff`` quantiles (``_grid``); beyond
     those points the ordering functions are dominated by rounding.  The
-    points come back as a read-only float array, so that passes over them
-    are memoised.  A window the doubles cannot hold, or holding fewer than
-    ``count`` distinct doubles, raises :class:`DomainError`.
+    points come back as a read-only view of memoised points, so that passes
+    over them are memoised.  A window the doubles cannot hold, or holding fewer
+    than ``count`` distinct doubles, raises :class:`DomainError`.
     """
     if count < 33:
         raise UsageError(f"count must be >= 33, got {count}")
     if not (0.0 < tail_cutoff < 0.5):
         raise DomainError(f"tail_cutoff must lie in (0, 0.5), got {tail_cutoff}")
-    points = _grid((a, b), tail_cutoff, 1.0 - tail_cutoff, count)
-    points.flags.writeable = False
-    return points
+    build = _grid_points if count <= _MEMO_POINTS else _grid_points.__wrapped__
+    return build(a, b, count, tail_cutoff).view()
+
+
+@functools.lru_cache(maxsize=_MEMO_ENTRIES)
+def _grid_points(a: SystemModel, b: SystemModel, count: int, tail_cutoff: float) -> np.ndarray:
+    """:func:`make_grid`'s points over immutable bytes: no view of them can be
+    made writeable, or reshape the memo's."""
+    return np.frombuffer(_grid((a, b), tail_cutoff, 1.0 - tail_cutoff, count).tobytes())

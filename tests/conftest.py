@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 
 from gumbelsys import EntropyValue, QuadratureSpec, SystemModel, Topology
@@ -21,3 +24,11 @@ def residual_forms(s, t, q: QuadratureSpec = QuadratureSpec()):
     pairs = [tuple(EntropyValue(float(v), float(e), bool(c)) for v, e, c in zip(*col))
              for col in zip(values.T, errs.T, ok.T)]
     return pairs[0] if np.ndim(t) == 0 else pairs
+
+
+def golden_pairs(topology=None) -> list[tuple[SystemModel, SystemModel]]:
+    """The pairs of ``golden/verdicts.json``, of one topology when given."""
+    rows = json.loads((Path(__file__).parent / "golden" / "verdicts.json").read_text("utf-8"))
+    pairs = [tuple(SystemModel(Topology(r[k]["topology"]), tuple(r[k]["mus"]), r[k]["sigma"])
+                   for k in ("system_a", "system_b")) for r in rows]
+    return [p for p in pairs if topology in (None, p[0].topology)]

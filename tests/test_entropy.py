@@ -414,6 +414,19 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             en.QuadratureSpec(max_subdivisions=0)
 
+    @pytest.mark.parametrize("budget", [2.5, float("nan"), 3.0, "3", True])
+    def test_max_subdivisions_is_an_integer(self, budget):
+        # 2.5 and NaN were accepted, and the first residual entropy ended in
+        # a bare TypeError from the budget's slice
+        with pytest.raises(DomainError, match="max_subdivisions must be an integer >= 1"):
+            en.QuadratureSpec(max_subdivisions=budget)
+
+    def test_numpy_integer_budget_is_valid(self):
+        s = series((1.0, 0.0))
+        q = en.QuadratureSpec(max_subdivisions=np.int64(5))
+        assert en.residual_entropy(s, 0.0, q) == en.residual_entropy(
+            s, 0.0, en.QuadratureSpec(max_subdivisions=5))
+
     @pytest.mark.parametrize("cutoff", [0.5, 0.7, 1.0])
     def test_tail_mass_cutoff_below_one_half(self, cutoff):
         # was accepted: at 0.5 and 0.7 the Shannon window held too few

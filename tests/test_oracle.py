@@ -119,11 +119,11 @@ def _disp_density(s: SystemModel, p: float):
 def _disp_point(lo, hi, v: od.OrderVerdict) -> float:
     """The witness p of a disp FAILS, else the p of its smallest margin, where
     the verdict compares the density of ``lo`` at its quantile with that of
-    ``hi`` at its own."""
+    ``hi`` at its own, from the Newton starts ``check_disp`` takes."""
     if v.outcome is od.Outcome.FAILS:
         return v.witness.x
     ps = od.make_p_grid()
-    (_, fa), (_, fb) = sy._quantiles_and_pdfs((lo, hi), ps)
+    (_, fa), (_, fb) = sy._quantiles_and_pdfs((lo, hi), ps, make_grid(lo, hi))
     k = int(np.argmin(fa - fb))
     assert fa[k] - fb[k] == v.margin
     return float(ps[k])

@@ -15,7 +15,7 @@ from gumbelsys.entropy import QuadratureSpec
 from gumbelsys.majorization import random_majorization_pair
 from gumbelsys.rng import stream
 
-from conftest import parallel, series
+from conftest import golden_pairs, parallel, series
 
 FG = Direction.FIRST_GREATER
 FS = Direction.FIRST_SMALLER
@@ -241,6 +241,42 @@ class TestDispersive:
     def test_p_grid_domain(self):
         with pytest.raises(gs.DomainError):
             od.check_disp(series([0]), series([0]), p_grid=np.array([0.0, 0.5]))
+
+    def test_series_starts_are_tangents_right_of_each_root(self):
+        # the log survival is concave, so the tangents at the two grid points
+        # bracketing a target reach it at or right of its root, which the
+        # Newton loop's stop test needs; a chord start lies left of the root
+        ps = od.make_p_grid()
+        for a, b in golden_pairs(gs.Topology.SERIES):
+            grid = sy.make_grid(a, b)
+            closed = sy._quantile_roots((a, b), ps)
+            for s, (x, _), (x0, _) in zip((a, b), sy._quantile_roots((a, b), ps, grid), closed):
+                starts = sy._tangent_starts(s, grid, np.log1p(-ps), np.inf)
+                assert np.isfinite(starts).all() and (starts >= x).all(), s
+                # the roots move by ulps from those of the closed-form start
+                ulp = np.spacing(np.maximum(np.abs(x0), s.sigma))
+                assert (np.abs(x - x0) <= 16 * ulp).all(), s
+
+    def test_series_passes_after_a_warm_grid(self, monkeypatch):
+        # the grid pass lr made starts the Newton loop: 4 kernel passes here,
+        # where the closed-form start took 7
+        g = stream(1, "verdicts", "series", 4, 1.0, 0)
+        a, b = (series(m) for m in random_majorization_pair(g, 4))
+        od.check_lr(a, b, sy.make_grid(a, b))
+        calls = []
+        rows = sy._series_rows
+        monkeypatch.setattr(sy, "_series_rows", lambda *args: calls.append(1) or rows(*args))
+        od.check_disp(a, b)
+        assert 0 < len(calls) <= 4
+
+    def test_closed_form_starts_where_the_grid_raises(self):
+        # 2049 points do not fit between the quantiles near 1e15, where the
+        # doubles are 0.125 apart; disp still runs, from closed-form starts
+        a, b = series([1e15, 1e15 - 0.5]), series([1e15 - 0.25, 1e15 - 0.25])
+        with pytest.raises(DomainError, match="holds too few doubles for 2049 points"):
+            sy.make_grid(a, b)
+        v = od.check_disp(a, b)
+        assert (v.outcome, v.margin) == (Outcome.INCONCLUSIVE, -0.05544978752506807)
 
 
 class TestLessUncertainty:

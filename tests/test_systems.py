@@ -19,7 +19,7 @@ from gumbelsys.majorization import random_majorization_pair
 from gumbelsys.orders import make_p_grid
 from gumbelsys.rng import stream
 
-from conftest import parallel, series
+from conftest import golden_pairs, parallel, series
 
 E1 = math.exp(-1.0)
 
@@ -768,11 +768,36 @@ class TestGridMemo:
         for k in range(40):
             sy.system_log_pdf(s, sy.make_grid(s, s, 2049 + k))
             assert 0 < sy._grid_pass.cache_info().currsize <= sy._MEMO_ENTRIES
-        before = sy._grid_pass.cache_info()
+        assert sy._grid_points.cache_info().currsize == sy._MEMO_ENTRIES
+        before, grids = sy._grid_pass.cache_info(), sy._grid_points.cache_info()
         big = sy.make_grid(s, s, sy._MEMO_POINTS + 1)
         np.testing.assert_array_equal(sy.system_log_pdf(s, big),
                                       sy.system_log_pdf(s, big.copy()))
-        assert sy._grid_pass.cache_info() == before
+        assert (sy._grid_pass.cache_info(), sy._grid_points.cache_info()) == (before, grids)
+
+    def test_default_grid_is_one_entry(self):
+        a, b = _spread_system(Topology.SERIES, 4), _spread_system(Topology.SERIES, 4, seed=4)
+        sy._grid_points.cache_clear()
+        grid = sy.make_grid(a, b)
+        again = sy.make_grid(a, b, 2049, 1e-8)
+        assert sy._grid_points.cache_info()[:2] == (1, 1)  # hits, misses
+        np.testing.assert_array_equal(grid, again)
+        assert np.shares_memory(grid, again)
+
+    def test_memo_grid_cannot_be_made_writeable(self):
+        s = _spread_system(Topology.PARALLEL, 3)
+        grid = sy.make_grid(s, s)
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            grid.flags.writeable = True
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 0.0
+        assert not sy.make_grid(s, s).flags.writeable
+
+    def test_grid_does_not_depend_on_the_order_of_the_pair(self):
+        # one Newton loop solves both systems, each target on its own, and
+        # the window takes the least and the largest end
+        for a, b in golden_pairs():
+            assert sy.make_grid(a, b).tobytes() == sy.make_grid(b, a).tobytes()
 
     @pytest.mark.parametrize("topology", _TOPOLOGIES)
     def test_writeable_inputs_are_never_stored(self, topology):
