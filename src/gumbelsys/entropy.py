@@ -9,18 +9,19 @@ algebraically equivalent integral forms,
 and their agreement is the cross-check on every value, Shannon entropies too.
 The hazard's log is taken as ``log f - log Fbar``, since it spans decades.
 
-Each integral runs from ``t`` to the cut ``hi(t)`` where the remaining
-conditional mass drops to ``tail_mass_cutoff``, which bounds the truncation
-mismatch between the two forms by roughly ``cutoff * (1 - log(cutoff))``.
+Each integral runs from ``t`` to the system's one cut, where its survival is
+``c**2`` (c the ``tail_mass_cutoff``): a time has a value only where
+``Fbar(t) > c``, so the conditional mass left out, ``m = c**2/Fbar(t)``, is
+below c, and the two forms differ by the truncation ``m * (1 - 2 log c)``.
 The cut is a log-survival root from :mod:`systems`: closed form for a
 parallel or one-component system, monotone Newton for a series one, in one
-loop for both systems of an lu check, whose verdict reads the value arrays.
+loop for both systems of an lu check and the ends of its default t grid.
 
-All times of one call share one pass: the breakpoints ``ts`` and ``hi(ts)``
+All times of one call share one pass: the breakpoints ``ts`` and the cut
 are split into panels at most half the system's scale ``sigma`` wide, each
 integrated by the 21-point Kronrod rule with the embedded 10-point Gauss rule
 as error estimate (QUADPACK's qk21, Piessens et al. 1983); failing panels are
-bisected, and ``int_t^hi(t)`` is a difference of suffix sums over the gaps.
+bisected, and ``int_t^cut`` is a suffix sum over the gaps.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError
 from .systems import (SystemModel, _grid, _log_pdf_and_survival, _log_survival_roots,
-                      system_log_survival, system_survival)
+                      system_log_survival)
 
 __all__ = [
     "QuadratureSpec",
@@ -80,7 +81,9 @@ class QuadratureSpec:
     A panel passes when its 21- and 10-point rules differ by at most
     ``max(abs_tol, rel_tol * int |integrand|)`` in both forms.  Failing
     panels are bisected, at most ``max_subdivisions`` times per call; a value
-    whose window holds a panel that still fails is not converged.
+    whose window holds a panel that still fails is not converged.  A time t
+    has a residual entropy only where ``Fbar(t) > tail_mass_cutoff = c``; its
+    window ends where ``Fbar = c**2``, leaving out conditional mass below c.
     """
 
     rel_tol: float = 1e-10
@@ -166,20 +169,26 @@ def _integrate(s: SystemModel, edges: np.ndarray, q: QuadratureSpec):
                  for w in (v, e, bad))
 
 
-def _survival(s: SystemModel, ts: np.ndarray) -> np.ndarray:
-    """Survival at each finite t, 0 at the others."""
-    sf = np.zeros(ts.shape)
+def _log_survival(s: SystemModel, ts: np.ndarray) -> np.ndarray:
+    """Log survival at each finite t, -inf at the others."""
+    log_sf = np.full(ts.shape, -np.inf)
     finite = np.isfinite(ts)
-    sf[finite] = system_survival(s, ts[finite])
-    return sf
+    log_sf[finite] = system_log_survival(s, ts[finite])
+    return log_sf
 
 
-def _residual_forms(systems, ts: np.ndarray, sfs, q: QuadratureSpec) -> list[tuple]:
+def _cut(q: QuadratureSpec) -> float:
+    """The log survival ``2 log(tail_mass_cutoff)`` of each system's cut."""
+    return 2.0 * math.log(q.tail_mass_cutoff)
+
+
+def _residual_forms(systems, ts, log_sfs, q: QuadratureSpec, cuts=None) -> list[tuple]:
     """Each system's hazard- and density-form values, errors and convergence
-    flags at every time of the 1-D ``ts``, each shaped (2, times), from each
-    system's ``_survival`` at ``ts`` in ``sfs`` and the cuts of all systems
-    from one ``_log_survival_roots`` call; before any solve, DomainError at
-    the first system's first time without a value."""
+    flags at every time of the 1-D ``ts``, each shaped (2, times), from its
+    ``_log_survival`` at ``ts`` in ``log_sfs`` and its cut at ``_cut``, given in
+    ``cuts`` or solved for all systems in one ``_log_survival_roots`` call;
+    first, DomainError at the first system's first time without a value."""
+    sfs = [np.exp(v) for v in log_sfs]
     for sf in sfs:
         bad = sf <= q.tail_mass_cutoff  # which holds every time that is not finite
         if bad.any():
@@ -189,18 +198,15 @@ def _residual_forms(systems, ts: np.ndarray, sfs, q: QuadratureSpec) -> list[tup
             raise DomainError(
                 f"survival at t={float(ts[k])} is {sf[k]:.3e}, at or below the tail mass "
                 f"cutoff {q.tail_mass_cutoff:.1e}; move t left or relax the cutoff")
-    log_sfs = [system_log_survival(s, ts) for s in systems]
-    cuts = _log_survival_roots(systems, [np.log(q.tail_mass_cutoff) + v for v in log_sfs])
+    if cuts is None:
+        cuts = [x[0] for x, _ in _log_survival_roots(systems, [np.array([_cut(q)])] * len(sfs))]
     out = []
-    for s, sf_t, log_sf_t, (his, _) in zip(systems, sfs, log_sfs, cuts):
-        edges, where = np.unique(np.concatenate([ts, his]), return_inverse=True)
+    for s, sf_t, log_sf_t, cut in zip(systems, sfs, log_sfs, cuts):
+        edges, where = np.unique(np.append(ts, cut), return_inverse=True)
         value, error, failed = _integrate(s, edges, q)
-        lo, hi = where.reshape(2, -1)
 
-        def window(v):  # int_t^hi(t) as a difference of suffix sums over the gaps
-            suffix = np.zeros((v.shape[0], v.shape[1] + 1))
-            np.cumsum(v[:, ::-1], axis=1, out=suffix[:, -2::-1])
-            return suffix[:, lo] - suffix[:, hi]
+        def window(v):  # int_t^cut, the cut the last edge: a suffix sum over the gaps
+            return np.cumsum(v[:, ::-1], axis=1)[:, ::-1][:, where[:-1]]
 
         ints = window(value)
         values = np.stack([1.0 - ints[0] / sf_t, log_sf_t - ints[1] / sf_t])
@@ -230,7 +236,7 @@ def residual_entropy(s, t, q: QuadratureSpec = QuadratureSpec()):
     gives one :class:`EntropyValue`, a 1-D ``t`` a list of them.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = _entropy_values(_residual_forms((s,), ts, [_survival(s, ts)], q)[0], q)
+    out = _entropy_values(_residual_forms((s,), ts, [_log_survival(s, ts)], q)[0], q)
     return out[0] if np.ndim(t) == 0 else out
 
 
@@ -239,9 +245,9 @@ def entropy_curve(s, t_grid, q: QuadratureSpec = QuadratureSpec()) -> list[Entro
     or past the cutoff) become non-converged NaN entries instead of aborting
     the remaining points."""
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    sf = _survival(s, ts)
-    good = sf > q.tail_mass_cutoff
-    values = iter(_entropy_values(_residual_forms((s,), ts[good], [sf[good]], q)[0], q))
+    log_sf = _log_survival(s, ts)
+    good = np.exp(log_sf) > q.tail_mass_cutoff
+    values = iter(_entropy_values(_residual_forms((s,), ts[good], [log_sf[good]], q)[0], q))
     return [next(values) if g else EntropyValue(float("nan"), float("inf"), False)
             for g in good]
 

@@ -46,16 +46,16 @@ Where a series log survival reaches a target ``T`` (a quantile at
 survival is concave (every component is IFR), so every tangent lies above
 it: Newton started right of the root moves left monotonically onto it, and a
 tangent reaches ``T`` at or right of the root.  A start is the least of the
-closed-form root of the smallest location alone and, given a grid pass
-(``check_disp`` takes the memoised ``make_grid`` one), where the tangents at
-the two grid points bracketing ``T`` reach it, which about halves the
-passes.  One Newton loop serves any number of systems, one kernel
-pass per step over the targets not yet solved of all of them, so both
-systems of a pair take as many passes as the slower one.  A target stops
-when its log survival residual is within ``2**-52 * |T|``, or once rounding
-has taken over: its log survival no longer rises, or a step would no longer
-move it left.  Its last pass is made at its root, so the density there comes
-with it.
+closed-form root of the smallest location alone, ``(sum_i mu_i - sigma T)/n``
+(close in the right tail) and, given a grid pass (``check_disp`` takes the
+memoised ``make_grid`` one), where the tangents at the two grid points
+bracketing ``T`` reach it, which about halves the passes.  One Newton loop
+serves any number of systems, one kernel pass per step over the targets not
+yet solved of all of them, so both systems of a pair take as many passes as
+the slower one.  A target stops when its log survival residual is within
+``2**-52 * |T|``, or once rounding has taken over: its log survival no
+longer rises, or a step would no longer move it left.  Its last pass is made
+at its root, so the density there comes with it.
 """
 
 from __future__ import annotations
@@ -583,30 +583,42 @@ def _tangent_starts(s: SystemModel, grid: np.ndarray, target, start) -> np.ndarr
     return np.where(inside, np.fmin(start, np.fmin.reduce(tangents)), start)
 
 
+def _right_starts(s: SystemModel, target) -> np.ndarray:
+    """``(sum_i mu_i - sigma T)/n``, right of the root of each target ``T`` as
+    ``log(1 - e^-w) <= log w``; from halves, it overflows only to +inf."""
+    with np.errstate(over="ignore"):
+        return 2.0 * (np.sum(s._half_mus / s.n) - 0.5 * s.sigma * target / s.n)
+
+
+def _logws(target: np.ndarray) -> np.ndarray:
+    """``log(-log(1 - exp(T)))`` as ``log(-log1mexp(-T))``, which keeps the low bits
+    of a target near 0, and ``T`` itself where ``exp(T)`` is below the normal range."""
+    with np.errstate(divide="ignore"):
+        return _fill_underflow(np.log(-_log1mexp(-target[None])), target[None])[0]
+
+
 def _log_survival_roots(systems, targets, logws=None, grid=None) -> list[tuple]:
     """For each system, where its log survival equals each of its targets
     ``T < 0``: a list of ``(x, passed)``, with ``passed`` the log survival and
     hazard at ``x`` from the last Newton pass, or None for a closed form.
 
-    ``logw`` is ``log(-log(1 - exp(T)))``, by default taken as
-    ``log(-log1mexp(-T))``, without forming ``u = -expm1(T)``, which would
-    lose the low bits of a target near 0; where ``exp(T)`` is below the
-    normal range that log is ``T`` itself.  A Gumbel(m, sigma) law, which a
-    parallel or one-component system is, reaches ``T`` at
-    ``m - sigma * logw`` (``_gumbel_roots``).  Other series systems start from
-    that point at the smallest location, right of the root since
-    ``prod_i Fbar_i <= min_i Fbar_i`` (rounding is monotone), or from tangents
-    on ``grid`` (``_tangent_starts``), and run ``_series_roots`` together.
+    ``logw`` is ``log(-log(1 - exp(T)))``, by default ``_logws``.  A
+    Gumbel(m, sigma) law, which a parallel or one-component system is,
+    reaches ``T`` at ``m - sigma * logw`` (``_gumbel_roots``).  Other series
+    systems start from the least of that point at the smallest location,
+    right of the root since ``prod_i Fbar_i <= min_i Fbar_i`` (rounding is
+    monotone), ``_right_starts`` and the tangents on ``grid``
+    (``_tangent_starts``), and run ``_series_roots`` together.
     """
-    if logws is None:
-        with np.errstate(divide="ignore"):
-            logws = [_fill_underflow(np.log(-_log1mexp(-t[None])), t[None])[0] for t in targets]
+    logws = [_logws(t) for t in targets] if logws is None else logws
     out = [(_gumbel_roots(_location(s) if s.topology is Topology.PARALLEL else s.mus[-1],
                           s.sigma, logw), None) for s, logw in zip(systems, logws)]
     newton = [k for k, s in enumerate(systems) if s.topology is Topology.SERIES and s.n > 1]
     if newton:
-        starts = [out[k][0] if grid is None else
-                  _tangent_starts(systems[k], grid, targets[k], out[k][0]) for k in newton]
+        starts = [np.fmin(out[k][0], _right_starts(systems[k], targets[k])) for k in newton]
+        if grid is not None:
+            starts = [_tangent_starts(systems[k], grid, targets[k], x)
+                      for k, x in zip(newton, starts)]
         x, log_sf, rate = _series_roots([systems[k] for k in newton],
                                         [targets[k] for k in newton], starts)
         bounds = np.cumsum([0] + [targets[k].size for k in newton])
@@ -615,15 +627,17 @@ def _log_survival_roots(systems, targets, logws=None, grid=None) -> list[tuple]:
     return out
 
 
-def _quantile_roots(systems, probs, grid=None) -> list[tuple]:
+def _quantile_roots(systems, probs, grid=None, cut=None) -> list[tuple]:
     """``_log_survival_roots`` at ``T = log1p(-u)`` for every system, at each
-    probability ``u`` of ``probs`` (at least 1-D), from starts on ``grid``."""
+    probability ``u`` of ``probs`` (at least 1-D), from starts on ``grid``, and
+    then at the log survival ``cut`` when it is given."""
     u = np.atleast_1d(np.asarray(probs, dtype=float))
     bad = ~((u > 0.0) & (u < 1.0))  # NaN too
     if bad.any():
         raise DomainError(f"prob must lie strictly inside (0, 1), got {float(u[bad][0])!r}")
-    k = len(systems)
-    return _log_survival_roots(systems, [np.log1p(-u)] * k, [np.log(-np.log(u))] * k, grid)
+    t = np.append(np.log1p(-u), [] if cut is None else cut)
+    k, logw = len(systems), np.append(np.log(-np.log(u)), _logws(t[u.size:]))
+    return _log_survival_roots(systems, [t] * k, [logw] * k, grid)
 
 
 def system_quantiles(s: SystemModel, probs) -> np.ndarray:
@@ -656,17 +670,18 @@ def _quantiles_and_pdfs(systems, probs, grid=None) -> list[tuple[np.ndarray, np.
 
 # -- evaluation grids -----------------------------------------------------------
 
-def _grid(systems, lo_p: float, hi_p: float, count: int, hi_of=max) -> np.ndarray:
+def _grid(systems, lo_p: float, hi_p: float, count: int, hi_of=max, cut=None):
     """``count`` evenly spaced points from the least ``lo_p`` quantile of
-    ``systems`` to ``hi_of`` their ``hi_p`` quantiles, from one Newton loop;
-    DomainError, naming the window, where an end or the width lies beyond the
-    doubles or it holds fewer than ``max(count, 2)`` distinct doubles."""
-    los, his = zip(*(x.tolist() for x, _ in _quantile_roots(systems, np.array([lo_p, hi_p]))))
-    lo, hi = min(los), hi_of(his)
+    ``systems`` to ``hi_of`` their ``hi_p`` quantiles, from one Newton loop that
+    also solves each system's root at a log survival ``cut``, returned with the
+    points; DomainError, naming the window, where an end or the width lies
+    beyond the doubles or it holds fewer than ``max(count, 2)`` distinct doubles."""
+    roots = [x.tolist() for x, _ in _quantile_roots(systems, np.array([lo_p, hi_p]), cut=cut)]
+    lo, hi = min(x[0] for x in roots), hi_of(x[1] for x in roots)
     if math.isfinite(hi - lo):  # float arithmetic: inf or NaN, with no warning
         points = np.linspace(lo, hi, count)
         if lo < hi and np.all(np.diff(points) > 0):
-            return points
+            return points if cut is None else (points, [x[2] for x in roots])
     reason = ("has an end beyond the doubles" if math.isinf(lo) or math.isinf(hi)
               else "is wider than the largest double" if math.isinf(hi - lo)
               else f"holds too few doubles for {max(count, 2)} points")
@@ -690,6 +705,7 @@ def make_grid(a: SystemModel, b: SystemModel, count: int = DEFAULT_X_POINTS,
     if not (0.0 < tail_cutoff < 0.5):
         raise DomainError(f"tail_cutoff must lie in (0, 0.5), got {tail_cutoff}")
     build = _grid_points if count <= _MEMO_POINTS else _grid_points.__wrapped__
+    a, b = sorted((a, b), key=lambda s: (s.topology.value, s.mus, s.sigma))  # one memo key
     return build(a, b, count, tail_cutoff).view()
 
 

@@ -20,7 +20,7 @@ def residual_forms(s, t, q: QuadratureSpec = QuadratureSpec()):
     :class:`EntropyValue` objects (hazard form first), from
     ``entropy._residual_forms``; a 1-D ``t`` gives one pair per time."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    values, errs, ok = en._residual_forms((s,), ts, [en._survival(s, ts)], q)[0]
+    values, errs, ok = en._residual_forms((s,), ts, [en._log_survival(s, ts)], q)[0]
     pairs = [tuple(EntropyValue(float(v), float(e), bool(c)) for v, e, c in zip(*col))
              for col in zip(values.T, errs.T, ok.T)]
     return pairs[0] if np.ndim(t) == 0 else pairs

@@ -305,16 +305,17 @@ class TestEngineContract:
         assert [e.converged for e in en.entropy_curve(s, [np.inf, np.nan])] == [False, False]
 
     def test_refinement_budget_caps_bisections(self):
-        # at a tolerance near the rounding floor the hazard form needs a few
-        # bisections: one is not enough, ten are
+        # at a tolerance near the rounding floor both forms need bisections,
+        # most of them in the far tail, where the window runs on to its cut
+        # at a survival of c**2: one is not enough, 500 are
         s = series([2.0, 0.0])
         budgets = {}
-        for budget in (1, 10, 2000):
+        for budget in (1, 500, 2000):
             q = en.QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=budget)
             budgets[budget] = residual_forms(s, 0.5, q)
         assert not budgets[1][0].converged
         default = residual_forms(s, 0.5)
-        for budget in (10, 2000):
+        for budget in (500, 2000):
             assert all(e.converged for e in budgets[budget])
             for e, ref in zip(budgets[budget], default):
                 assert e.value == pytest.approx(ref.value, abs=1e-12)
@@ -389,9 +390,11 @@ class TestCurve:
         assert all(e.converged and math.isfinite(e.value) for e in curve)
 
     def test_survival_evaluated_once_per_call(self):
-        # the mask's survivals are the ones the quadrature divides by
+        # the mask's survivals are the ones the quadrature divides by, both
+        # taken from one log survival
         s = series([0.3, 0.9])
-        with mock.patch.object(en, "system_survival", wraps=sy.system_survival) as survival:
+        with mock.patch.object(en, "system_log_survival",
+                               wraps=sy.system_log_survival) as survival:
             curve = en.entropy_curve(s, np.array([0.0, 500.0, 1.0]))
         assert survival.call_count == 1
         assert [e.converged for e in curve] == [True, False, True]

@@ -9,6 +9,7 @@ from scipy.stats import gumbel_r
 
 import gumbelsys as gs
 from gumbelsys import DomainError, Direction, Outcome, Relation, UsageError
+from gumbelsys import entropy as en
 from gumbelsys import orders as od
 from gumbelsys import systems as sy
 from gumbelsys.entropy import QuadratureSpec
@@ -293,8 +294,11 @@ class TestLessUncertainty:
         assert od.check_lu(series([0, 0]), series([1, 1]), direction=FS).holds
 
     def test_nonconverged_quadrature_is_inconclusive(self):
+        # a tolerance at the rounding floor with no bisection: the two forms
+        # agree to about c**2 (c the tail mass cutoff), so a looser spec
+        # converges
         a, b = series([2, 0]), series([1, 1])
-        strict = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16, max_subdivisions=1)
+        strict = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1)
         v = od.check_lu(a, b, t_grid=np.linspace(-1, 2, 6), quad=strict)
         assert v.outcome is Outcome.INCONCLUSIVE
 
@@ -319,7 +323,7 @@ class TestLessUncertaintyPair:
     """check_lu solves both systems in one pass and gives the verdict of one
     residual_entropy call per system, to the bit."""
 
-    STRICT = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-16, max_subdivisions=1)
+    STRICT = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=1)
 
     @pytest.mark.parametrize("a,b", [
         (series([2.0, 0.0]), series([1.0, 1.0])),
@@ -338,6 +342,33 @@ class TestLessUncertaintyPair:
         assert got == _lu_reference(a, b, ts, quad, direction)
         if quad is self.STRICT:
             assert got.outcome is Outcome.INCONCLUSIVE
+
+    def test_default_t_grid_is_make_t_grid(self):
+        # the default grid's ends are solved in one Newton loop with both
+        # cuts, and a root does not depend on the other targets of its loop
+        for a, b in golden_pairs():
+            for d in (FS, FG):
+                assert od.check_lu(a, b, direction=d) == od.check_lu(
+                    a, b, od.make_t_grid(*((b, a) if d is FG else (a, b))), direction=d)
+
+    @pytest.mark.parametrize("a,b,passes", [
+        (series([1.0, 0.0]), series([0.5, 0.5]), 10),
+        (series([2.0, 0.3, -1.0]), series([1.0, 0.5, -0.2]), 8),
+    ], ids=["n2", "n3"])
+    def test_default_check_is_one_newton_loop(self, monkeypatch, a, b, passes):
+        # one root solve for the t grid's ends and both cuts, and one log
+        # survival pass per system at the times: 15 and 16 kernel passes
+        # when the cuts depended on the times and the survival was taken twice
+        calls = {}
+        for module, name in ((sy, "_series_rows"), (sy, "_log_survival_roots"),
+                             (en, "_log_survival_roots"), (en, "system_log_survival")):
+            def counted(*args, _real=getattr(module, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args)
+            monkeypatch.setattr(module, name, counted)
+        od.check_lu(a, b)
+        assert calls == {"_series_rows": passes, "_log_survival_roots": 1,
+                         "system_log_survival": 2}
 
     def test_outcomes_covered(self):
         outcomes = {od.check_lu(a, b, direction=d).outcome

@@ -16,7 +16,8 @@ from scipy.special import logsumexp
 from gumbelsys import DomainError, SystemModel, Topology, UsageError
 from gumbelsys import systems as sy
 from gumbelsys.majorization import random_majorization_pair
-from gumbelsys.orders import make_p_grid
+from gumbelsys.entropy import QuadratureSpec
+from gumbelsys.orders import implication_audit, make_p_grid
 from gumbelsys.rng import stream
 
 from conftest import golden_pairs, parallel, series
@@ -611,6 +612,29 @@ class TestPairedNewton:
         assert passes and set(passes) == {2}
 
 
+class TestRightStarts:
+    """``(sum_i mu_i - sigma * T)/n`` starts the Newton loop at or right of
+    the root of ``T``, since ``log(1 - exp(-w)) <= log w``."""
+
+    def test_right_starts_lie_right_of_each_root(self):
+        # the ends of the x and t grids, the p grid, and the default entropy cut
+        probs = np.concatenate([[1e-8, 0.001, 0.999, 1.0 - 1e-8], make_p_grid()])
+        targets = np.append(np.log1p(-probs), 2.0 * math.log(QuadratureSpec().tail_mass_cutoff))
+        for pair in golden_pairs(Topology.SERIES):
+            for s in pair:
+                x = sy._log_survival_roots((s,), (targets,))[0][0]
+                assert (sy._right_starts(s, targets) >= x).all(), s
+
+    @pytest.mark.parametrize("mu", [1.7e308, -1.7e308])
+    def test_no_overflow_near_the_largest_double(self, mu):
+        # the sum of these locations lies beyond the doubles; its halves over n do not
+        s = series([mu] * 63 + [0.5 * mu])
+        targets = np.array([-1e-3, -6.9, 2.0 * math.log(1e-12)])
+        starts = sy._right_starts(s, targets)
+        assert np.isfinite(starts).all()
+        assert (starts >= sy._log_survival_roots((s,), (targets,))[0][0]).all()
+
+
 class TestTailSweep:
     """No NaN and no RuntimeWarning anywhere in x in [-1000 sigma, 1000 sigma]."""
 
@@ -792,6 +816,14 @@ class TestGridMemo:
         with pytest.raises(ValueError, match="read-only"):
             grid[0] = 0.0
         assert not sy.make_grid(s, s).flags.writeable
+
+    def test_memo_key_is_the_unordered_pair(self):
+        # FIRST_GREATER disp asks for make_grid(b, a), which the FIRST_SMALLER
+        # checks' entry answers; an ordered key missed twice here
+        a, b = series([2.0, 0.3, -1.0]), series([1.0, 0.5, -0.2])
+        sy._grid_points.cache_clear()
+        implication_audit(a, b, include_entropy_orders=True)
+        assert sy._grid_points.cache_info().misses == 1
 
     def test_grid_does_not_depend_on_the_order_of_the_pair(self):
         # one Newton loop solves both systems, each target on its own, and
