@@ -28,8 +28,8 @@ from .majorization import random_majorization_pair
 from .orders import Direction, Outcome, Relation
 from .rng import stream
 from .simulate import empirical_cdf_dominance, empirical_quantile_spread, sample_pair
-from .systems import (DEFAULT_TAIL_CUTOFF, MAX_COMPONENTS, SystemModel, Topology, _grid,
-                      make_grid, system_quantiles)
+from .systems import (DEFAULT_TAIL_CUTOFF, MAX_COMPONENTS, SystemModel, Topology, make_grid,
+                      system_quantiles)
 
 __all__ = ["main"]
 
@@ -153,12 +153,11 @@ def _inside(high: float, text: str, where: str) -> float:
 
 
 class _Field(NamedTuple):
-    """One spec key: ``parse(text, where)`` reads its text (``None``: the key
-    is accepted and ignored), ``default`` is its value when unset (``None``:
-    the key is required), ``low`` bounds it below, ``flag`` overrides it and
-    ``help`` describes the flag."""
+    """One spec key: ``parse(text, where)`` reads its text, ``default`` is its
+    value when unset (``None``: the key is required), ``low`` bounds it below,
+    ``flag`` overrides it and ``help`` describes the flag."""
 
-    parse: Callable | None
+    parse: Callable
     default: Any = None
     low: int | None = None
     flag: str | None = None
@@ -185,8 +184,7 @@ _SPECS = {
         "p_points": _Field(_int, orders.DEFAULT_P_POINTS, 33),
         "t_points": _Field(_int, orders.DEFAULT_T_POINTS, 1),
         "tail_cutoff": _Field(_cutoff, DEFAULT_TAIL_CUTOFF, flag="--tail-cutoff"),
-        "quad_rel_tol": _Field(_tol, QuadratureSpec.rel_tol, flag="--tol", help=_TOL_HELP),
-        "seed": _Field(None)}),  # check draws nothing at random
+        "quad_rel_tol": _Field(_tol, QuadratureSpec.rel_tol, flag="--tol", help=_TOL_HELP)}),
     "scan": ((), {
         "mode": _Field(partial(_choice, SCAN_MODES), flag="--mode",
                        help=f"one of {', '.join(SCAN_MODES)}"),
@@ -211,10 +209,8 @@ _SPECS = {
         "abs_tol": _Field(_positive, QuadratureSpec.abs_tol),
         "tail_cutoff": _Field(_cutoff, QuadratureSpec.tail_mass_cutoff),
         "max_subdivisions": _Field(_int, QuadratureSpec.max_subdivisions, 1),
-        # the t grid where t_values is empty; the report echoes its points
-        "t_points": _Field(_int, orders.DEFAULT_T_POINTS, 1),
-        "t_lo_prob": _Field(_prob, 0.001),
-        "t_hi_prob": _Field(_prob, 0.999)}),
+        # make_t_grid's count where t_values is empty; the report echoes its points
+        "t_points": _Field(_int, orders.DEFAULT_T_POINTS, 1)}),
     "simulate": (("system_a", "system_b"), {
         "n_samples": _Field(_int, 100_000, 1),
         "seed": _Field(_int, 0, 0),
@@ -239,12 +235,10 @@ def _section(cp, section: str, fields: dict, args=None) -> dict:
         for key in cp.options(section):
             if key not in fields and key not in cp.defaults():
                 raise UsageError(f"unknown field [{section}] {key}")
-    elif any(f.parse and f.default is None and not f.flag for f in fields.values()):
+    elif any(f.default is None and not f.flag for f in fields.values()):
         raise UsageError(f"missing section [{section}]")
     values = {}
     for key, f in fields.items():
-        if f.parse is None:
-            continue
         given = getattr(args, key) if f.flag else None
         where = f"[{section}] {key}" if given is None else f.flag
         text = cp.get(section, key, fallback=None) if given is None else given
@@ -457,10 +451,8 @@ def _cmd_entropy(cfg: dict, args) -> tuple[int, dict, str]:
     quad = QuadratureSpec(rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"],
                           tail_mass_cutoff=cfg["tail_cutoff"],
                           max_subdivisions=cfg["max_subdivisions"])
-    count, lo_p, hi_p = cfg.pop("t_points"), cfg.pop("t_lo_prob"), cfg.pop("t_hi_prob")
-    if not lo_p < hi_p:
-        raise UsageError(f"[entropy] t_lo_prob must be below t_hi_prob, got {lo_p} and {hi_p}")
-    ts = cfg["t_values"] or list(_grid((s,), lo_p, hi_p, count))
+    count = cfg.pop("t_points")  # never echoed, so popped whether or not it is read
+    ts = cfg["t_values"] or list(orders.make_t_grid(s, s, count))
     cfg["t_values"] = list(map(float, ts))
 
     total = shannon_entropy(s, quad)

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_count
 from .systems import (SystemModel, _grid, _log_pdf_and_survival, _log_survival_roots,
-                      system_log_survival)
+                      _vector, system_log_survival)
 
 __all__ = [
     "QuadratureSpec",
@@ -98,9 +98,7 @@ class QuadratureSpec:
             raise DomainError("abs_tol must be positive")
         if not (0.0 < self.tail_mass_cutoff < 0.5):
             raise DomainError(f"tail_mass_cutoff must lie in (0, 0.5), got {self.tail_mass_cutoff}")
-        m = self.max_subdivisions
-        if not (isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 1):
-            raise DomainError(f"max_subdivisions must be an integer >= 1, got {m!r}")
+        _check_count(self.max_subdivisions, 1, name="max_subdivisions")
 
 
 @dataclass(frozen=True)
@@ -235,7 +233,7 @@ def residual_entropy(s, t, q: QuadratureSpec = QuadratureSpec()):
     and their discrepancy is folded into the error estimate.  A scalar ``t``
     gives one :class:`EntropyValue`, a 1-D ``t`` a list of them.
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    ts = _vector(t, "t")
     out = _entropy_values(_residual_forms((s,), ts, [_log_survival(s, ts)], q)[0], q)
     return out[0] if np.ndim(t) == 0 else out
 
@@ -244,7 +242,7 @@ def entropy_curve(s, t_grid, q: QuadratureSpec = QuadratureSpec()) -> list[Entro
     """Residual entropy at each grid time; times without a value (not finite,
     or past the cutoff) become non-converged NaN entries instead of aborting
     the remaining points."""
-    ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    ts = _vector(t_grid, "t_grid")
     log_sf = _log_survival(s, ts)
     good = np.exp(log_sf) > q.tail_mass_cutoff
     values = iter(_entropy_values(_residual_forms((s,), ts[good], [log_sf[good]], q)[0], q))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 __all__ = ["GumbelSysError", "DomainError", "UsageError"]
 
 
@@ -25,3 +27,12 @@ class UsageError(GumbelSysError, ValueError):
     scale parameters in a two-system comparison, vector length mismatch,
     a non-symmetric function passed where symmetry is required.
     """
+
+
+def _check_count(value, low: int, error: type = DomainError, name: str = "count") -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is an integer (a Python
+    or numpy one, not a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")

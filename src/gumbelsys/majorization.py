@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_count
 
 __all__ = ["random_majorization_pair"]
 
@@ -28,8 +28,7 @@ def random_majorization_pair(rng: np.random.Generator, n: int, spread: float = 1
     where gap is the recipient-donor distance; the floor keeps tied
     coordinates transferable.
     """
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
+    _check_count(n, 2, name="n")
     if not (spread > 0.0):
         raise DomainError(f"spread must be > 0, got {spread}")
     v = rng.uniform(low, high, n)

@@ -36,9 +36,9 @@ import numpy as np
 
 from .entropy import QuadratureSpec, _agreed, _cut, _log_survival, _residual_forms
 from .entropy import residual_entropy  # noqa: F401 - a site the benchmark's tracer requires
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, _check_count
 from .systems import (DEFAULT_X_POINTS, SystemModel, Topology, _location, _grid,
-                      _quantiles_and_pdfs, make_grid, system_cdf, system_hazard,
+                      _quantiles_and_pdfs, _vector, make_grid, system_cdf, system_hazard,
                       system_log_pdf, system_reversed_hazard)
 
 __all__ = [
@@ -140,10 +140,19 @@ def _validate_pair(a, b, direction: Direction = Direction.FIRST_SMALLER):
 
 def _points(grid, default) -> np.ndarray:
     """``default()`` when ``grid`` is None, else ``grid`` as a nonempty 1-D float array."""
-    pts = default() if grid is None else np.atleast_1d(np.asarray(grid, dtype=float))
+    pts = default() if grid is None else _vector(grid, "a grid")
     if pts.size == 0:
         raise UsageError("a grid needs at least one point")
     return pts
+
+
+def _ascending(xs: np.ndarray) -> None:
+    """UsageError at the first step where the grid ``xs`` descends."""
+    down = xs[1:] < xs[:-1]
+    if down.any():
+        k = int(np.argmax(down))
+        raise UsageError(f"a grid must be ascending, got {float(xs[k + 1])!r} "
+                         f"after {float(xs[k])!r}")
 
 
 def _dominance_verdict(relation: Relation, direction: Direction, xs: np.ndarray,
@@ -169,10 +178,12 @@ def _dominance_verdict(relation: Relation, direction: Direction, xs: np.ndarray,
 def check_lr(a, b, grid=None,
              direction: Direction = Direction.FIRST_SMALLER) -> OrderVerdict:
     """Likelihood ratio order: the log-density difference of the dominating
-    law over the dominated one must be nondecreasing across the grid."""
+    law over the dominated one must be nondecreasing across the grid, which
+    must ascend."""
     a, b = _validate_pair(a, b, direction)
     xs = _points(grid, lambda: make_grid(a, b, DEFAULT_X_POINTS))
     da, db = system_log_pdf(a, xs), system_log_pdf(b, xs)
+    _ascending(xs)  # the steps are read in grid order
     with np.errstate(invalid="ignore"):
         d = db - da
 
@@ -224,8 +235,7 @@ def check_st(a, b, grid=None,
 
 def make_p_grid(count: int = DEFAULT_P_POINTS) -> np.ndarray:
     """Probability grid in [1e-6, 1 - 1e-6], geometrically refined toward both ends."""
-    if count < 33:
-        raise UsageError(f"count must be >= 33, got {count}")
+    _check_count(count, 33, UsageError)
     half = count // 2
     left = np.geomspace(1e-6, 0.5, half + 1)[:half + count % 2]
     return np.concatenate([left, 1.0 - left[:half][::-1]])
@@ -241,8 +251,7 @@ def make_t_grid(a, b, count: int = DEFAULT_T_POINTS) -> np.ndarray:
     doubles cannot hold, or holding fewer than ``max(count, 2)`` distinct
     doubles, raises :class:`DomainError` (``systems._grid``).
     """
-    if count < 1:
-        raise UsageError(f"count must be >= 1, got {count}")
+    _check_count(count, 1, UsageError)
     return _grid((a, b), *_T_WINDOW, count, hi_of=min)
 
 
@@ -253,7 +262,8 @@ def check_disp(a, b, p_grid=None,
 
     For ``a`` less dispersed than ``b``, the density of ``b`` at its own
     p-quantile must not exceed the density of ``a`` at its p-quantile, and
-    the quantile difference ``Q_b(p) - Q_a(p)`` must be nondecreasing in p.
+    the quantile difference ``Q_b(p) - Q_a(p)`` must be nondecreasing in p,
+    so ``p_grid`` must ascend.
     When the two criteria disagree the verdict is INCONCLUSIVE.  Series
     quantiles start from the memoised pass over ``make_grid(a, b)`` if any.
     """
@@ -264,6 +274,7 @@ def check_disp(a, b, p_grid=None,
     except DomainError:
         grid = None
     (qa, fa), (qb, fb) = _quantiles_and_pdfs((a, b), ps, grid)
+    _ascending(ps)  # the quantile spread's steps are read in grid order
     density = _dominance_verdict(Relation.DISP, direction, ps, fa, fb, _rate_tol(fa, fb))
 
     q_scale = max(1.0, float(np.abs(qa).max()), float(np.abs(qb).max()))

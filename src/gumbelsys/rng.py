@@ -14,7 +14,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _check_count
 
 __all__ = ["stream", "open_uniform"]
 
@@ -41,8 +41,7 @@ def open_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
     unreachable; inverse-transform sampling can then never hit a pole of the
     quantile function.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    _check_count(n, 1, name="n")
     u = rng.integers(0, _U53, size=n).astype(np.float64)
     u += 0.5
     u /= _U53

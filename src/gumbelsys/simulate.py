@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_count
 from .rng import open_uniform, stream
-from .systems import SystemModel, Topology, system_cdf
+from .systems import SystemModel, Topology, _vector, system_cdf
 
 __all__ = [
     "McEstimate",
@@ -62,8 +62,7 @@ def sample_system(s: SystemModel, seed: int, n: int, *,
     """Draw ``n`` system lifetimes: each component from its own labeled
     substream by inverse transform, ``mu - sigma * log(-log(u))``, then min
     (series) or max (parallel)."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    _check_count(n, 1, name="n")
     fold = np.maximum if s.topology is Topology.PARALLEL else np.minimum
     out = None
     for i, mu in enumerate(s.mus):
@@ -104,7 +103,7 @@ def empirical_cdf_dominance(a: SystemModel, b: SystemModel, xa: np.ndarray,
     """Estimate F_a(x) - F_b(x) on the grid from sorted samples of a and b and
     flag every point whose empirical sign contradicts the analytic one beyond 4 SEs."""
     n = _sample_size(xa, xb)
-    xs = np.asarray(grid, dtype=float)
+    xs = _vector(grid, "grid")
     pa = np.searchsorted(xa, xs, side="right") / n
     pb = np.searchsorted(xb, xs, side="right") / n
     d_emp = pa - pb
@@ -171,8 +170,7 @@ def empirical_quantile_spread(xa: np.ndarray, xb: np.ndarray, seed: int,
     from sorted samples of a and b, with a bootstrap standard error on ``seed``'s stream."""
     if not (0.0 < alpha < beta < 1.0):
         raise DomainError(f"need 0 < alpha < beta < 1, got {alpha}, {beta}")
-    if n_boot < 2:
-        raise DomainError(f"a standard error needs n_boot >= 2, got {n_boot}")
+    _check_count(n_boot, 2, name="n_boot")  # a standard error needs two replicates
     n = _sample_size(xa, xb)
     ranks, weights = _spread_ranks(n, alpha, beta)
     value = _spread(xb[ranks], weights) - _spread(xa[ranks], weights)

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, _check_count
 
 __all__ = [
     "MAX_COMPONENTS",
@@ -177,6 +177,15 @@ def _checked_x(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"abscissa must be finite, got {x!r}")
+    return arr
+
+
+def _vector(x, what: str) -> np.ndarray:
+    """``x`` as a 1-D float array, a scalar as one point and a float array as
+    itself, not a copy; UsageError naming ``what`` and the shape of any other."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if arr.ndim != 1:
+        raise UsageError(f"{what} must be 1-D, got shape {arr.shape}")
     return arr
 
 
@@ -641,14 +650,13 @@ def _quantile_roots(systems, probs, grid=None, cut=None) -> list[tuple]:
 
 
 def system_quantiles(s: SystemModel, probs) -> np.ndarray:
-    """Quantiles of the system law at each probability, vectorized.
+    """Quantiles of the system law at each probability, shaped like ``probs``.
 
     The quantile of a parallel or one-component system is the closed form
     ``m - sigma * log(-log(u))``; other series quantiles come from
     ``_series_roots`` at ``log1p(-u)``.
     """
-    x = _quantile_roots((s,), probs)[0][0]
-    return x[0] if np.ndim(probs) == 0 else x
+    return _quantile_roots((s,), probs)[0][0].reshape(np.shape(probs))[()]
 
 
 def _quantiles_and_pdfs(systems, probs, grid=None) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -700,8 +708,7 @@ def make_grid(a: SystemModel, b: SystemModel, count: int = DEFAULT_X_POINTS,
     over them are memoised.  A window the doubles cannot hold, or holding fewer
     than ``count`` distinct doubles, raises :class:`DomainError`.
     """
-    if count < 33:
-        raise UsageError(f"count must be >= 33, got {count}")
+    _check_count(count, 33, UsageError)
     if not (0.0 < tail_cutoff < 0.5):
         raise DomainError(f"tail_cutoff must lie in (0, 0.5), got {tail_cutoff}")
     build = _grid_points if count <= _MEMO_POINTS else _grid_points.__wrapped__

@@ -160,15 +160,12 @@ class TestCheck:
         assert doc["config"]["system_a"]["mus"] == [2.0, 0.0]
         assert doc["exit_code"] == 0
 
-    def test_seed_key_is_ignored(self, tmp_path):
-        # check draws nothing at random: a spec may still set seed, and the
-        # report neither echoes it nor changes with it
-        plain, seeded = tmp_path / "p.json", tmp_path / "s.json"
-        assert main(["check", write(tmp_path, "p.ini", RH_INSTANCE), "--out", str(plain)]) == 0
+    def test_seed_key_is_unknown(self, tmp_path, capsys):
+        # check draws nothing at random: seed was accepted and ignored, and is
+        # now an unknown field like any key the command never reads
         spec = write(tmp_path, "s.ini", RH_INSTANCE + "seed = 7\n")
-        assert main(["check", spec, "--out", str(seeded)]) == 0
-        assert plain.read_bytes() == seeded.read_bytes()
-        assert "seed" not in json.loads(plain.read_text())["config"]
+        assert main(["check", spec]) == 64
+        assert capsys.readouterr() == ("", "error: unknown field [check] seed\n")
 
     @pytest.mark.parametrize("relations,builds", [("lu", 0), ("disp", 0), ("disp, lu", 0),
                                                   ("hr", 1), ("st, lu", 1)])
@@ -443,14 +440,13 @@ class TestEntropy:
         assert (out, err) == ("", "error: the window [1e+17, 1e+17] from Q(0.001) to Q(0.999) "
                                   "holds too few doubles for 4 points\n")
 
-    def test_reversed_t_probabilities_name_both_keys(self, tmp_path, capsys):
-        # accepted before, with a descending t grid
-        spec = ENTROPY_SPEC.replace("t_values = -1.0, 0.0, 1.0",
-                                    "t_lo_prob = 0.9\nt_hi_prob = 0.1")
+    @pytest.mark.parametrize("key", ["t_lo_prob", "t_hi_prob"])
+    def test_t_probability_keys_are_unknown(self, tmp_path, capsys, key):
+        # the default times are make_t_grid's, from Q(0.001) to Q(0.999); the
+        # two keys that moved that window's ends are gone
+        spec = ENTROPY_SPEC.replace("t_values = -1.0, 0.0, 1.0", f"{key} = 0.5")
         assert main(["entropy", write(tmp_path, "e.ini", spec)]) == 64
-        out, err = capsys.readouterr()
-        assert (out, err) == ("", "error: [entropy] t_lo_prob must be below t_hi_prob, "
-                                  "got 0.9 and 0.1\n")
+        assert capsys.readouterr() == ("", f"error: unknown field [entropy] {key}\n")
 
 
 SIMULATE_SPEC = """\
@@ -576,8 +572,8 @@ class TestUsage:
          ["[system_a]", "scale"]),
         ("entropy", ENTROPY_SPEC + "tpoints = 3\n", ["[entropy]", "tpoints"]),
         ("simulate", SIMULATE_SPEC + "samples = 10\n", ["[simulate]", "samples"]),
-        # a t grid probability of 0 used to be reported without its field
-        ("entropy", ENTROPY_SPEC + "t_lo_prob = 0\n", ["[entropy]", "t_lo_prob", "(0, 1)"]),
+        # a retired key is unknown, whatever its value
+        ("entropy", ENTROPY_SPEC + "t_lo_prob = 0\n", ["unknown field [entropy] t_lo_prob"]),
         # a NaN tolerance ran every panel into a failed error test
         ("entropy", ENTROPY_SPEC + "abs_tol = nan\n", ["[entropy]", "abs_tol", "finite"]),
         ("check", IDENTICAL.replace("sigma = 1.0", "sigma = inf", 1),
@@ -587,7 +583,7 @@ class TestUsage:
             "no-relations", "bootstrap-negative", "bootstrap-0", "bootstrap-1",
             "n-samples-negative", "n-samples-0", "simulate-seed-negative",
             "check-unknown-key", "system-unknown-key", "entropy-unknown-key",
-            "simulate-unknown-key", "t-lo-prob-0", "abs-tol-nan", "sigma-inf"])
+            "simulate-unknown-key", "t-lo-prob-unknown", "abs-tol-nan", "sigma-inf"])
     def test_spec_error_names_its_field(self, tmp_path, capsys, command, spec, names):
         assert main([command, write(tmp_path, "s.ini", spec)]) == 64
         out, err = capsys.readouterr()

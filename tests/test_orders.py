@@ -28,6 +28,16 @@ class TestLikelihoodRatio:
         v = od.check_lr(parallel([1, 1]), parallel([0, 0]), direction=FG)
         assert v.outcome is Outcome.HOLDS
 
+    def test_descending_grid_rejected(self):
+        # lr holds on the ascending grid; on the reversed one the check read
+        # the steps backwards and failed, with a witness
+        a, b = parallel([1.0, 0.0]), parallel([0.0, 0.0])
+        grid = sy.make_grid(a, b, 65)
+        assert od.check_lr(a, b, grid, FG).holds
+        step = f"got {float(grid[-2])!r} after {float(grid[-1])!r}"
+        with pytest.raises(UsageError, match=f"^a grid must be ascending, {re.escape(step)}$"):
+            od.check_lr(a, b, grid[::-1], FG)
+
     def test_identical_holds_both_directions(self):
         a = parallel([0.5, -0.5])
         assert od.check_lr(a, a, direction=FG).holds
@@ -206,6 +216,16 @@ class TestDispersive:
         a = series([0.5, -0.5])
         with pytest.raises(DomainError, match=rf"strictly inside \(0, 1\), got {bad!r}$"):
             od.check_disp(a, a, p_grid=[0.5, bad, 2.0])
+
+    @pytest.mark.parametrize("direction,outcome", [(FG, Outcome.HOLDS), (FS, Outcome.FAILS)])
+    def test_descending_p_grid_rejected(self, direction, outcome):
+        # both verdicts were INCONCLUSIVE on the reversed grid: the quantile
+        # spread's steps were read backwards and disagreed with the densities
+        a, b = series([1.0, -1.0]), series([0.0, 0.0])
+        ps = od.make_p_grid(33)
+        assert od.check_disp(a, b, ps, direction).outcome is outcome
+        with pytest.raises(UsageError, match="^a grid must be ascending"):
+            od.check_disp(a, b, ps[::-1], direction)
 
     def test_series_majorization_pair_fails(self):
         # the quantile spread of the more homogeneous system does not

@@ -149,6 +149,15 @@ class TestDispatch:
         assert sy.system_hazard(parallel([0]), 0.0) == pytest.approx(expect, rel=1e-13)
         assert sy.system_reversed_hazard(series([0]), 0.0) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("s", [series([0.4, -1.2, 2.0]), parallel([0.4, -1.2])])
+    def test_quantiles_keep_the_shape_of_their_probabilities(self, s):
+        # a (2, 2) array came back flat, shaped (4,)
+        ps = np.array([[0.1, 0.2], [0.7, 0.9]])
+        q = sy.system_quantiles(s, ps)
+        assert q.shape == (2, 2)
+        np.testing.assert_array_equal(q.ravel(), sy.system_quantiles(s, ps.ravel()))
+        assert np.ndim(sy.system_quantiles(s, 0.5)) == 0
+
     def test_deep_left_series_reversed_hazard_finite(self):
         s = series([3.0, 2.8, 2.9])
         vals = sy.system_reversed_hazard(s, np.array([-10.0, -5.0, 0.0]))
