@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _check_count
+from .errors import DomainError, _check_count, _check_real
 from .systems import (SystemModel, _grid, _log_pdf_and_survival, _log_survival_roots,
                       _vector, system_log_survival)
 
@@ -92,12 +92,9 @@ class QuadratureSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol < 1e-4):
-            raise DomainError(f"rel_tol must lie in (0, 1e-4), got {self.rel_tol}")
-        if not self.abs_tol > 0.0:  # NaN too
-            raise DomainError("abs_tol must be positive")
-        if not (0.0 < self.tail_mass_cutoff < 0.5):
-            raise DomainError(f"tail_mass_cutoff must lie in (0, 0.5), got {self.tail_mass_cutoff}")
+        _check_real(self.rel_tol, 0, 1e-4, "rel_tol")
+        _check_real(self.abs_tol, 0, name="abs_tol")
+        _check_real(self.tail_mass_cutoff, 0, 0.5, "tail_mass_cutoff")
         _check_count(self.max_subdivisions, 1, name="max_subdivisions")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 
 __all__ = ["GumbelSysError", "DomainError", "UsageError"]
@@ -36,3 +37,13 @@ def _check_count(value, low: int, error: type = DomainError, name: str = "count"
         raise error(f"{name} must be an integer >= {low}, got {value!r}")
     if value < low:
         raise error(f"{name} must be >= {low}, got {value}")
+
+
+def _check_real(value, low: float, high: float = math.inf, name: str = "value") -> None:
+    """Raise :class:`DomainError` naming ``name`` unless ``value`` is a real
+    number (a Python or numpy one, not a bool) in the open interval (low, high)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    if not low < value < high:  # NaN too
+        where = "be positive" if (low, high) == (0, math.inf) else f"lie in ({low}, {high})"
+        raise DomainError(f"{name} must {where}, got {value}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, _check_count
+from .errors import DomainError, _check_count, _check_real
 
 __all__ = ["random_majorization_pair"]
 
@@ -29,8 +29,7 @@ def random_majorization_pair(rng: np.random.Generator, n: int, spread: float = 1
     coordinates transferable.
     """
     _check_count(n, 2, name="n")
-    if not (spread > 0.0):
-        raise DomainError(f"spread must be > 0, got {spread}")
+    _check_real(spread, 0, name="spread")
     v = rng.uniform(low, high, n)
     u = v.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # checked below

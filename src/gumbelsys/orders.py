@@ -123,9 +123,10 @@ class OrderVerdict:
         return self.outcome is Outcome.HOLDS
 
 
-def _validate_pair(a, b, direction: Direction = Direction.FIRST_SMALLER):
-    """Check that ``a`` and ``b`` are comparable and return them in
-    FIRST_SMALLER order: ``(b, a)`` for FIRST_GREATER."""
+def _validate_pair(a, b, direction=Direction.FIRST_SMALLER, grid=None, default=None):
+    """The one input gate of the checks: ``(a, b, points)``, the pair comparable and in
+    FIRST_SMALLER order (``(b, a)`` for FIRST_GREATER), the points the caller's grid as
+    a nonempty 1-D float array, else ``default(a, b)`` on that pair (None for none)."""
     if not (isinstance(a, SystemModel) and isinstance(b, SystemModel)):
         raise UsageError(f"expected two SystemModel arguments, got "
                          f"{type(a).__name__} and {type(b).__name__}")
@@ -135,15 +136,15 @@ def _validate_pair(a, b, direction: Direction = Direction.FIRST_SMALLER):
     if a.sigma != b.sigma:
         raise UsageError(
             f"systems must share the scale parameter, got {a.sigma} and {b.sigma}")
-    return (b, a) if direction is Direction.FIRST_GREATER else (a, b)
-
-
-def _points(grid, default) -> np.ndarray:
-    """``default()`` when ``grid`` is None, else ``grid`` as a nonempty 1-D float array."""
-    pts = default() if grid is None else _vector(grid, "a grid")
+    if not isinstance(direction, Direction):
+        raise UsageError(f"direction must be a Direction, got {direction!r}")
+    a, b = (b, a) if direction is Direction.FIRST_GREATER else (a, b)
+    if grid is None:
+        return a, b, default(a, b) if default else None
+    pts = _vector(grid, "a grid")
     if pts.size == 0:
         raise UsageError("a grid needs at least one point")
-    return pts
+    return a, b, pts
 
 
 def _ascending(xs: np.ndarray) -> None:
@@ -180,8 +181,7 @@ def check_lr(a, b, grid=None,
     """Likelihood ratio order: the log-density difference of the dominating
     law over the dominated one must be nondecreasing across the grid, which
     must ascend."""
-    a, b = _validate_pair(a, b, direction)
-    xs = _points(grid, lambda: make_grid(a, b, DEFAULT_X_POINTS))
+    a, b, xs = _validate_pair(a, b, direction, grid, make_grid)
     da, db = system_log_pdf(a, xs), system_log_pdf(b, xs)
     _ascending(xs)  # the steps are read in grid order
     with np.errstate(invalid="ignore"):
@@ -207,8 +207,7 @@ def _rate_tol(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
 def check_hr(a, b, grid=None,
              direction: Direction = Direction.FIRST_SMALLER) -> OrderVerdict:
     """Hazard rate order: the smaller lifetime carries the larger hazard."""
-    a, b = _validate_pair(a, b, direction)
-    xs = _points(grid, lambda: make_grid(a, b, DEFAULT_X_POINTS))
+    a, b, xs = _validate_pair(a, b, direction, grid, make_grid)
     ra, rb = system_hazard(a, xs), system_hazard(b, xs)
     return _dominance_verdict(Relation.HR, direction, xs, ra, rb, _rate_tol(ra, rb))
 
@@ -218,8 +217,7 @@ def check_rh(a, b, grid=None,
     """Reversed hazard rate order: the larger lifetime carries the larger
     reversed hazard.  For parallel systems both sides are closed-form sums,
     making this check near exact."""
-    a, b = _validate_pair(a, b, direction)
-    xs = _points(grid, lambda: make_grid(a, b, DEFAULT_X_POINTS))
+    a, b, xs = _validate_pair(a, b, direction, grid, make_grid)
     ra, rb = system_reversed_hazard(a, xs), system_reversed_hazard(b, xs)
     return _dominance_verdict(Relation.RH, direction, xs, rb, ra, _rate_tol(ra, rb))
 
@@ -227,8 +225,7 @@ def check_rh(a, b, grid=None,
 def check_st(a, b, grid=None,
              direction: Direction = Direction.FIRST_SMALLER) -> OrderVerdict:
     """Usual stochastic order: the smaller lifetime has the pointwise larger cdf."""
-    a, b = _validate_pair(a, b, direction)
-    xs = _points(grid, lambda: make_grid(a, b, DEFAULT_X_POINTS))
+    a, b, xs = _validate_pair(a, b, direction, grid, make_grid)
     return _dominance_verdict(Relation.ST, direction, xs, system_cdf(a, xs),
                               system_cdf(b, xs), _ST_SLACK)
 
@@ -267,8 +264,7 @@ def check_disp(a, b, p_grid=None,
     When the two criteria disagree the verdict is INCONCLUSIVE.  Series
     quantiles start from the memoised pass over ``make_grid(a, b)`` if any.
     """
-    a, b = _validate_pair(a, b, direction)
-    ps = _points(p_grid, make_p_grid)
+    a, b, ps = _validate_pair(a, b, direction, p_grid, lambda *_: make_p_grid())
     try:
         grid = make_grid(a, b) if a.topology is Topology.SERIES else None
     except DomainError:
@@ -294,9 +290,9 @@ def check_lu(a, b, t_grid=None, quad: QuadratureSpec = QuadratureSpec(),
     quadrature tolerance.  Non-converged quadrature makes the verdict
     INCONCLUSIVE rather than pretending precision.  The default t grid is
     ``make_t_grid(a, b)``, solved in one Newton loop with both entropy cuts."""
-    a, b = _validate_pair(a, b, direction)
+    a, b, ts = _validate_pair(a, b, direction, t_grid)
     ts, cuts = (_grid((a, b), *_T_WINDOW, DEFAULT_T_POINTS, hi_of=min, cut=_cut(quad))
-                if t_grid is None else (_points(t_grid, None), None))
+                if ts is None else (ts, None))
     forms = _residual_forms((a, b), ts, [_log_survival(s, ts) for s in (a, b)], quad, cuts)
     (va, ea, ca), (vb, eb, cb) = (_agreed(*f, quad) for f in forms)
     if not (ca.all() and cb.all()):
@@ -317,6 +313,8 @@ def check(relation: Relation, a, b, direction: Direction,
           grid=None, p_grid=None, t_grid=None,
           quad: QuadratureSpec = QuadratureSpec()) -> OrderVerdict:
     """Dispatch a single relation check with the grid appropriate to it."""
+    if not isinstance(relation, Relation):
+        raise UsageError(f"relation must be a Relation, got {relation!r}")
     if relation is Relation.DISP:
         return check_disp(a, b, p_grid=p_grid, direction=direction)
     if relation is Relation.LU:
@@ -369,8 +367,7 @@ def implication_audit(a, b, grid=None, p_grid=None, t_grid=None,
     When ``include_entropy_orders`` is set, disp and lu are checked as well,
     on ``p_grid`` and ``t_grid``.
     """
-    _validate_pair(a, b)
-    grid = _points(grid, lambda: make_grid(a, b, DEFAULT_X_POINTS))
+    a, b, grid = _validate_pair(a, b, grid=grid, default=make_grid)
     verdicts: dict = {}
     rels = tuple(Relation) if include_entropy_orders else tuple(_CHECKS)  # lr, hr, rh, st
     for direction in (Direction.FIRST_SMALLER, Direction.FIRST_GREATER):

@@ -30,6 +30,7 @@ def _label_entropy(label: object) -> int:
 
 def stream(seed: int, *labels: object) -> np.random.Generator:
     """Return the generator for the stream named by ``labels`` under ``seed``."""
+    _check_count(seed, 0, name="seed")
     entropy = [int(seed)] + [_label_entropy(lab) for lab in labels]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _check_count
+from .errors import DomainError, _check_count, _check_real
 from .rng import open_uniform, stream
 from .systems import SystemModel, Topology, _vector, system_cdf
 
@@ -168,8 +168,8 @@ def empirical_quantile_spread(xa: np.ndarray, xb: np.ndarray, seed: int,
                               n_boot: int = 200) -> McEstimate:
     """Order-statistic estimate of [Q_b(beta)-Q_b(alpha)] - [Q_a(beta)-Q_a(alpha)]
     from sorted samples of a and b, with a bootstrap standard error on ``seed``'s stream."""
-    if not (0.0 < alpha < beta < 1.0):
-        raise DomainError(f"need 0 < alpha < beta < 1, got {alpha}, {beta}")
+    _check_real(alpha, 0, 1, "alpha")
+    _check_real(beta, alpha, 1, "beta")
     _check_count(n_boot, 2, name="n_boot")  # a standard error needs two replicates
     n = _sample_size(xa, xb)
     ranks, weights = _spread_ranks(n, alpha, beta)

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UsageError, _check_count
+from .errors import DomainError, UsageError, _check_count, _check_real
 
 __all__ = [
     "MAX_COMPONENTS",
@@ -146,7 +146,10 @@ class SystemModel:
     def __post_init__(self) -> None:
         if not isinstance(self.topology, Topology):
             raise UsageError(f"topology must be a Topology, got {self.topology!r}")
-        mus = tuple(float(m) for m in self.mus)
+        try:
+            mus = tuple(float(m) for m in self.mus)
+        except (TypeError, ValueError):
+            raise DomainError(f"mus must be real numbers, got {self.mus!r}") from None
         if len(mus) < 1:
             raise DomainError("a system needs at least one component")
         if len(mus) > MAX_COMPONENTS:
@@ -155,7 +158,10 @@ class SystemModel:
             )
         if not all(map(math.isfinite, mus)):
             raise DomainError(f"all component locations must be finite, got {self.mus!r}")
-        sigma = float(self.sigma)
+        try:
+            sigma = float(self.sigma)
+        except (TypeError, ValueError):
+            raise DomainError(f"sigma must be a real number, got {self.sigma!r}") from None
         if not (math.isfinite(sigma) and sigma >= _TINY):
             raise DomainError(f"sigma must be finite and at least the smallest normal "
                               f"double {_TINY!r}, got {self.sigma!r}")
@@ -709,8 +715,7 @@ def make_grid(a: SystemModel, b: SystemModel, count: int = DEFAULT_X_POINTS,
     than ``count`` distinct doubles, raises :class:`DomainError`.
     """
     _check_count(count, 33, UsageError)
-    if not (0.0 < tail_cutoff < 0.5):
-        raise DomainError(f"tail_cutoff must lie in (0, 0.5), got {tail_cutoff}")
+    _check_real(tail_cutoff, 0, 0.5, "tail_cutoff")
     build = _grid_points if count <= _MEMO_POINTS else _grid_points.__wrapped__
     a, b = sorted((a, b), key=lambda s: (s.topology.value, s.mus, s.sigma))  # one memo key
     return build(a, b, count, tail_cutoff).view()

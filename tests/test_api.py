@@ -13,8 +13,8 @@ import pytest
 import gumbelsys
 import gumbelsys.cli
 from gumbelsys import entropy, orders, rng, simulate, systems
-from gumbelsys import (GumbelSysError, QuadratureSpec, SystemModel, Topology, UsageError,
-                       random_majorization_pair)
+from gumbelsys import (DomainError, GumbelSysError, QuadratureSpec, SystemModel, Topology,
+                       UsageError, random_majorization_pair)
 
 MODULES = ["gumbelsys", *sorted(f"gumbelsys.{m.name}"
                                 for m in pkgutil.iter_modules(gumbelsys.__path__))]
@@ -89,7 +89,73 @@ def test_the_1d_gate_hands_make_grids_view_on_uncopied():
     # a copy would be writeable, and the series pass memo keyed on the grid would miss
     s = SystemModel(Topology.SERIES, (1.0, 0.0), 1.0)
     grid = systems.make_grid(s, s)
-    assert orders._points(grid, None) is grid and not grid.flags.writeable
+    assert orders._validate_pair(s, s, grid=grid)[2] is grid and not grid.flags.writeable
+
+
+_CHECKS = ("check_lr", "check_hr", "check_rh", "check_st", "check_disp", "check_lu")
+
+
+@pytest.mark.parametrize("direction", ["first_greater", None, 1])
+@pytest.mark.parametrize("name", _CHECKS)
+def test_a_direction_that_is_not_a_direction_is_a_usage_error(name, direction):
+    # each ran as FIRST_SMALLER and labelled the verdict with the value given:
+    # "first_greater" got st and rh HOLDS, disp and lu FAILS, each the
+    # opposite of Direction.FIRST_GREATER's verdict on this pair
+    a = SystemModel(Topology.SERIES, (1.0, 0.0), 1.0)
+    b = SystemModel(Topology.SERIES, (0.5, 0.5), 1.0)
+    with pytest.raises(UsageError, match=f"^direction must be a Direction, got {direction!r}$"):
+        getattr(orders, name)(a, b, direction=direction)
+
+
+def test_a_relation_that_is_not_a_relation_is_a_usage_error():
+    # was a bare KeyError: 'hr'
+    s = SystemModel(Topology.SERIES, (1.0, 0.0), 1.0)
+    with pytest.raises(UsageError, match="^relation must be a Relation, got 'hr'$"):
+        orders.check("hr", s, s, orders.Direction.FIRST_SMALLER)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1])
+def test_a_seed_is_a_count(seed):
+    # 1.5 and True drew seed 1's stream, and -1 raised numpy's bare ValueError
+    s = SystemModel(Topology.SERIES, (1.0, 0.0), 1.0)
+    with pytest.raises(DomainError, match="^seed must be "):
+        simulate.sample_system(s, seed, 3)
+
+
+def _real_calls():
+    """Each real-number argument with a range, as a call of that argument."""
+    s = SystemModel(Topology.SERIES, (1.0, 0.0), 1.0)
+    xs = np.linspace(-1.0, 1.0, 20)
+    return {
+        "tail_cutoff": lambda v: systems.make_grid(s, s, 65, v),
+        "rel_tol": lambda v: QuadratureSpec(rel_tol=v),
+        "abs_tol": lambda v: QuadratureSpec(abs_tol=v),
+        "tail_mass_cutoff": lambda v: QuadratureSpec(tail_mass_cutoff=v),
+        "alpha": lambda v: simulate.empirical_quantile_spread(xs, xs, 0, v, 0.75),
+        "beta": lambda v: simulate.empirical_quantile_spread(xs, xs, 0, 0.25, v),
+        "spread": lambda v: random_majorization_pair(rng.stream(0, "m"), 3, v),
+    }
+
+
+@pytest.mark.parametrize("value", ["0.1", True, None])
+@pytest.mark.parametrize("name", list(_real_calls()))
+def test_a_real_that_is_not_a_number_is_a_domain_error(name, value):
+    # a string raised a bare TypeError ('<' not supported between float and str)
+    with pytest.raises(DomainError, match=f"^{name} must be a real number, got {value!r}$"):
+        _real_calls()[name](value)
+
+
+@pytest.mark.parametrize("name", list(_real_calls()))
+def test_a_numpy_real_is_a_real(name):
+    _real_calls()[name](np.float64(1e-5) if name == "rel_tol" else np.float64(0.3))
+
+
+@pytest.mark.parametrize("mus,sigma,field", [
+    (("abc",), 1.0, "mus"), (None, 1.0, "mus"), ((1.0,), "x", "sigma")])
+def test_a_system_field_that_is_not_a_number_is_a_domain_error(mus, sigma, field):
+    # were a bare ValueError (could not convert string to float) or TypeError
+    with pytest.raises(DomainError, match=f"^{field} must be "):
+        SystemModel(Topology.SERIES, mus, sigma)
 
 
 def test_cli_imports_only_public_library_names():

@@ -658,4 +658,5 @@ class TestVerdictType:
         assert FLIPPED[FG] is FS and FLIPPED[FS] is FG and set(FLIPPED) == set(Direction)
         # every check runs FIRST_GREATER on (a, b) as FIRST_SMALLER on (b, a)
         a, b = series([1.0, 0.0]), series([0.5, 0.5])
-        assert od._validate_pair(a, b, FG) == (b, a) and od._validate_pair(a, b, FS) == (a, b)
+        assert od._validate_pair(a, b, FG)[:2] == (b, a)
+        assert od._validate_pair(a, b, FS)[:2] == (a, b)
