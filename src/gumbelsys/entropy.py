@@ -9,13 +9,13 @@ algebraically equivalent integral forms,
 and their agreement is the cross-check on every value, Shannon entropies too.
 The hazard's log is taken as ``log f - log Fbar``, since it spans decades.
 
-Each integral runs from ``t`` to the system's one cut, where its survival is
-``c**2`` (c the ``tail_mass_cutoff``): a time has a value only where
-``Fbar(t) > c``, so the conditional mass left out, ``m = c**2/Fbar(t)``, is
-below c, and the two forms differ by the truncation ``m * (1 - 2 log c)``.
-The cut is a log-survival root from :mod:`systems`: closed form for a
-parallel or one-component system, monotone Newton for a series one, in one
-loop for both systems of an lu check and the ends of its default t grid.
+Each integral runs from ``t`` to the system's one cut, a point where its
+survival is at most ``c**2`` (c the ``tail_mass_cutoff``): a time has a value
+only where ``Fbar(t) > c``, so the conditional mass left out,
+``m <= c**2/Fbar(t)``, is below c (Ebrahimi, 1996), and the two forms differ
+by the truncation, at most ``m * (1 - 2 log c)``.  The cut needs no root: it
+is the closed form ``systems._log_survival_bound`` at ``2 log c``, from
+``log(1 - e^-w) <= min(0, log w)``, so an lu check solves only its t grid.
 
 All times of one call share one pass: the breakpoints ``ts`` and the cut
 are split into panels at most half the system's scale ``sigma`` wide, each
@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _check_count, _check_real
-from .systems import (SystemModel, _grid, _log_pdf_and_survival, _log_survival_roots,
-                      _vector, system_log_survival)
+from .errors import DomainError, UsageError, _check_count, _check_real
+from .systems import (SystemModel, _grid, _log_pdf_and_survival, _log_survival_bound, _vector,
+                      system_log_survival)
 
 __all__ = [
     "QuadratureSpec",
@@ -83,7 +83,8 @@ class QuadratureSpec:
     panels are bisected, at most ``max_subdivisions`` times per call; a value
     whose window holds a panel that still fails is not converged.  A time t
     has a residual entropy only where ``Fbar(t) > tail_mass_cutoff = c``; its
-    window ends where ``Fbar = c**2``, leaving out conditional mass below c.
+    window ends at a closed-form point where ``Fbar <= c**2``, leaving out
+    conditional mass below c.
     """
 
     rel_tol: float = 1e-10
@@ -172,31 +173,33 @@ def _log_survival(s: SystemModel, ts: np.ndarray) -> np.ndarray:
     return log_sf
 
 
-def _cut(q: QuadratureSpec) -> float:
-    """The log survival ``2 log(tail_mass_cutoff)`` of each system's cut."""
-    return 2.0 * math.log(q.tail_mass_cutoff)
+def _cutoff(q) -> float:
+    """The ``tail_mass_cutoff`` of ``q``; UsageError unless it is a :class:`QuadratureSpec`."""
+    if not isinstance(q, QuadratureSpec):
+        raise UsageError(f"quad must be a QuadratureSpec, got {q!r}")
+    return q.tail_mass_cutoff
 
 
-def _residual_forms(systems, ts, log_sfs, q: QuadratureSpec, cuts=None) -> list[tuple]:
+def _residual_forms(systems, ts, log_sfs, q: QuadratureSpec) -> list[tuple]:
     """Each system's hazard- and density-form values, errors and convergence
     flags at every time of the 1-D ``ts``, each shaped (2, times), from its
-    ``_log_survival`` at ``ts`` in ``log_sfs`` and its cut at ``_cut``, given in
-    ``cuts`` or solved for all systems in one ``_log_survival_roots`` call;
-    first, DomainError at the first system's first time without a value."""
+    ``_log_survival`` at ``ts`` in ``log_sfs``, to its cut at the log survival
+    bound ``2 log c``; first, DomainError at the first system's first time
+    without a value."""
+    c = _cutoff(q)
     sfs = [np.exp(v) for v in log_sfs]
     for sf in sfs:
-        bad = sf <= q.tail_mass_cutoff  # which holds every time that is not finite
+        bad = sf <= c  # which holds every time that is not finite
         if bad.any():
             k = int(np.argmax(bad))
             if not np.isfinite(ts[k]):
                 raise DomainError(f"conditioning time must be finite, got {float(ts[k])!r}")
             raise DomainError(
                 f"survival at t={float(ts[k])} is {sf[k]:.3e}, at or below the tail mass "
-                f"cutoff {q.tail_mass_cutoff:.1e}; move t left or relax the cutoff")
-    if cuts is None:
-        cuts = [x[0] for x, _ in _log_survival_roots(systems, [np.array([_cut(q)])] * len(sfs))]
+                f"cutoff {c:.1e}; move t left or relax the cutoff")
     out = []
-    for s, sf_t, log_sf_t, cut in zip(systems, sfs, log_sfs, cuts):
+    for s, sf_t, log_sf_t in zip(systems, sfs, log_sfs):
+        cut = _log_survival_bound(s, 2.0 * math.log(c))  # right of every time with a value
         edges, where = np.unique(np.append(ts, cut), return_inverse=True)
         value, error, failed = _integrate(s, edges, q)
 
@@ -241,7 +244,7 @@ def entropy_curve(s, t_grid, q: QuadratureSpec = QuadratureSpec()) -> list[Entro
     the remaining points."""
     ts = _vector(t_grid, "t_grid")
     log_sf = _log_survival(s, ts)
-    good = np.exp(log_sf) > q.tail_mass_cutoff
+    good = np.exp(log_sf) > _cutoff(q)
     values = iter(_entropy_values(_residual_forms((s,), ts[good], [log_sf[good]], q)[0], q))
     return [next(values) if g else EntropyValue(float("nan"), float("inf"), False)
             for g in good]
@@ -252,7 +255,7 @@ def shannon_entropy(s, q: QuadratureSpec = QuadratureSpec()) -> EntropyValue:
     tail mass cutoff (``systems._grid``), by the density form; converged as in
     ``_agreed`` with the hazard form ``1 - 2c + c log c - (1 - c) log(1 - c) -
     int f log h``, since ``int f log Fbar`` there is ``int_c^(1-c) log u du``."""
-    c = q.tail_mass_cutoff
+    c = _cutoff(q)
     ints, errs, failed = (v[:, 0].tolist() for v in _integrate(s, _grid((s,), c, 1.0 - c, 2), q))
     hazard = 1.0 - 2.0 * c + c * math.log(c) - (1.0 - c) * math.log1p(-c) - ints[0]
     agree = abs(ints[1] + hazard) <= 10.0 * q.rel_tol * max(1.0, abs(ints[1]))

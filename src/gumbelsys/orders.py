@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import QuadratureSpec, _agreed, _cut, _log_survival, _residual_forms
+from .entropy import QuadratureSpec, _agreed, _log_survival, _residual_forms
 from .entropy import residual_entropy  # noqa: F401 - a site the benchmark's tracer requires
 from .errors import DomainError, UsageError, _check_count
 from .systems import (DEFAULT_X_POINTS, SystemModel, Topology, _location, _grid,
@@ -66,7 +66,6 @@ __all__ = [
 
 DEFAULT_P_POINTS = 513
 DEFAULT_T_POINTS = 64
-_T_WINDOW = (0.001, 0.999)  # the probabilities of make_t_grid's ends
 
 _LR_STEP_SLACK = 1e-9
 _RATE_SLACK = 1e-10
@@ -249,7 +248,7 @@ def make_t_grid(a, b, count: int = DEFAULT_T_POINTS) -> np.ndarray:
     doubles, raises :class:`DomainError` (``systems._grid``).
     """
     _check_count(count, 1, UsageError)
-    return _grid((a, b), *_T_WINDOW, count, hi_of=min)
+    return _grid((a, b), 0.001, 0.999, count, hi_of=min)
 
 
 def check_disp(a, b, p_grid=None,
@@ -289,11 +288,9 @@ def check_lu(a, b, t_grid=None, quad: QuadratureSpec = QuadratureSpec(),
     that of the second at every conditioning time, within twice the combined
     quadrature tolerance.  Non-converged quadrature makes the verdict
     INCONCLUSIVE rather than pretending precision.  The default t grid is
-    ``make_t_grid(a, b)``, solved in one Newton loop with both entropy cuts."""
-    a, b, ts = _validate_pair(a, b, direction, t_grid)
-    ts, cuts = (_grid((a, b), *_T_WINDOW, DEFAULT_T_POINTS, hi_of=min, cut=_cut(quad))
-                if ts is None else (ts, None))
-    forms = _residual_forms((a, b), ts, [_log_survival(s, ts) for s in (a, b)], quad, cuts)
+    ``make_t_grid(a, b)``."""
+    a, b, ts = _validate_pair(a, b, direction, t_grid, make_t_grid)
+    forms = _residual_forms((a, b), ts, [_log_survival(s, ts) for s in (a, b)], quad)
     (va, ea, ca), (vb, eb, cb) = (_agreed(*f, quad) for f in forms)
     if not (ca.all() and cb.all()):
         return OrderVerdict(Relation.LU, direction, Outcome.INCONCLUSIVE, None, 0.0)

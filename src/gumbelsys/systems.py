@@ -41,21 +41,21 @@ test.  ``make_grid`` keeps its last ``_MEMO_ENTRIES`` grids of at most
 ``_MEMO_POINTS`` points (``_grid_points``) over immutable bytes and hands out
 views, so ``check_disp``'s default grid is its caller's, passes and all.
 
-Where a series log survival reaches a target ``T`` (a quantile at
-``T = log1p(-u)``, or an entropy cut) has no closed form for n > 1.  The log
-survival is concave (every component is IFR), so every tangent lies above
-it: Newton started right of the root moves left monotonically onto it, and a
-tangent reaches ``T`` at or right of the root.  A start is the least of the
-closed-form root of the smallest location alone, ``(sum_i mu_i - sigma T)/n``
-(close in the right tail) and, given a grid pass (``check_disp`` takes the
-memoised ``make_grid`` one), where the tangents at the two grid points
-bracketing ``T`` reach it, which about halves the passes.  One Newton loop
-serves any number of systems, one kernel pass per step over the targets not
-yet solved of all of them, so both systems of a pair take as many passes as
-the slower one.  A target stops when its log survival residual is within
-``2**-52 * |T|``, or once rounding has taken over: its log survival no
-longer rises, or a step would no longer move it left.  Its last pass is made
-at its root, so the density there comes with it.
+Where a series log survival reaches a quantile's ``T = log1p(-u)`` has no
+closed form for n > 1 (an entropy cut needs only a point where it is at most
+``T``: ``_log_survival_bound``).  The log survival is concave (every component
+is IFR), so every tangent lies above it: Newton started right of the root
+moves left monotonically onto it, and a tangent reaches ``T`` at or right of
+the root.  A start is the least of the closed-form root of the smallest
+location alone, ``(sum_i mu_i - sigma T)/n`` (close in the right tail) and,
+given a grid pass (``check_disp`` takes the memoised ``make_grid`` one), where
+the tangents at the two grid points bracketing ``T`` reach it, which about
+halves the passes.  One Newton loop serves any number of systems, one kernel
+pass per step over the targets not yet solved of all of them, so both systems
+of a pair take as many passes as the slower one.  A target stops when its log
+survival residual is within ``2**-52 * |T|``, or once rounding has taken over:
+its log survival no longer rises, or a step would no longer move it left.  Its
+last pass is made at its root, so the density there comes with it.
 """
 
 from __future__ import annotations
@@ -147,8 +147,10 @@ class SystemModel:
         if not isinstance(self.topology, Topology):
             raise UsageError(f"topology must be a Topology, got {self.topology!r}")
         try:
+            if isinstance(self.mus, str):  # it would iterate as its characters
+                raise TypeError
             mus = tuple(float(m) for m in self.mus)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int past the doubles
             raise DomainError(f"mus must be real numbers, got {self.mus!r}") from None
         if len(mus) < 1:
             raise DomainError("a system needs at least one component")
@@ -160,7 +162,7 @@ class SystemModel:
             raise DomainError(f"all component locations must be finite, got {self.mus!r}")
         try:
             sigma = float(self.sigma)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise DomainError(f"sigma must be a real number, got {self.sigma!r}") from None
         if not (math.isfinite(sigma) and sigma >= _TINY):
             raise DomainError(f"sigma must be finite and at least the smallest normal "
@@ -605,54 +607,50 @@ def _right_starts(s: SystemModel, target) -> np.ndarray:
         return 2.0 * (np.sum(s._half_mus / s.n) - 0.5 * s.sigma * target / s.n)
 
 
-def _logws(target: np.ndarray) -> np.ndarray:
-    """``log(-log(1 - exp(T)))`` as ``log(-log1mexp(-T))``, which keeps the low bits
-    of a target near 0, and ``T`` itself where ``exp(T)`` is below the normal range."""
-    with np.errstate(divide="ignore"):
-        return _fill_underflow(np.log(-_log1mexp(-target[None])), target[None])[0]
+def _log_survival_bound(s: SystemModel, target: float) -> float:
+    """A point where the log survival is at most ``target < 0``, as
+    ``log(1 - e^-w) <= min(0, log w)`` puts it: the least over k of
+    ``(mu_(1) + ... + mu_(k) - sigma T)/k`` over the k smallest locations of a
+    series system, or of the one location L of a parallel one.  The prefix
+    sums are of ``mu_i/(2n)``, which cannot overflow (as in ``_right_starts``),
+    and x is padded right by ``2**-48 (|x| + sigma |T|)`` over the rounding
+    of x and of the log survival there.  A loop: n is small, and a few numpy
+    calls would cost more."""
+    mus = (_location(s),) if s.topology is Topology.PARALLEL else s.mus[::-1]  # ascending
+    n, total, x = len(mus), 0.0, math.inf
+    for k, m in enumerate(mus, 1):
+        total += 0.5 * m / n
+        x = min(x, 2.0 * (total * (n / k) - 0.5 * s.sigma * target / k))
+    return x + 2.0**-48 * (abs(x) - s.sigma * target)
 
 
-def _log_survival_roots(systems, targets, logws=None, grid=None) -> list[tuple]:
-    """For each system, where its log survival equals each of its targets
-    ``T < 0``: a list of ``(x, passed)``, with ``passed`` the log survival and
-    hazard at ``x`` from the last Newton pass, or None for a closed form.
-
-    ``logw`` is ``log(-log(1 - exp(T)))``, by default ``_logws``.  A
-    Gumbel(m, sigma) law, which a parallel or one-component system is,
-    reaches ``T`` at ``m - sigma * logw`` (``_gumbel_roots``).  Other series
-    systems start from the least of that point at the smallest location,
-    right of the root since ``prod_i Fbar_i <= min_i Fbar_i`` (rounding is
-    monotone), ``_right_starts`` and the tangents on ``grid``
-    (``_tangent_starts``), and run ``_series_roots`` together.
-    """
-    logws = [_logws(t) for t in targets] if logws is None else logws
-    out = [(_gumbel_roots(_location(s) if s.topology is Topology.PARALLEL else s.mus[-1],
-                          s.sigma, logw), None) for s, logw in zip(systems, logws)]
-    newton = [k for k, s in enumerate(systems) if s.topology is Topology.SERIES and s.n > 1]
-    if newton:
-        starts = [np.fmin(out[k][0], _right_starts(systems[k], targets[k])) for k in newton]
-        if grid is not None:
-            starts = [_tangent_starts(systems[k], grid, targets[k], x)
-                      for k, x in zip(newton, starts)]
-        x, log_sf, rate = _series_roots([systems[k] for k in newton],
-                                        [targets[k] for k in newton], starts)
-        bounds = np.cumsum([0] + [targets[k].size for k in newton])
-        for k, i, j in zip(newton, bounds, bounds[1:]):
-            out[k] = x[i:j], (log_sf[i:j], rate[i:j])
-    return out
-
-
-def _quantile_roots(systems, probs, grid=None, cut=None) -> list[tuple]:
-    """``_log_survival_roots`` at ``T = log1p(-u)`` for every system, at each
-    probability ``u`` of ``probs`` (at least 1-D), from starts on ``grid``, and
-    then at the log survival ``cut`` when it is given."""
-    u = np.atleast_1d(np.asarray(probs, dtype=float))
+def _quantile_roots(systems, probs, grid=None) -> list[tuple]:
+    """Each system's quantiles at the probabilities ``u`` of ``probs``
+    (flattened), where its log survival is ``T = log1p(-u)``, as ``(x, passed)``:
+    ``passed`` is the log survival and hazard at ``x`` from the last Newton
+    pass, or None for the closed form ``m - sigma * log(-log(u))`` of a
+    Gumbel(m, sigma) law, which a parallel or one-component system is
+    (``_gumbel_roots``).  Other series systems start from the least of that
+    point at the smallest location, right of the root since
+    ``prod_i Fbar_i <= min_i Fbar_i`` (rounding is monotone), ``_right_starts``
+    and the tangents on ``grid`` (``_tangent_starts``), in one ``_series_roots``."""
+    u = np.asarray(probs, dtype=float).ravel()
     bad = ~((u > 0.0) & (u < 1.0))  # NaN too
     if bad.any():
         raise DomainError(f"prob must lie strictly inside (0, 1), got {float(u[bad][0])!r}")
-    t = np.append(np.log1p(-u), [] if cut is None else cut)
-    k, logw = len(systems), np.append(np.log(-np.log(u)), _logws(t[u.size:]))
-    return _log_survival_roots(systems, [t] * k, [logw] * k, grid)
+    t, logw = np.log1p(-u), np.log(-np.log(u))
+    out = [(_gumbel_roots(_location(s) if s.topology is Topology.PARALLEL else s.mus[-1],
+                          s.sigma, logw), None) for s in systems]
+    newton = [k for k, s in enumerate(systems) if s.topology is Topology.SERIES and s.n > 1]
+    if newton:
+        starts = [np.fmin(out[k][0], _right_starts(systems[k], t)) for k in newton]
+        if grid is not None:
+            starts = [_tangent_starts(systems[k], grid, t, x) for k, x in zip(newton, starts)]
+        x, log_sf, rate = _series_roots([systems[k] for k in newton], [t] * len(newton), starts)
+        parts = zip(*(np.split(v, len(newton)) for v in (x, log_sf, rate)))
+        for k, (xk, log_sf_k, rate_k) in zip(newton, parts):
+            out[k] = xk, (log_sf_k, rate_k)
+    return out
 
 
 def system_quantiles(s: SystemModel, probs) -> np.ndarray:
@@ -684,18 +682,17 @@ def _quantiles_and_pdfs(systems, probs, grid=None) -> list[tuple[np.ndarray, np.
 
 # -- evaluation grids -----------------------------------------------------------
 
-def _grid(systems, lo_p: float, hi_p: float, count: int, hi_of=max, cut=None):
+def _grid(systems, lo_p: float, hi_p: float, count: int, hi_of=max) -> np.ndarray:
     """``count`` evenly spaced points from the least ``lo_p`` quantile of
-    ``systems`` to ``hi_of`` their ``hi_p`` quantiles, from one Newton loop that
-    also solves each system's root at a log survival ``cut``, returned with the
-    points; DomainError, naming the window, where an end or the width lies
-    beyond the doubles or it holds fewer than ``max(count, 2)`` distinct doubles."""
-    roots = [x.tolist() for x, _ in _quantile_roots(systems, np.array([lo_p, hi_p]), cut=cut)]
+    ``systems`` to ``hi_of`` their ``hi_p`` quantiles, from one Newton loop;
+    DomainError, naming the window, where an end or the width lies beyond the
+    doubles or it holds fewer than ``max(count, 2)`` distinct doubles."""
+    roots = [x.tolist() for x, _ in _quantile_roots(systems, np.array([lo_p, hi_p]))]
     lo, hi = min(x[0] for x in roots), hi_of(x[1] for x in roots)
     if math.isfinite(hi - lo):  # float arithmetic: inf or NaN, with no warning
         points = np.linspace(lo, hi, count)
         if lo < hi and np.all(np.diff(points) > 0):
-            return points if cut is None else (points, [x[2] for x in roots])
+            return points
     reason = ("has an end beyond the doubles" if math.isinf(lo) or math.isinf(hi)
               else "is wider than the largest double" if math.isinf(hi - lo)
               else f"holds too few doubles for {max(count, 2)} points")

@@ -151,11 +151,37 @@ def test_a_numpy_real_is_a_real(name):
 
 
 @pytest.mark.parametrize("mus,sigma,field", [
-    (("abc",), 1.0, "mus"), (None, 1.0, "mus"), ((1.0,), "x", "sigma")])
+    (("abc",), 1.0, "mus"), (None, 1.0, "mus"), ((1.0,), "x", "sigma"), ("12", 1.0, "mus"),
+    pytest.param((10**400,), 1.0, "mus", id="mus-past-the-doubles"),
+    pytest.param((1.0,), 10**400, "sigma", id="sigma-past-the-doubles")])
 def test_a_system_field_that_is_not_a_number_is_a_domain_error(mus, sigma, field):
-    # were a bare ValueError (could not convert string to float) or TypeError
+    # were a bare ValueError (could not convert string to float) or TypeError;
+    # "12" was the system (2.0, 1.0), and 10**400 raised a bare OverflowError
     with pytest.raises(DomainError, match=f"^{field} must be "):
         SystemModel(Topology.SERIES, mus, sigma)
+
+
+def _quad_calls():
+    """Each public function that reads a QuadratureSpec, as a call of that spec."""
+    a = SystemModel(Topology.SERIES, (1.0, 0.0), 1.0)
+    b = SystemModel(Topology.SERIES, (0.5, 0.5), 1.0)
+    first_smaller = orders.Direction.FIRST_SMALLER
+    return {
+        "check_lu": lambda q: orders.check_lu(a, b, quad=q),
+        "check": lambda q: orders.check(orders.Relation.LU, a, b, first_smaller, quad=q),
+        "implication_audit": lambda q: orders.implication_audit(
+            a, b, include_entropy_orders=True, quad=q),
+        "residual_entropy": lambda q: entropy.residual_entropy(a, 0.5, q),
+        "entropy_curve": lambda q: entropy.entropy_curve(a, [0.5], q),
+        "shannon_entropy": lambda q: entropy.shannon_entropy(a, q),
+    }
+
+
+@pytest.mark.parametrize("name", list(_quad_calls()))
+def test_a_quad_that_is_not_a_spec_is_a_usage_error(name):
+    # each raised a bare AttributeError: 'str' object has no attribute 'tail_mass_cutoff'
+    with pytest.raises(UsageError, match="^quad must be a QuadratureSpec, got 'x'$"):
+        _quad_calls()[name]("x")
 
 
 def test_cli_imports_only_public_library_names():
@@ -172,3 +198,23 @@ def test_cli_imports_only_public_library_names():
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in library and node.attr.startswith("_")]
     assert private == []
+
+
+def test_every_import_of_the_package_is_read():
+    # a name a module imports and never reads, such as an import the last
+    # caller of a removed helper left behind; a line marked noqa: F401
+    # imports on purpose
+    for name in MODULES:
+        path = Path(importlib.import_module(name).__file__)
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        imported = {(a.asname or a.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    and "# noqa: F401" not in lines[node.lineno - 1]
+                    for a in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = set(importlib.import_module(name).__all__)
+        assert sorted(imported - read - exported) == [], name

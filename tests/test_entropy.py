@@ -176,6 +176,19 @@ class TestResidual:
         with pytest.raises(DomainError, match=r"the window \[7.36e\+307, 1e\+308\]"):
             en.residual_entropy(s, 7.36332474468469e307)
 
+    @pytest.mark.parametrize("call", [
+        lambda: en.residual_entropy(series([1e300]), 1e300),
+        lambda: en.entropy_curve(series([1e300]), [1e300]),
+        lambda: en.residual_entropy(parallel([1e300, 0.0]),
+                                    sy.system_quantiles(parallel([1e300, 0.0]), 0.5)),
+    ], ids=["residual_entropy", "entropy_curve", "parallel-median"])
+    def test_a_cut_that_rounds_onto_its_time_is_a_domain_error(self, call):
+        # the cut, 55 sigma right of t = 1e300, was that same double, and the
+        # empty window raised a bare IndexError; padded right over rounding, it
+        # is 24 ulps right of t, 3.6e285 wide at sigma 1
+        with pytest.raises(DomainError, match=r"^the window \[1e\+300, 1e\+300\] needs more "):
+            call()
+
     def test_window_wider_than_the_doubles_raises_no_warning(self):
         # the gaps of a window beyond the doubles overflowed with a
         # RuntimeWarning, raised in place of the DomainError under the

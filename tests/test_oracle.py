@@ -14,8 +14,8 @@ smallest margin.  The 60-digit values come from the log-space forms, with
 A disp quantile is ``mpmath.findroot`` on ``log F = log p`` started at the
 float quantile, and its density ``exp(log hazard + log Fbar)``.  An lu value
 is the hazard-form residual entropy ``1 - int_t^cut f log h / Fbar(t)`` by
-``mpmath.quad``, up to the system's one cut, where its survival is the
-square of the tail mass cutoff, as the library's solver finds it.
+``mpmath.quad``, up to the system's one cut, the library's closed-form point
+where its survival is at most the square of the tail mass cutoff.
 
 The double-precision curves locate the smallest margin; mpmath decides the
 sign there.
@@ -222,9 +222,8 @@ def test_lu_witnesses_and_margins_at_25_digits(topology, n):
             t = float(ts[k])
             exact = []
             for s in (lo, hi):
-                # each system's one cut, where its survival is c**2
-                target = np.array([2.0 * math.log(q.tail_mass_cutoff)])
-                cut = float(sy._log_survival_roots((s,), [target])[0][0][0])
+                # each system's one cut, the window the code integrates
+                cut = sy._log_survival_bound(s, 2.0 * math.log(q.tail_mass_cutoff))
                 exact.append(_residual_entropy(s, t, cut))
             gap = exact[1] - exact[0]
             assert (gap < -tol[k]) == (v.outcome is od.Outcome.FAILS), (direction, a, b, v)

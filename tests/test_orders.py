@@ -364,8 +364,6 @@ class TestLessUncertaintyPair:
             assert got.outcome is Outcome.INCONCLUSIVE
 
     def test_default_t_grid_is_make_t_grid(self):
-        # the default grid's ends are solved in one Newton loop with both
-        # cuts, and a root does not depend on the other targets of its loop
         for a, b in golden_pairs():
             for d in (FS, FG):
                 assert od.check_lu(a, b, direction=d) == od.check_lu(
@@ -376,19 +374,23 @@ class TestLessUncertaintyPair:
         (series([2.0, 0.3, -1.0]), series([1.0, 0.5, -0.2]), 8),
     ], ids=["n2", "n3"])
     def test_default_check_is_one_newton_loop(self, monkeypatch, a, b, passes):
-        # one root solve for the t grid's ends and both cuts, and one log
-        # survival pass per system at the times: 15 and 16 kernel passes
-        # when the cuts depended on the times and the survival was taken twice
+        # one root solve for the t grid's ends, closed-form cuts, and one log
+        # survival pass per system at the times, whether the grid is the
+        # default or the caller's make_t_grid: 15 and 16 kernel passes when
+        # the cuts depended on the times and the survival was taken twice, and
+        # 12 and 10 with make_t_grid when the cuts were Newton roots
         calls = {}
-        for module, name in ((sy, "_series_rows"), (sy, "_log_survival_roots"),
-                             (en, "_log_survival_roots"), (en, "system_log_survival")):
+        for module, name in ((sy, "_series_rows"), (sy, "_quantile_roots"),
+                             (en, "system_log_survival")):
             def counted(*args, _real=getattr(module, name), _name=name):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _real(*args)
             monkeypatch.setattr(module, name, counted)
-        od.check_lu(a, b)
-        assert calls == {"_series_rows": passes, "_log_survival_roots": 1,
-                         "system_log_survival": 2}
+        for run in (lambda: od.check_lu(a, b), lambda: od.check_lu(a, b, od.make_t_grid(a, b))):
+            calls.clear()
+            run()
+            assert calls == {"_series_rows": passes, "_quantile_roots": 1,
+                             "system_log_survival": 2}
 
     def test_outcomes_covered(self):
         outcomes = {od.check_lu(a, b, direction=d).outcome

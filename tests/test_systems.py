@@ -585,16 +585,13 @@ class TestPairedNewton:
     def test_pair_equals_single_solves(self, kind):
         a, b = _pair(kind)
         probs = np.concatenate([[1e-8, 1.0 - 1e-8], make_p_grid()])
-        cuts = -np.geomspace(1e-12, 40.0, 50)  # log survival targets, as entropy's
-        for targets in ((np.log1p(-probs),) * 2, (cuts, cuts[::3])):
-            paired = sy._log_survival_roots((a, b), targets)
-            for s, t, (x, passed) in zip((a, b), targets, paired):
-                x1, passed1 = sy._log_survival_roots((s,), (t,))[0]
-                np.testing.assert_array_equal(x, x1)
-                assert (passed is None) == (passed1 is None)
-                if passed is not None:
-                    for v, v1 in zip(passed, passed1):
-                        np.testing.assert_array_equal(v, v1)
+        for s, (x, passed) in zip((a, b), sy._quantile_roots((a, b), probs)):
+            x1, passed1 = sy._quantile_roots((s,), probs)[0]
+            np.testing.assert_array_equal(x, x1)
+            assert (passed is None) == (passed1 is None)
+            if passed is not None:
+                for v, v1 in zip(passed, passed1):
+                    np.testing.assert_array_equal(v, v1)
 
     @pytest.mark.parametrize("kind", _PAIR_KINDS)
     def test_grid_equals_single_quantiles(self, kind):
@@ -621,27 +618,53 @@ class TestPairedNewton:
         assert passes and set(passes) == {2}
 
 
+#: tail mass cutoffs of the entropy window, down to QuadratureSpec's default
+_CUTOFFS = [1e-12, 1e-6, 0.4]
+
+
 class TestRightStarts:
     """``(sum_i mu_i - sigma * T)/n`` starts the Newton loop at or right of
     the root of ``T``, since ``log(1 - exp(-w)) <= log w``."""
 
     def test_right_starts_lie_right_of_each_root(self):
-        # the ends of the x and t grids, the p grid, and the default entropy cut
+        # the ends of the x and t grids, and the p grid
         probs = np.concatenate([[1e-8, 0.001, 0.999, 1.0 - 1e-8], make_p_grid()])
-        targets = np.append(np.log1p(-probs), 2.0 * math.log(QuadratureSpec().tail_mass_cutoff))
         for pair in golden_pairs(Topology.SERIES):
             for s in pair:
-                x = sy._log_survival_roots((s,), (targets,))[0][0]
-                assert (sy._right_starts(s, targets) >= x).all(), s
+                x = sy._quantile_roots((s,), probs)[0][0]
+                assert (sy._right_starts(s, np.log1p(-probs)) >= x).all(), s
 
     @pytest.mark.parametrize("mu", [1.7e308, -1.7e308])
     def test_no_overflow_near_the_largest_double(self, mu):
         # the sum of these locations lies beyond the doubles; its halves over n do not
         s = series([mu] * 63 + [0.5 * mu])
-        targets = np.array([-1e-3, -6.9, 2.0 * math.log(1e-12)])
-        starts = sy._right_starts(s, targets)
+        probs = np.array([1e-3, 0.999, 1.0 - 2.0**-53])
+        starts = sy._right_starts(s, np.log1p(-probs))
         assert np.isfinite(starts).all()
-        assert (starts >= sy._log_survival_roots((s,), (targets,))[0][0]).all()
+        assert (starts >= sy._quantile_roots((s,), probs)[0][0]).all()
+        # nor do the entropy cuts, which are never -inf
+        cuts = [sy._log_survival_bound(s, 2.0 * math.log(c)) for c in _CUTOFFS]
+        assert np.isfinite(cuts).all()
+
+
+class TestLogSurvivalBound:
+    """The entropy cut is a closed-form point where the log survival is at most
+    ``2 log c``: the least over k of ``(mu_(1) + ... + mu_(k) - sigma T)/k``."""
+
+    @pytest.mark.parametrize("topology", _TOPOLOGIES)
+    def test_log_survival_at_the_bound_is_at_most_its_target(self, topology):
+        for pair in golden_pairs(topology):
+            for s in pair:
+                for c in _CUTOFFS:
+                    target = 2.0 * math.log(c)
+                    x = sy._log_survival_bound(s, target)
+                    assert sy.system_log_survival(s, x) <= target, (s, c)
+
+    @pytest.mark.parametrize("mu", [1e6, 1000.0])
+    def test_least_over_k(self, mu):
+        # the k = n term alone, (mu + 0 - sigma T)/2, would put the cut near mu/2
+        cut = sy._log_survival_bound(series([mu, 0.0]), 2.0 * math.log(1e-12))
+        assert abs(cut - 55.262042231857095) <= 1e-12
 
 
 class TestTailSweep:
